@@ -25,6 +25,7 @@ Checkpoint layout (little-endian, stable across releases):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "GradCheckReport",
     "ShapeError",
     "tensor_op",
+    "record",
     "backward",
     "grad_check",
     "matmul",
@@ -59,6 +61,7 @@ __all__ = [
     "reshape",
     "transpose_last",
     "select",
+    "l2_penalty",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -97,9 +100,16 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
+        """Add ``g`` into ``.grad``; the first gradient is stored as a private copy.
+
+        The copy matters: an op may hand one array to several operands, and
+        the optimizer later scales gradients in place.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -189,8 +199,13 @@ def _as_tensor(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(op, inputs, out_data, backward_fn):
-    """Make the output tensor; append a record iff a tape is live and needed."""
+def record(op, inputs, out_data, backward_fn):
+    """Make the output tensor; append a record iff a tape is live and needed.
+
+    This is also the entry point for fused ops defined outside this module:
+    ``backward_fn(g)`` receives the output gradient and accumulates into
+    the inputs that require one.
+    """
     out = Tensor(out_data)
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -231,7 +246,7 @@ def matmul(a, b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
 
-    return _record("matmul", (a, b), out_data, bwd)
+    return record("matmul", (a, b), out_data, bwd)
 
 
 def add(a, b):
@@ -247,7 +262,7 @@ def add(a, b):
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return _record("add", (a, b), out_data, bwd)
+    return record("add", (a, b), out_data, bwd)
 
 
 def sub(a, b):
@@ -263,7 +278,7 @@ def sub(a, b):
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(-g, b.shape))
 
-    return _record("sub", (a, b), out_data, bwd)
+    return record("sub", (a, b), out_data, bwd)
 
 
 def mul(a, b):
@@ -279,7 +294,7 @@ def mul(a, b):
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
-    return _record("mul", (a, b), out_data, bwd)
+    return record("mul", (a, b), out_data, bwd)
 
 
 def concat(tensors, axis):
@@ -295,7 +310,7 @@ def concat(tensors, axis):
                 idx[axis] = slice(lo, hi)
                 t.accumulate_grad(g[tuple(idx)])
 
-    return _record("concat", tuple(tensors), out_data, bwd)
+    return record("concat", tuple(tensors), out_data, bwd)
 
 
 def tanh(x):
@@ -306,7 +321,7 @@ def tanh(x):
         if x.requires_grad:
             x.accumulate_grad(g * (1.0 - out_data * out_data))
 
-    return _record("tanh", (x,), out_data, bwd)
+    return record("tanh", (x,), out_data, bwd)
 
 
 def sigmoid(x):
@@ -319,7 +334,7 @@ def sigmoid(x):
         if x.requires_grad:
             x.accumulate_grad(g * out_data * (1.0 - out_data))
 
-    return _record("sigmoid", (x,), out_data, bwd)
+    return record("sigmoid", (x,), out_data, bwd)
 
 
 def gather(table, indices):
@@ -338,7 +353,7 @@ def gather(table, indices):
             np.add.at(gt, idx.reshape(-1), g.reshape(-1, *table.shape[1:]))
             table.accumulate_grad(gt)
 
-    return _record("gather", (table,), out_data, bwd)
+    return record("gather", (table,), out_data, bwd)
 
 
 def pick(x, indices):
@@ -358,7 +373,7 @@ def pick(x, indices):
             np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
             x.accumulate_grad(gx)
 
-    return _record("pick", (x,), out_data, bwd)
+    return record("pick", (x,), out_data, bwd)
 
 
 def gather_pairs(m, rows, cols):
@@ -374,7 +389,7 @@ def gather_pairs(m, rows, cols):
             np.add.at(gm, (rows.reshape(-1), cols.reshape(-1)), g.reshape(-1))
             m.accumulate_grad(gm)
 
-    return _record("gather_pairs", (m,), out_data, bwd)
+    return record("gather_pairs", (m,), out_data, bwd)
 
 
 def conv1d(x, weight, bias, width):
@@ -408,7 +423,7 @@ def conv1d(x, weight, bias, width):
                 gx[:, k : k + l_out, :] += gcol[:, :, k, :]
             x.accumulate_grad(gx)
 
-    return _record("conv1d", (x, weight, bias), out_data, bwd)
+    return record("conv1d", (x, weight, bias), out_data, bwd)
 
 
 def max_over_time(x):
@@ -425,7 +440,7 @@ def max_over_time(x):
             np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
             x.accumulate_grad(gx)
 
-    return _record("max_over_time", (x,), out_data, bwd)
+    return record("max_over_time", (x,), out_data, bwd)
 
 
 def dropout(x, rate, rng, train):
@@ -442,7 +457,7 @@ def dropout(x, rate, rng, train):
         if x.requires_grad:
             x.accumulate_grad(g * mask)
 
-    return _record("dropout", (x,), out_data, bwd)
+    return record("dropout", (x,), out_data, bwd)
 
 
 def softmax(x, axis=-1):
@@ -458,7 +473,7 @@ def softmax(x, axis=-1):
             inner = (g * out_data).sum(axis=axis, keepdims=True)
             x.accumulate_grad(out_data * (g - inner))
 
-    return _record("softmax", (x,), out_data, bwd)
+    return record("softmax", (x,), out_data, bwd)
 
 
 def logsumexp(x, axis=-1):
@@ -472,7 +487,7 @@ def logsumexp(x, axis=-1):
             w = np.exp(x.data - out_keep)
             x.accumulate_grad(np.expand_dims(g, axis) * w)
 
-    return _record("logsumexp", (x,), out_data, bwd)
+    return record("logsumexp", (x,), out_data, bwd)
 
 
 def exp(x):
@@ -483,7 +498,7 @@ def exp(x):
         if x.requires_grad:
             x.accumulate_grad(g * out_data)
 
-    return _record("exp", (x,), out_data, bwd)
+    return record("exp", (x,), out_data, bwd)
 
 
 def log(x):
@@ -494,7 +509,7 @@ def log(x):
         if x.requires_grad:
             x.accumulate_grad(g / x.data)
 
-    return _record("log", (x,), out_data, bwd)
+    return record("log", (x,), out_data, bwd)
 
 
 def reduce_sum(x, axis=None, keepdims=False):
@@ -509,7 +524,7 @@ def reduce_sum(x, axis=None, keepdims=False):
                 ge = g if keepdims else np.expand_dims(g, axis)
                 x.accumulate_grad(np.broadcast_to(ge, x.shape).copy())
 
-    return _record("reduce_sum", (x,), out_data, bwd)
+    return record("reduce_sum", (x,), out_data, bwd)
 
 
 def reshape(x, shape):
@@ -520,7 +535,7 @@ def reshape(x, shape):
         if x.requires_grad:
             x.accumulate_grad(g.reshape(x.shape))
 
-    return _record("reshape", (x,), out_data, bwd)
+    return record("reshape", (x,), out_data, bwd)
 
 
 def transpose_last(x):
@@ -532,7 +547,7 @@ def transpose_last(x):
         if x.requires_grad:
             x.accumulate_grad(np.swapaxes(g, -1, -2))
 
-    return _record("transpose_last", (x,), out_data, bwd)
+    return record("transpose_last", (x,), out_data, bwd)
 
 
 def select(x, index, axis):
@@ -550,7 +565,21 @@ def select(x, index, axis):
             gx[tuple(idx)] = g
             x.accumulate_grad(gx)
 
-    return _record("select", (x,), out_data, bwd)
+    return record("select", (x,), out_data, bwd)
+
+
+def l2_penalty(tensors, coeff):
+    """``coeff`` times the sum of squares of every element, as one record."""
+    tensors = [_as_tensor(t) for t in tensors]
+    out_data = np.asarray(coeff * sum(float(np.vdot(t.data, t.data)) for t in tensors))
+
+    def bwd(g):
+        scale = 2.0 * coeff * float(g)
+        for t in tensors:
+            if t.requires_grad:
+                t.accumulate_grad(scale * t.data)
+
+    return record("l2_penalty", tuple(tensors), out_data, bwd)
 
 
 _OP_DISPATCH = {
@@ -788,22 +817,43 @@ def save_checkpoint(path, tensors):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a name -> float64 ndarray dict."""
+    """Read a checkpoint back into a name -> float64 ndarray dict.
+
+    Every field is length-checked, so a short file raises ``ValueError``
+    naming the file, the tensor being read, and the bytes expected and left.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", f.read(4))
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            n_values = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * n_values), dtype="<f8").reshape(shape)
-            tensors[name] = data.astype(np.float64).copy()
+        buf = f.read()
+    pos = 0
+
+    def read(size, what):
+        nonlocal pos
+        if len(buf) - pos < size:
+            raise ValueError(
+                f"checkpoint {path} is truncated: {what} needs {size} bytes, "
+                f"{len(buf) - pos} left"
+            )
+        pos += size
+        return buf[pos - size : pos]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, read(struct.calcsize(fmt), what))[0]
+
+    magic = read(4, "header magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+    version = unpack("<I", "header version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    count = unpack("<I", "header tensor count")
+    tensors = {}
+    for i in range(count):
+        where = f"tensor #{i}"
+        name_len = unpack("<H", f"{where} name length")
+        name = read(name_len, f"{where} name").decode("utf-8")
+        where = f"tensor {name!r}"
+        ndim = unpack("<B", f"{where} ndim")
+        shape = tuple(unpack("<I", f"{where} dims") for _ in range(ndim))
+        values = read(8 * math.prod(shape), f"{where} values")
+        tensors[name] = np.frombuffer(values, dtype="<f8").astype(np.float64).reshape(shape)
     return tensors

@@ -1,7 +1,6 @@
 """Hierarchical utterance encoding with memory attention.
 
-Pipeline per conversation batch (equal utterance counts, token sequences
-padded to the batch maximum):
+Pipeline per conversation batch (equal utterance counts):
 
 1. token features: word row + char-CNN over characters + POS/NER rows,
    concatenated;
@@ -11,11 +10,18 @@ padded to the batch maximum):
 4. memory attention p[j, i] = softmax_i(u_j . h_i), weighted sum over the
    utterance memory, residual hop u1_j = o_j + u_j (default one hop).
 
-Padding rows of every embedding table stay identically zero: the rows are
-initialized to zero and their gradients are masked by the registry.
-Padded token positions are kept out of the recurrences with freeze masks,
-and the backward direction simply consumes the padded sequence from the
-right, so the state only starts moving at the last real token.
+Token rows are packed: the tokens of every utterance are laid end to end,
+conversation by conversation and utterance by utterance, with a separate
+array of per-utterance lengths. No padded token row exists, so nothing
+padded reaches the char CNN, dropout or the recurrences.
+
+Both BiGRUs run through ``gru_sequence``, one tape record per direction
+with a hand-written backward through time. It projects every input row
+for all three gates with one GEMM, sorts the sequences by length, longest
+first, and at step t updates only the prefix of sequences still running;
+the reverse direction reads each sequence from its last row. Padding
+rows of the embedding tables stay identically zero: they are initialized
+to zero and their gradients are masked by the registry.
 """
 
 from __future__ import annotations
@@ -44,62 +50,53 @@ def split_filter_counts(total, widths=CHAR_WIDTHS):
 
 @dataclass
 class BatchArrays:
-    """Integer id arrays for one bucket of equal-length conversations."""
+    """Integer id arrays for one bucket of equal-length conversations.
+
+    Token arrays are packed: row m is one real token, utterances laid end
+    to end in (conversation, utterance, token) order; ``lengths`` gives the
+    token count of each utterance in the same order.
+    """
 
     conv_ids: list
-    word: np.ndarray  # (B, n, T)
-    char: np.ndarray  # (B, n, T, L)
-    pos: np.ndarray  # (B, n, T)
-    ner: np.ndarray  # (B, n, T)
-    tok_mask: np.ndarray  # (B, n, T) float, 1 on real tokens
+    lengths: np.ndarray  # (B*n,) tokens per utterance
+    word: np.ndarray  # (M,)
+    char: np.ndarray  # (M, L), PAD after each token's characters
+    pos: np.ndarray  # (M,)
+    ner: np.ndarray  # (M,)
     gold: np.ndarray | None  # (B, n) act ids, None when any act missing
 
     @property
     def size(self):
-        return self.word.shape[0]
+        return len(self.conv_ids)
 
     @property
     def n_utts(self):
-        return self.word.shape[1]
+        return self.lengths.size // self.size
 
 
 def prepare_batch(conversations, vocab, min_char_len=4):
-    """Map conversations with equal utterance counts onto padded id arrays."""
+    """Map conversations with equal utterance counts onto packed id arrays."""
     lengths = {len(c) for c in conversations}
     if len(lengths) != 1:
         raise ValueError(f"batch mixes conversation lengths {sorted(lengths)}")
-    n = lengths.pop()
-    b = len(conversations)
-    t_max = max(len(u.tokens) for c in conversations for u in c.utterances)
-    l_max = max(
-        min_char_len,
-        max(len(tok.chars) for c in conversations for u in c.utterances for tok in u.tokens),
-    )
-    word = np.full((b, n, t_max), PAD_ID, dtype=np.int64)
-    char = np.full((b, n, t_max, l_max), PAD_ID, dtype=np.int64)
-    pos = np.full((b, n, t_max), PAD_ID, dtype=np.int64)
-    ner = np.full((b, n, t_max), PAD_ID, dtype=np.int64)
-    mask = np.zeros((b, n, t_max))
-    labeled = all(u.act is not None for c in conversations for u in c.utterances)
-    gold = np.zeros((b, n), dtype=np.int64) if labeled else None
-    for i, conv in enumerate(conversations):
-        for j, utt in enumerate(conv.utterances):
-            if gold is not None:
-                gold[i, j] = vocab.act_id(utt.act)
-            for t, tok in enumerate(utt.tokens):
-                word[i, j, t] = vocab.word_id(tok.surface)
-                pos[i, j, t] = vocab.pos_id(tok.pos)
-                ner[i, j, t] = vocab.ner_id(tok.ner)
-                mask[i, j, t] = 1.0
-                for l, ch in enumerate(tok.chars):
-                    char[i, j, t, l] = vocab.char_id(ch)
+    utterances = [u for c in conversations for u in c.utterances]
+    tokens = [tok for u in utterances for tok in u.tokens]
+    l_max = max(min_char_len, max(len(tok.chars) for tok in tokens))
+    char = np.full((len(tokens), l_max), PAD_ID, dtype=np.int64)
+    for m, tok in enumerate(tokens):
+        char[m, : len(tok.chars)] = [vocab.char_id(ch) for ch in tok.chars]
+    labeled = all(u.act is not None for u in utterances)
+    gold = None
+    if labeled:
+        gold = np.array([vocab.act_id(u.act) for u in utterances], dtype=np.int64)
+        gold = gold.reshape(len(conversations), -1)
     return BatchArrays(
         conv_ids=[c.id for c in conversations],
-        word=word,
+        lengths=np.array([len(u.tokens) for u in utterances], dtype=np.int64),
+        word=np.array([vocab.word_id(tok.surface) for tok in tokens], dtype=np.int64),
         char=char,
-        pos=pos,
-        ner=ner,
-        tok_mask=mask,
+        pos=np.array([vocab.pos_id(tok.pos) for tok in tokens], dtype=np.int64),
+        ner=np.array([vocab.ner_id(tok.ner) for tok in tokens], dtype=np.int64),
         gold=gold,
     )
 
@@ -125,37 +122,132 @@ def gru_params(registry, prefix):
 
 
 def gru_step(params, x, h):
-    """One gated update; h' = z * h + (1 - z) * candidate."""
-    r = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params["w_r"]), ag.matmul(h, params["u_r"])), params["b_r"]))
-    z = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params["w_z"]), ag.matmul(h, params["u_z"])), params["b_z"]))
-    cand = ag.tanh(
-        ag.add(ag.add(ag.matmul(x, params["w_h"]), ag.matmul(ag.mul(r, h), params["u_h"])), params["b_h"])
-    )
-    return ag.add(ag.mul(z, h), ag.mul(ag.sub(1.0, z), cand))
+    """One gated update of the k running sequences, on plain arrays.
 
-
-def gru_sequence(params, xs, hidden_dim, mask=None, reverse=False, collect=False):
-    """Run a GRU over axis 1 of ``xs`` (B, T, in).
-
-    With a mask, padded steps freeze the state, so the final state of a
-    right-padded row is the state at its last real token regardless of
-    direction (the reverse pass idles over the padding first). Returns
-    (final state (B, hidden), per-position states or None).
+    ``x`` (k, 3H) holds the projected inputs [x w_r + b_r | x w_z + b_z |
+    x w_h + b_h]; ``params`` holds ``u_rz`` = [u_r | u_z] and ``u_h``.
+    Returns (h', [r | z], candidate) with h' = z * h + (1 - z) * candidate.
     """
-    b, t_len, _ = xs.shape
-    h = ag.Tensor(np.zeros((b, hidden_dim)))
-    states = [None] * t_len if collect else None
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    for t in order:
-        h_new = gru_step(params, ag.select(xs, t, axis=1), h)
-        if mask is not None:
-            m = mask[:, t : t + 1]
-            h = ag.add(ag.mul(h_new, m), ag.mul(h, 1.0 - m))
-        else:
-            h = h_new
+    hid = h.shape[1]
+    rz = 0.5 * np.tanh(0.5 * (x[:, : 2 * hid] + h @ params["u_rz"])) + 0.5  # sigmoid
+    cand = np.tanh(x[:, 2 * hid :] + (rz[:, :hid] * h) @ params["u_h"])
+    return cand + rz[:, hid:] * (h - cand), rz, cand
+
+
+@dataclass
+class PackedSchedule:
+    """Time-major order of packed rows: step t runs the first k_t sequences.
+
+    Sequences are sorted by length, longest first, so the sequences still
+    running at step t are a prefix of that order. ``perm[i]`` is the packed
+    row read at time-major position i; ``offsets[t]`` is where step t
+    starts; ``last[s]`` is the time-major position of sequence s's final
+    state.
+    """
+
+    running: list  # k_t per step
+    offsets: list
+    perm: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def build(cls, lengths, reverse):
+        """Schedule for an int64 array of sequence lengths."""
+        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+            raise ValueError(f"sequence lengths must be a non-empty list of ints >= 1, got {lengths}")
+        order = np.argsort(-lengths, kind="stable")
+        t_len = int(lengths[order[0]])
+        running = lengths.size - np.cumsum(np.bincount(lengths, minlength=t_len + 1))[:t_len]
+        offsets = np.concatenate([[0], np.cumsum(running)])
+        step = np.repeat(np.arange(t_len), running)
+        seq = order[np.arange(offsets[-1]) - offsets[step]]
+        pos = lengths[seq] - 1 - step if reverse else step
+        starts = np.cumsum(lengths) - lengths
+        last = np.empty_like(order)
+        last[order] = offsets[lengths[order] - 1] + np.arange(lengths.size)
+        return cls(
+            running=running.tolist(), offsets=offsets.tolist(), perm=starts[seq] + pos, last=last
+        )
+
+
+def gru_sequence(params, xs, lengths, reverse=False, collect=False):
+    """GRU over packed rows, recorded as one tape op.
+
+    ``xs`` (M, E) is a tensor holding the sequences end to end, in order, with
+    ``lengths`` (S,) rows each (all >= 1, summing to M); ``params`` are the
+    tensors from ``gru_params``. The state starts at zero, runs over each
+    sequence (from its last row when ``reverse``) and never sees another
+    sequence's rows. Returns the final states (S, H), or with ``collect``
+    the state after every row, (M, H) in packed order.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if xs.ndim != 2 or xs.shape[0] != lengths.sum():
+        raise ag.ShapeError(f"gru_sequence needs (sum(lengths), E) rows, got {xs.shape} for {lengths}")
+    sched = PackedSchedule.build(lengths, reverse)
+    w = np.concatenate([params[f"w_{g}"].data for g in GRU_GATES], axis=1)
+    step_params = {
+        "u_rz": np.concatenate([params["u_r"].data, params["u_z"].data], axis=1),
+        "u_h": params["u_h"].data,
+    }
+    bias = np.concatenate([params[f"b_{g}"].data for g in GRU_GATES])
+    hid = step_params["u_h"].shape[0]
+    a = (xs.data @ w + bias)[sched.perm]
+    rows = a.shape[0]
+    h_prev, states, cand = np.empty((rows, hid)), np.empty((rows, hid)), np.empty((rows, hid))
+    rz = np.empty((rows, 2 * hid))
+    h = np.zeros((sched.running[0], hid))
+    for lo, k in zip(sched.offsets, sched.running):
+        hi = lo + k
+        h = h[:k]
+        h_prev[lo:hi] = h
+        h, rz[lo:hi], cand[lo:hi] = gru_step(step_params, a[lo:hi], h)
+        states[lo:hi] = h
+    if collect:
+        out_data = np.empty_like(states)
+        out_data[sched.perm] = states
+    else:
+        out_data = states[sched.last]
+
+    def bwd(g):
         if collect:
-            states[t] = h
-    return h, states
+            d_states = g[sched.perm]
+        else:
+            d_states = np.zeros_like(states)
+            d_states[sched.last] = g
+        u_rz_t, u_h_t = step_params["u_rz"].T, step_params["u_h"].T
+        da = np.empty_like(a)
+        carry = np.zeros((sched.running[0], hid))  # dL/dh from the step after
+        for lo, k in zip(reversed(sched.offsets[:-1]), reversed(sched.running)):
+            hi = lo + k
+            dh = d_states[lo:hi]
+            dh += carry[:k]
+            hp, c, gates = h_prev[lo:hi], cand[lo:hi], rz[lo:hi]
+            z = gates[:, hid:]
+            da_h = da[lo:hi, 2 * hid :]
+            np.multiply(dh * (1.0 - z), 1.0 - c * c, out=da_h)
+            drh = da_h @ u_h_t
+            da_rz = da[lo:hi, : 2 * hid]
+            np.multiply(drh, hp, out=da_rz[:, :hid])
+            np.multiply(dh, hp - c, out=da_rz[:, hid:])
+            da_rz *= gates * (1.0 - gates)
+            carry[:k] = dh * z + drh * gates[:, :hid] + da_rz @ u_rz_t
+        d_rz = h_prev.T @ da[:, : 2 * hid]
+        da_packed = np.empty_like(da)
+        da_packed[sched.perm] = da
+        d_w = xs.data.T @ da_packed
+        d_b = da_packed.sum(axis=0)
+        grads = {"u_r": d_rz[:, :hid], "u_z": d_rz[:, hid:]}
+        grads["u_h"] = (rz[:, :hid] * h_prev).T @ da[:, 2 * hid :]
+        for i, gate in enumerate(GRU_GATES):
+            grads[f"w_{gate}"] = d_w[:, i * hid : (i + 1) * hid]
+            grads[f"b_{gate}"] = d_b[i * hid : (i + 1) * hid]
+        for name, grad in grads.items():
+            if params[name].requires_grad:
+                params[name].accumulate_grad(grad)
+        if xs.requires_grad:
+            xs.accumulate_grad(da_packed @ w.T)
+
+    return ag.record("gru", (xs, *params.values()), out_data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -178,41 +270,32 @@ def char_cnn(char_ids, char_table, filters):
 
 
 def embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0):
-    """Token feature tensor (B*n, T, E) for a prepared batch."""
-    b, n, t_len = batch.word.shape
-    flat = b * n
-    word = ag.gather(params["emb_word"], batch.word.reshape(flat, t_len))
-    chars = char_cnn(
-        batch.char.reshape(flat * t_len, -1), params["emb_char"], params["cnn_filters"]
-    )
-    chars = ag.reshape(chars, (flat, t_len, -1))
-    pos = ag.gather(params["emb_pos"], batch.pos.reshape(flat, t_len))
-    ner = ag.gather(params["emb_ner"], batch.ner.reshape(flat, t_len))
-    e = ag.concat([word, chars, pos, ner], axis=2)
+    """Token feature tensor (M, E), one row per real token in packed order."""
+    word = ag.gather(params["emb_word"], batch.word)
+    chars = char_cnn(batch.char, params["emb_char"], params["cnn_filters"])
+    pos = ag.gather(params["emb_pos"], batch.pos)
+    ner = ag.gather(params["emb_ner"], batch.ner)
+    e = ag.concat([word, chars, pos, ner], axis=1)
     return ag.dropout(e, dropout_rate, rng, train)
 
 
-def encode_utterances(embedded, tok_mask, fwd_params, bwd_params, hidden_dim):
-    """Utterance vectors (N, 2*hidden) from final BiGRU states."""
-    mask = tok_mask.reshape(embedded.shape[0], -1)
-    h_fwd, _ = gru_sequence(fwd_params, embedded, hidden_dim, mask=mask)
-    h_bwd, _ = gru_sequence(bwd_params, embedded, hidden_dim, mask=mask, reverse=True)
+def encode_utterances(embedded, lengths, fwd_params, bwd_params):
+    """Utterance vectors (S, 2*hidden) from final BiGRU states over packed rows."""
+    h_fwd = gru_sequence(fwd_params, embedded, lengths)
+    h_bwd = gru_sequence(bwd_params, embedded, lengths, reverse=True)
     return ag.concat([h_fwd, h_bwd], axis=1)
 
 
-def encode_context(us, fwd_params, bwd_params, combine, hidden_dim):
+def encode_context(us, fwd_params, bwd_params, combine):
     """Contextual keys h_j = tanh(Wf fwd_j + Wb bwd_j + b) over (B, n, d)."""
-    b, n, _ = us.shape
-    _, fwd_states = gru_sequence(fwd_params, us, hidden_dim, collect=True)
-    _, bwd_states = gru_sequence(bwd_params, us, hidden_dim, reverse=True, collect=True)
-
-    def stacked(states):
-        rows = [ag.reshape(s, (b, 1, hidden_dim)) for s in states]
-        return rows[0] if n == 1 else ag.concat(rows, axis=1)
-
-    fwd = ag.matmul(stacked(fwd_states), combine["w_fwd"])
-    bwd = ag.matmul(stacked(bwd_states), combine["w_bwd"])
-    return ag.tanh(ag.add(ag.add(fwd, bwd), combine["bias"]))
+    b, n, d = us.shape
+    rows = ag.reshape(us, (b * n, d))
+    lengths = np.full(b, n)
+    fwd = ag.matmul(gru_sequence(fwd_params, rows, lengths, collect=True), combine["w_fwd"])
+    bwd = ag.matmul(
+        gru_sequence(bwd_params, rows, lengths, reverse=True, collect=True), combine["w_bwd"]
+    )
+    return ag.reshape(ag.tanh(ag.add(ag.add(fwd, bwd), combine["bias"])), (b, n, -1))
 
 
 def memory_layer(us, hs, hops=1):
@@ -245,15 +328,12 @@ class EncodedConversations:
 
 def encode_batch(batch, params, cfg, train=False, rng=None):
     """Full hierarchy over one prepared batch; see the module docstring."""
-    b, n, _ = batch.word.shape
     rate = cfg.dropout if train else 0.0
     e = embed_tokens(batch, params, train=train, rng=rng, dropout_rate=rate)
-    us_flat = encode_utterances(
-        e, batch.tok_mask, params["utt_fwd"], params["utt_bwd"], cfg.d_u
-    )
-    us = ag.reshape(us_flat, (b, n, 2 * cfg.d_u))
+    us_flat = encode_utterances(e, batch.lengths, params["utt_fwd"], params["utt_bwd"])
+    us = ag.reshape(us_flat, (batch.size, batch.n_utts, 2 * cfg.d_u))
     us = ag.dropout(us, rate, rng, train)
-    hs = encode_context(us, params["ctx_fwd"], params["ctx_bwd"], params["ctx_combine"], cfg.d_u)
+    hs = encode_context(us, params["ctx_fwd"], params["ctx_bwd"], params["ctx_combine"])
     attention, out, finals = memory_layer(us, hs, hops=cfg.hops)
     return EncodedConversations(
         original=us, contextual=hs, attention=attention, memory_out=out, final=finals
@@ -278,18 +358,16 @@ def embed_token(token, vocab, params, min_char_len=4):
     return ag.reshape(ag.concat([word, chars, pos, ner], axis=1), (-1,))
 
 
-def encode_utterance(embedded, fwd_params, bwd_params, hidden_dim):
+def encode_utterance(embedded, fwd_params, bwd_params):
     """One utterance (T, E) -> u in R^{2*hidden}."""
-    t_len, e_dim = embedded.shape
-    seq = ag.reshape(embedded, (1, t_len, e_dim))
-    mask = np.ones((1, t_len))
-    return ag.reshape(encode_utterances(seq, mask, fwd_params, bwd_params, hidden_dim), (-1,))
+    lengths = np.array([embedded.shape[0]])
+    return ag.reshape(encode_utterances(embedded, lengths, fwd_params, bwd_params), (-1,))
 
 
-def encode_context_single(us, fwd_params, bwd_params, combine, hidden_dim):
+def encode_context_single(us, fwd_params, bwd_params, combine):
     """One conversation (n, d) -> contextual keys (n, d)."""
     n, d = us.shape
-    hs = encode_context(ag.reshape(us, (1, n, d)), fwd_params, bwd_params, combine, hidden_dim)
+    hs = encode_context(ag.reshape(us, (1, n, d)), fwd_params, bwd_params, combine)
     return ag.reshape(hs, (n, d))
 
 

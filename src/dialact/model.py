@@ -186,12 +186,8 @@ class DialogueActModel:
         for term in nll_terms[1:]:
             nll = ag.add(nll, term)
         if self.cfg.l2 > 0.0:
-            penalty = None
-            for name in self.registry.names():
-                p = self.registry[name]
-                term = ag.reduce_sum(ag.mul(p, p))
-                penalty = term if penalty is None else ag.add(penalty, term)
-            nll = ag.add(nll, ag.mul(penalty, self.cfg.l2))
+            params = [self.registry[name] for name in self.registry.names()]
+            nll = ag.add(nll, ag.l2_penalty(params, self.cfg.l2))
         return nll
 
     # -- inference ----------------------------------------------------------
@@ -265,8 +261,8 @@ class DialogueActModel:
             raise ValueError(f"unsupported checkpoint meta version {meta.get('version')!r}")
         vocab = Vocab.from_json_obj(meta["vocab"])
         cfg = TrainConfig(**meta["config"])
-        model = cls(vocab, cfg)
         state = ag.load_checkpoint(path)
+        model = cls(vocab, cfg)
         missing = set(model.registry.names()) ^ set(state)
         if missing:
             raise ValueError(f"checkpoint/vocab mismatch: unmatched tensors {sorted(missing)}")

@@ -20,6 +20,7 @@ object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds"}.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -65,6 +66,13 @@ class TrainConfig:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
         if self.d != 2 * self.d_u:
             raise ValueError(f"d={self.d} must equal 2*d_u={2 * self.d_u}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not math.isfinite(self.clip_norm):
+            raise ValueError(f"clip_norm must be finite (<= 0 disables clipping), got {self.clip_norm}")
+        for name in ("hops", "patience", "max_batch", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 _CASTS = {"int": int, "float": float, "bool": lambda v: v.strip().lower() in ("1", "true", "yes")}

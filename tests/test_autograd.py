@@ -245,7 +245,7 @@ def test_grad_check_flags_corrupted_tanh_rule(monkeypatch):
             if x.requires_grad:
                 x.accumulate_grad(g * (1.0 - 0.5 * out_data * out_data))  # wrong rule
 
-        return ag._record("tanh", (x,), out_data, bwd)
+        return ag.record("tanh", (x,), out_data, bwd)
 
     monkeypatch.setattr(ag, "tanh", broken_tanh)
     reg = ag.ParamRegistry()
@@ -333,3 +333,28 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         ag.load_checkpoint(path)
+
+
+def test_checkpoint_truncation_names_file_tensor_and_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ag.save_checkpoint(path, {"alpha": np.zeros((2, 3)), "beta": np.ones(4)})
+    full = path.read_bytes()
+    path.write_bytes(full[:-5])  # beta's values lose their last 5 bytes
+    with pytest.raises(ValueError, match=r"model\.ckpt.*'beta' values needs 32 bytes, 27 left"):
+        ag.load_checkpoint(path)
+    path.write_bytes(full[:6])  # cut inside the header
+    with pytest.raises(ValueError, match="header version needs 4 bytes, 2 left"):
+        ag.load_checkpoint(path)
+
+
+def test_l2_penalty_value_and_gradient():
+    reg = ag.ParamRegistry()
+    a = reg.add("a", np.array([[1.0, -2.0], [0.5, 3.0]]))
+    b = reg.add("b", np.array([4.0]))
+    with ag.Tape() as tape:
+        loss = ag.l2_penalty([a, b], 0.25)
+    assert len(tape.records) == 1
+    assert float(loss.data) == pytest.approx(0.25 * (1 + 4 + 0.25 + 9 + 16), abs=1e-15)
+    tape.backward(loss)
+    assert np.array_equal(a.grad, 0.5 * a.data)
+    assert np.array_equal(b.grad, 0.5 * b.data)

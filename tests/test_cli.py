@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dialact import cli
-from dialact.corpus import parse_jsonl, write_jsonl
+from dialact.corpus import Conversation, Token, Utterance, build_vocab, parse_jsonl, write_jsonl
+from dialact.model import DialogueActModel
+from dialact.train import TrainConfig
 from dialact.synthetic import SyntheticSpec, generate_synthetic, symmetric_transition
 
 GREET_SPEC = """
@@ -207,3 +209,24 @@ def test_checkpoint_vocab_mismatch_detected(trained, tmp_path):
     code = run_cli("eval", "--checkpoint", str(broken_ckpt), "--test", str(test_path),
                    "--out", str(tmp_path / "r.json"))
     assert code == 2
+
+
+def test_truncated_checkpoint_exits_two_at_every_offset(tmp_path, capsys):
+    utts = (Utterance(tokens=(Token("hi"),), speaker="A", act="a"),
+            Utterance(tokens=(Token("ok"),), speaker="B", act="b"))
+    convs = [Conversation(id="c", utterances=utts)]
+    test_path = tmp_path / "test.jsonl"
+    write_jsonl(test_path, convs)
+    cfg = TrainConfig(
+        d=2, d_u=1, d_c=1, d_p=1, d_n=1, word_dim=1, char_out=3, attn_dim=1, emit_dim=1
+    )
+    ckpt = tmp_path / "tiny.ckpt"
+    DialogueActModel(build_vocab(convs), cfg).save(ckpt)
+    full = ckpt.read_bytes()
+    for offset in range(len(full)):
+        ckpt.write_bytes(full[:offset])
+        code = run_cli("eval", "--checkpoint", str(ckpt), "--test", str(test_path),
+                       "--out", str(tmp_path / "r.json"))
+        err = capsys.readouterr().err
+        assert code == 2, offset
+        assert err.count("\n") == 1 and "tiny.ckpt is truncated" in err, (offset, err)

@@ -247,7 +247,9 @@ def test_every_encoded_id_indexes_its_table(tmp_path):
     assert batch.pos.max() < len(vocab.pos_index)
     assert batch.ner.max() < len(vocab.ner_index)
     assert batch.gold.max() < len(vocab.act_index)
+    # packed rows are exactly the real tokens, utterance by utterance
+    assert batch.lengths.tolist() == [len(u.tokens) for u in conv.utterances]
+    assert batch.word.shape == batch.pos.shape == batch.ner.shape == (batch.lengths.sum(),)
     # no POS/NER columns in the snippet: real tokens carry the ABSENT tag
-    real = batch.tok_mask.astype(bool)
-    assert np.all(batch.pos[real] == ABSENT_ID)
-    assert np.all(batch.ner[real] == ABSENT_ID)
+    assert np.all(batch.pos == ABSENT_ID)
+    assert np.all(batch.ner == ABSENT_ID)

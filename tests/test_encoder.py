@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialact import autograd as ag
 from dialact import encoder
@@ -99,23 +101,48 @@ def gru_pair(seed, input_dim, hidden):
     return gru_params(reg, "fwd"), gru_params(reg, "bwd"), reg
 
 
+def reference_gru_step(params, x, h):
+    """One gated update from primitive tape ops; h' = z * h + (1 - z) * candidate."""
+    r = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params["w_r"]), ag.matmul(h, params["u_r"])), params["b_r"]))
+    z = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params["w_z"]), ag.matmul(h, params["u_z"])), params["b_z"]))
+    cand = ag.tanh(
+        ag.add(ag.add(ag.matmul(x, params["w_h"]), ag.matmul(ag.mul(r, h), params["u_h"])), params["b_h"])
+    )
+    return ag.add(ag.mul(z, h), ag.mul(ag.sub(1.0, z), cand))
+
+
+def reference_gru(params, xs, mask, hidden_dim, reverse=False):
+    """Padded (B, T, in) GRU whose padded steps freeze the state.
+
+    Returns (final states (B, hidden), per-position states, each (B, hidden)).
+    """
+    b, t_len, _ = xs.shape
+    h = ag.Tensor(np.zeros((b, hidden_dim)))
+    states = [None] * t_len
+    for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
+        m = mask[:, t : t + 1]
+        h = ag.add(ag.mul(reference_gru_step(params, ag.select(xs, t, axis=1), h), m), ag.mul(h, 1.0 - m))
+        states[t] = h
+    return h, states
+
+
 def test_encode_utterance_single_step():
     fwd, bwd, _ = gru_pair(1, 5, 3)
     e = ag.Tensor(np.random.default_rng(2).normal(size=(1, 5)))
-    u = encode_utterance(e, fwd, bwd, 3)
+    u = encode_utterance(e, fwd, bwd)
     assert u.shape == (6,)
     # with one token both directions see the same single input
-    h_f, _ = gru_sequence(fwd, ag.reshape(e, (1, 1, 5)), 3)
-    h_b, _ = gru_sequence(bwd, ag.reshape(e, (1, 1, 5)), 3, reverse=True)
+    h_f = gru_sequence(fwd, e, [1])
+    h_b = gru_sequence(bwd, e, [1], reverse=True)
     assert np.array_equal(u.data[:3], h_f.data[0])
     assert np.array_equal(u.data[3:], h_b.data[0])
 
 
 def test_direction_symmetry_under_reversal():
     fwd, bwd, _ = gru_pair(3, 4, 3)
-    seq = np.random.default_rng(4).normal(size=(1, 6, 4))
-    fwd_on_reversed, _ = gru_sequence(fwd, ag.Tensor(seq[:, ::-1].copy()), 3)
-    bwd_on_original, _ = gru_sequence(fwd, ag.Tensor(seq), 3, reverse=True)
+    seq = np.random.default_rng(4).normal(size=(6, 4))
+    fwd_on_reversed = gru_sequence(fwd, ag.Tensor(seq[::-1].copy()), [6])
+    bwd_on_original = gru_sequence(fwd, ag.Tensor(seq), [6], reverse=True)
     assert np.abs(fwd_on_reversed.data - bwd_on_original.data).max() < 1e-14
 
 
@@ -123,21 +150,106 @@ def test_zero_gru_weights_give_zero_state():
     reg = ag.ParamRegistry()
     init_gru(reg, "z", 4, 3, np.random.default_rng(0), scale=0.0)
     params = gru_params(reg, "z")
-    seq = ag.Tensor(np.random.default_rng(1).normal(size=(2, 5, 4)))
-    h, _ = gru_sequence(params, seq, 3)
+    seq = ag.Tensor(np.random.default_rng(1).normal(size=(10, 4)))
+    h = gru_sequence(params, seq, [5, 5])
     # candidate tanh(0) = 0 and h0 = 0, so the state never leaves zero
     assert np.array_equal(h.data, np.zeros((2, 3)))
 
 
 def test_masked_padding_equals_unpadded_encoding():
+    # packed form: a sequence's neighbours in the packed rows never reach it
     fwd, bwd, _ = gru_pair(5, 4, 3)
     rng = np.random.default_rng(6)
-    short = rng.normal(size=(1, 3, 4))
-    padded = np.concatenate([short, rng.normal(size=(1, 2, 4))], axis=1)  # junk past mask
-    mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-    u_short = encoder.encode_utterances(ag.Tensor(short), np.ones((1, 3)), fwd, bwd, 3)
-    u_padded = encoder.encode_utterances(ag.Tensor(padded), mask, fwd, bwd, 3)
-    assert np.abs(u_short.data - u_padded.data).max() < 1e-14
+    short = rng.normal(size=(3, 4))
+    packed = np.concatenate([rng.normal(size=(5, 4)), short, rng.normal(size=(2, 4))])
+    u_short = encoder.encode_utterances(ag.Tensor(short), [3], fwd, bwd)
+    u_packed = encoder.encode_utterances(ag.Tensor(packed), [5, 3, 2], fwd, bwd)
+    assert np.abs(u_short.data[0] - u_packed.data[1]).max() < 1e-14
+
+
+def test_gru_sequence_rejects_bad_lengths():
+    fwd, _, _ = gru_pair(0, 2, 2)
+    x = ag.Tensor(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="lengths"):
+        gru_sequence(fwd, x, [4, 0])
+    with pytest.raises(ag.ShapeError, match="rows"):
+        gru_sequence(fwd, x, [2, 1])
+
+
+def random_gru(rng, input_dim, hidden):
+    """GRU parameters away from the small-init regime, so every gate matters."""
+    reg = ag.ParamRegistry()
+    init_gru(reg, "g", input_dim, hidden, rng, scale=0.5)
+    for name in reg.names():
+        reg[name].data += rng.normal(scale=0.3, size=reg[name].shape)
+    return reg
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 5),
+    t_len=st.integers(1, 6),
+    e=st.integers(1, 5),
+    hidden=st.integers(1, 4),
+    reverse=st.booleans(),
+    collect=st.booleans(),
+)
+def test_fused_gru_matches_primitive_reference(seed, b, t_len, e, hidden, reverse, collect):
+    """Forward to 1e-12 and every parameter and input gradient to 1e-10."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, t_len + 1, size=b)
+    t_len = int(lengths.max())
+    real = np.arange(t_len)[None, :] < lengths[:, None]
+    reg = random_gru(rng, e, hidden)
+    params = gru_params(reg, "g")
+    padded = reg.add("x", rng.normal(size=(b, t_len, e)))
+    weights = rng.normal(size=(int(lengths.sum()) if collect else b, hidden))
+
+    reg.zero_grads()
+    with ag.Tape() as tape:
+        final, states = reference_gru(params, padded, real.astype(float), hidden, reverse)
+        if collect:
+            stacked = ag.concat([ag.reshape(s, (b, 1, hidden)) for s in states], axis=1)
+            spread = np.zeros((b, t_len, hidden))
+            spread[real] = weights
+            loss = ag.reduce_sum(ag.mul(stacked, spread))
+            expected = stacked.data[real]
+        else:
+            loss = ag.reduce_sum(ag.mul(final, weights))
+            expected = final.data
+    tape.backward(loss)
+    ref_grads = {name: reg[name].grad.copy() for name in reg.names()}
+
+    reg.zero_grads()
+    packed = ag.Tensor(padded.data[real], requires_grad=True)
+    with ag.Tape() as tape:
+        out = gru_sequence(params, packed, lengths, reverse=reverse, collect=collect)
+        loss = ag.reduce_sum(ag.mul(out, weights))
+    tape.backward(loss)
+
+    assert np.abs(out.data - expected).max() < 1e-12
+    for name in params:
+        assert np.abs(params[name].grad - ref_grads[f"g.{name}"]).max() < 1e-10, name
+    assert np.abs(packed.grad - ref_grads["x"][real]).max() < 1e-10
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("collect", [False, True])
+def test_fused_gru_passes_grad_check(reverse, collect):
+    rng = np.random.default_rng(21)
+    lengths = [3, 1, 4, 1, 2]  # includes length-1 rows
+    reg = random_gru(rng, 3, 2)
+    params = gru_params(reg, "g")
+    x = reg.add("x", rng.normal(size=(sum(lengths), 3)))
+    weights = rng.normal(size=(sum(lengths) if collect else len(lengths), 2))
+
+    def closure():
+        out = gru_sequence(params, x, lengths, reverse=reverse, collect=collect)
+        return ag.reduce_sum(ag.mul(out, weights))
+
+    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4, max_per_tensor=20, seed=2)
+    assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +273,16 @@ def context_setup(seed, d=6, hidden=3):
 def test_context_single_utterance():
     cf, cb, combine, _ = context_setup(7)
     u1 = np.random.default_rng(8).normal(size=(1, 6))
-    h = encode_context_single(ag.Tensor(u1), cf, cb, combine, 3)
+    h = encode_context_single(ag.Tensor(u1), cf, cb, combine)
     assert h.shape == (1, 6)
-    h2 = encode_context_single(ag.Tensor(u1 * 2.0), cf, cb, combine, 3)
+    h2 = encode_context_single(ag.Tensor(u1 * 2.0), cf, cb, combine)
     assert np.abs(h.data - h2.data).max() > 0.0  # h_1 is a function of u_1
 
 
 def test_context_values_in_tanh_range():
     cf, cb, combine, _ = context_setup(9)
     us = np.random.default_rng(10).normal(scale=5.0, size=(4, 6))
-    h = encode_context_single(ag.Tensor(us), cf, cb, combine, 3)
+    h = encode_context_single(ag.Tensor(us), cf, cb, combine)
     assert np.all(h.data > -1.0) and np.all(h.data < 1.0)
 
 
@@ -178,10 +290,10 @@ def test_permuting_later_utterances_changes_first_context():
     cf, cb, combine, _ = context_setup(11)
     rng = np.random.default_rng(12)
     us = rng.normal(size=(5, 6))
-    h = encode_context_single(ag.Tensor(us), cf, cb, combine, 3)
+    h = encode_context_single(ag.Tensor(us), cf, cb, combine)
     permuted = us.copy()
     permuted[1:] = permuted[[3, 1, 4, 2]]
-    h_perm = encode_context_single(ag.Tensor(permuted), cf, cb, combine, 3)
+    h_perm = encode_context_single(ag.Tensor(permuted), cf, cb, combine)
     # the backward pass carries the permutation into position 0
     assert np.abs(h.data[0] - h_perm.data[0]).max() > 1e-9
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dialact import autograd as ag
-from dialact import synthetic
-from dialact.corpus import Conversation, Token, TranscriptError, Utterance, build_vocab
+from dialact import cli, synthetic
+from dialact.corpus import Conversation, Token, TranscriptError, Utterance, build_vocab, write_jsonl
 from dialact.model import DialogueActModel
 from dialact.train import (
     TrainConfig,
@@ -56,6 +56,40 @@ def test_config_validation():
         TrainConfig(ema_decay=1.5)
     with pytest.raises(ValueError, match="d="):
         TrainConfig(d=10, d_u=4)
+
+
+INVALID_CONFIGS = [
+    ("hops", "0"),
+    ("lr", "0"),
+    ("lr", "-0.05"),
+    ("clip_norm", "nan"),
+    ("clip_norm", "inf"),
+    ("patience", "0"),
+    ("max_batch", "0"),
+    ("max_epochs", "0"),
+]
+
+
+@pytest.mark.parametrize("key,text", INVALID_CONFIGS)
+def test_invalid_config_rejected_when_parsed(key, text, tmp_path, capsys):
+    value = type(getattr(TrainConfig(), key))(text)
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
+
+    conv = two_label_conv()
+    data = tmp_path / "convs.jsonl"
+    write_jsonl(data, [conv])
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    code = cli.run(
+        ["train", "--train", str(data), "--valid", str(data), "--checkpoint", str(ckpt),
+         "--config", str(cfg), "--quiet"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+    assert not ckpt.exists()
 
 
 def test_parse_config_file(tmp_path):
@@ -202,6 +236,20 @@ def test_adagrad_aborts_on_nan_naming_parameter():
     p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError, match="'w'"):
         adagrad_step(reg, lr=0.01)
+
+
+def test_first_gradient_is_a_private_copy():
+    # add hands one array to both operands; clipping then scales in place
+    reg = ag.ParamRegistry()
+    a = reg.add("a", np.array([3.0, 0.0]))
+    b = reg.add("b", np.array([0.0, 4.0]))
+    with ag.Tape() as tape:
+        loss = ag.reduce_sum(ag.add(a, b))
+    tape.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert clip_gradients(reg, max_norm=1.0) == pytest.approx(0.5)  # norm was 2
+    assert np.array_equal(a.grad, [0.5, 0.5])
+    assert np.array_equal(b.grad, [0.5, 0.5])
 
 
 def test_clip_gradients_global_norm():
