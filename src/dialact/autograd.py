@@ -36,7 +36,6 @@ __all__ = [
     "ParamRegistry",
     "GradCheckReport",
     "ShapeError",
-    "tensor_op",
     "record",
     "backward",
     "grad_check",
@@ -580,29 +579,6 @@ def l2_penalty(tensors, coeff):
                 t.accumulate_grad(scale * t.data)
 
     return record("l2_penalty", tuple(tensors), out_data, bwd)
-
-
-_OP_DISPATCH = {
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "add": lambda inputs, attrs: add(*inputs),
-    "mul": lambda inputs, attrs: mul(*inputs),
-    "concat": lambda inputs, attrs: concat(inputs, axis=attrs["axis"]),
-    "tanh": lambda inputs, attrs: tanh(*inputs),
-    "sigmoid": lambda inputs, attrs: sigmoid(*inputs),
-    "gather": lambda inputs, attrs: gather(inputs[0], attrs["indices"]),
-    "conv1d": lambda inputs, attrs: conv1d(*inputs, width=attrs["width"]),
-    "max_over_time": lambda inputs, attrs: max_over_time(*inputs),
-    "dropout": lambda inputs, attrs: dropout(
-        inputs[0], attrs["rate"], attrs["rng"], attrs["train"]
-    ),
-}
-
-
-def tensor_op(kind, inputs, **attrs):
-    """Uniform entry point over the primitive kinds; see each op for contracts."""
-    if kind not in _OP_DISPATCH:
-        raise ValueError(f"unknown tensor_op kind: {kind!r}")
-    return _OP_DISPATCH[kind](inputs, attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,9 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TranscriptError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (
+        TranscriptError, ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError
+    ) as e:
         print(f"dialact {args.command}: {e}", file=sys.stderr)
         return VALIDATION_ERROR
 

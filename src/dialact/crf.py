@@ -1,17 +1,22 @@
-"""Linear-chain scoring, exact inference, and the latent-selection layer.
+"""Linear-chain inference and the latent-selection layer.
 
-Two routes coexist deliberately:
+One engine does all chain inference. ``forward_backward`` (logZ, node and
+edge marginals) and ``viterbi_decode`` (argmax paths) run on a batch of
+equal-length chains: unary scores (B, n, Y) as numpy arrays, one shared
+(Y, Y) transition table, and optional start/stop vectors added at the
+first and last positions. Decoding, the attention export, the oracle
+suites and the synthetic reference decoder call it directly. Training
+reaches it through two tape ops, one record each:
 
-* pure-numpy inference over a frozen :class:`PotentialTable`
-  (``log_partition``, ``forward_backward``, ``viterbi_decode``,
-  ``sequence_log_prob``) used at decode time and by the enumeration
-  oracles, and
-* tape-recorded recursions (``chain_log_partition``, ``chain_marginals``)
-  used during training, so the log-partition gradient produced by
-  reverse-mode differentiation can be cross-checked against the
-  forward-backward marginals computed independently here.
+* ``chain_log_partition``: logZ per chain. Its backward is the gradient
+  of logZ, i.e. the node, edge and boundary marginals.
+* ``chain_marginals``: node marginals, for the selection layer. Its
+  backward is the exact Hessian-vector product of logZ, one forward-mode
+  pass over the same alpha/beta tables in O(n Y^2).
 
-All recursions run in log space; overflow is impossible by construction.
+The engine is checked against brute-force enumeration (``oracles``) and
+both ops against finite differences. All recursions run in log space, so
+overflow is impossible by construction.
 """
 
 from __future__ import annotations
@@ -28,9 +33,30 @@ def _logsumexp(a, axis):
     return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 
+def _checked(unary, transition, start, stop, ndim):
+    """float64 views of chain scores after shape and finiteness checks."""
+    unary, transition, start, stop = (
+        None if a is None else np.asarray(a, dtype=np.float64)
+        for a in (unary, transition, start, stop)
+    )
+    if unary.ndim != ndim or unary.shape[-2] < 1:
+        layout = "(n, Y)" if ndim == 2 else "(B, n, Y)"
+        raise ValueError(f"unary must be {layout} with n >= 1, got {unary.shape}")
+    n_labels = unary.shape[-1]
+    if transition.shape != (n_labels, n_labels):
+        raise ValueError(f"transition shape {transition.shape} does not match {n_labels} labels")
+    for name, vec in (("start", start), ("stop", stop)):
+        if vec is not None and vec.shape != (n_labels,):
+            raise ValueError(f"{name} must have shape ({n_labels},), got {vec.shape}")
+    for arr in (unary, transition, start, stop):
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError("potentials must be finite")
+    return unary, transition, start, stop
+
+
 @dataclass(frozen=True)
 class PotentialTable:
-    """Chain scores: per-position unary (n x Y), pairwise transition (Y x Y).
+    """Chain scores of one conversation: unary (n x Y), transition (Y x Y).
 
     Optional start/stop vectors add boundary scores at the first and last
     positions. All entries must be finite.
@@ -42,27 +68,9 @@ class PotentialTable:
     stop: np.ndarray | None = None
 
     def __post_init__(self):
-        unary = np.asarray(self.unary, dtype=np.float64)
-        transition = np.asarray(self.transition, dtype=np.float64)
-        object.__setattr__(self, "unary", unary)
-        object.__setattr__(self, "transition", transition)
-        if unary.ndim != 2 or unary.shape[0] < 1:
-            raise ValueError(f"unary must be (n, Y) with n >= 1, got {unary.shape}")
-        n_labels = unary.shape[1]
-        if transition.shape != (n_labels, n_labels):
-            raise ValueError(
-                f"transition shape {transition.shape} does not match {n_labels} labels"
-            )
-        for name in ("start", "stop"):
-            vec = getattr(self, name)
-            if vec is not None:
-                vec = np.asarray(vec, dtype=np.float64)
-                object.__setattr__(self, name, vec)
-                if vec.shape != (n_labels,):
-                    raise ValueError(f"{name} must have shape ({n_labels},), got {vec.shape}")
-        for arr in (unary, transition, self.start, self.stop):
-            if arr is not None and not np.isfinite(arr).all():
-                raise ValueError("potentials must be finite")
+        checked = _checked(self.unary, self.transition, self.start, self.stop, ndim=2)
+        for name, value in zip(("unary", "transition", "start", "stop"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -75,119 +83,116 @@ class PotentialTable:
 
 @dataclass(frozen=True)
 class MarginalSet:
-    """Exact chain marginals: node (n x Y), edge ((n-1) x Y x Y), log-partition."""
+    """Exact marginals of a chain batch: node (B, n, Y), edge (B, n-1, Y, Y), logZ (B,)."""
 
     node: np.ndarray
     edge: np.ndarray
-    logZ: float
-
-
-def _alphas(pot):
-    n, k = pot.unary.shape
-    alpha = np.empty((n, k))
-    alpha[0] = pot.unary[0] + (pot.start if pot.start is not None else 0.0)
-    for t in range(1, n):
-        alpha[t] = _logsumexp(alpha[t - 1][:, None] + pot.transition, axis=0) + pot.unary[t]
-    return alpha
-
-
-def _betas(pot):
-    n, k = pot.unary.shape
-    beta = np.empty((n, k))
-    beta[n - 1] = pot.stop if pot.stop is not None else 0.0
-    for t in range(n - 2, -1, -1):
-        beta[t] = _logsumexp(pot.transition + (pot.unary[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
-
-
-def log_partition(pot):
-    """log of the sum of exp(score) over all |Y|^n label sequences."""
-    alpha = _alphas(pot)
-    last = alpha[-1] + (pot.stop if pot.stop is not None else 0.0)
-    return float(_logsumexp(last, axis=0))
-
-
-def forward_backward(pot):
-    """Node and edge marginals of the chain distribution, plus logZ."""
-    alpha = _alphas(pot)
-    beta = _betas(pot)
-    logz = float(_logsumexp(alpha[-1] + beta[-1], axis=0))
-    node = np.exp(alpha + beta - logz)
-    n, k = pot.unary.shape
-    edge = np.empty((n - 1, k, k))
-    for t in range(n - 1):
-        edge[t] = np.exp(
-            alpha[t][:, None]
-            + pot.transition
-            + (pot.unary[t + 1] + beta[t + 1])[None, :]
-            - logz
-        )
-    return MarginalSet(node=node, edge=edge, logZ=logz)
-
-
-def sequence_score(pot, labels):
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (pot.n,):
-        raise ValueError(f"label sequence length {labels.shape} does not match n={pot.n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= pot.n_labels):
-        raise IndexError(f"label out of range [0, {pot.n_labels})")
-    score = float(pot.unary[np.arange(pot.n), labels].sum())
-    score += float(pot.transition[labels[:-1], labels[1:]].sum())
-    if pot.start is not None:
-        score += float(pot.start[labels[0]])
-    if pot.stop is not None:
-        score += float(pot.stop[labels[-1]])
-    return score
-
-
-def sequence_log_prob(pot, labels):
-    """log p(labels) = score(labels) - logZ; never positive."""
-    return sequence_score(pot, labels) - log_partition(pot)
-
-
-def viterbi_decode(pot):
-    """Exact argmax sequence via the score/backpointer tables.
-
-    Ties break toward the lowest label id (argmax takes the first maximum),
-    keeping decodes deterministic across platforms.
-    """
-    n, k = pot.unary.shape
-    score = np.empty((n, k))
-    back = np.zeros((n, k), dtype=np.int64)
-    score[0] = pot.unary[0] + (pot.start if pot.start is not None else 0.0)
-    for t in range(1, n):
-        cand = score[t - 1][:, None] + pot.transition  # (from, to)
-        back[t] = np.argmax(cand, axis=0)
-        score[t] = cand[back[t], np.arange(k)] + pot.unary[t]
-    last = score[n - 1] + (pot.stop if pot.stop is not None else 0.0)
-    best_last = int(np.argmax(last))
-    path = [best_last]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path, float(last[best_last])
+    logZ: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# tape-recorded chain recursions (training route)
+# the engine
+# ---------------------------------------------------------------------------
+
+
+def _chain(unary, transition, start, stop):
+    """Checked (B, n, Y) unaries with the boundary scores folded in, and transition."""
+    unary, transition, start, stop = _checked(unary, transition, start, stop, ndim=3)
+    if start is not None or stop is not None:
+        unary = unary.copy()
+        if start is not None:
+            unary[:, 0] += start
+        if stop is not None:
+            unary[:, -1] += stop
+    return unary, transition
+
+
+def _alpha_beta(unary, transition):
+    """Log forward/backward tables (B, n, Y) and logZ (B,)."""
+    n = unary.shape[1]
+    alpha = np.empty_like(unary)
+    beta = np.zeros_like(unary)
+    alpha[:, 0] = unary[:, 0]
+    for t in range(1, n):
+        alpha[:, t] = _logsumexp(alpha[:, t - 1, :, None] + transition, axis=1) + unary[:, t]
+    for t in range(n - 2, -1, -1):
+        beta[:, t] = _logsumexp(transition + (unary[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+    return alpha, beta, _logsumexp(alpha[:, -1], axis=1)
+
+
+def _marginals(unary, transition, alpha, beta, logz):
+    node = np.exp(alpha + beta - logz[:, None, None])
+    edge = np.exp(
+        alpha[:, :-1, :, None]
+        + transition
+        + (unary[:, 1:] + beta[:, 1:])[:, :, None, :]
+        - logz[:, None, None, None]
+    )
+    return MarginalSet(node=node, edge=edge, logZ=logz)
+
+
+def forward_backward(unary, transition, start=None, stop=None):
+    """Node and edge marginals plus logZ of each chain in a batch.
+
+    unary (B, n, Y), transition (Y, Y), start/stop (Y,) or None; all
+    finite numpy arrays. Returns a :class:`MarginalSet`.
+    """
+    unary, transition = _chain(unary, transition, start, stop)
+    return _marginals(unary, transition, *_alpha_beta(unary, transition))
+
+
+def viterbi_decode(unary, transition, start=None, stop=None):
+    """Exact argmax paths (B, n) int64 and their scores (B,) for a chain batch.
+
+    Arguments as for :func:`forward_backward`. Ties break toward the
+    lowest label id (argmax takes the first maximum), keeping decodes
+    deterministic across platforms.
+    """
+    unary, transition = _chain(unary, transition, start, stop)
+    b, n, _ = unary.shape
+    back = np.zeros(unary.shape, dtype=np.int64)
+    score = unary[:, 0]
+    for t in range(1, n):
+        cand = score[:, :, None] + transition  # (B, from, to)
+        back[:, t] = np.argmax(cand, axis=1)
+        score = np.take_along_axis(cand, back[:, t, None, :], axis=1)[:, 0] + unary[:, t]
+    rows = np.arange(b)
+    paths = np.empty((b, n), dtype=np.int64)
+    paths[:, -1] = np.argmax(score, axis=1)
+    for t in range(n - 1, 0, -1):
+        paths[:, t - 1] = back[rows, t, paths[:, t]]
+    return paths, score[rows, paths[:, -1]]
+
+
+# ---------------------------------------------------------------------------
+# tape ops over the engine (training route)
 # ---------------------------------------------------------------------------
 
 
 def chain_log_partition(unary, transition, start=None, stop=None):
-    """Differentiable logZ for a batch of equal-length chains.
+    """Differentiable logZ (B,) of a chain batch, one tape record.
 
-    unary: tensor (B, n, Y); transition: tensor (Y, Y); returns (B,).
+    unary: tensor (B, n, Y); transition: tensor (Y, Y); start/stop:
+    optional tensors (Y,). The backward is the gradient of logZ: node
+    marginals for the unaries and boundaries, summed edge marginals for
+    the transition.
     """
-    b, n, k = unary.shape
-    alpha = ag.select(unary, 0, axis=1)
-    if start is not None:
-        alpha = ag.add(alpha, start)
-    for t in range(1, n):
-        prev = ag.reshape(alpha, (b, k, 1))
-        alpha = ag.add(ag.logsumexp(ag.add(prev, transition), axis=1), ag.select(unary, t, axis=1))
-    if stop is not None:
-        alpha = ag.add(alpha, stop)
-    return ag.logsumexp(alpha, axis=1)
+    marg = forward_backward(
+        unary.data, transition.data, *(None if v is None else v.data for v in (start, stop))
+    )
+
+    def bwd(g):
+        if unary.requires_grad:
+            unary.accumulate_grad(g[:, None, None] * marg.node)
+        if transition.requires_grad:
+            transition.accumulate_grad(np.tensordot(g, marg.edge.sum(axis=1), axes=1))
+        if start is not None and start.requires_grad:
+            start.accumulate_grad(g @ marg.node[:, 0])
+        if stop is not None and stop.requires_grad:
+            stop.accumulate_grad(g @ marg.node[:, -1])
+
+    inputs = tuple(v for v in (unary, transition, start, stop) if v is not None)
+    return ag.record("chain_log_partition", inputs, marg.logZ, bwd)
 
 
 def chain_gold_score(unary, transition, gold, start=None, stop=None):
@@ -209,30 +214,38 @@ def chain_gold_score(unary, transition, gold, start=None, stop=None):
 
 
 def chain_marginals(unary, transition):
-    """Differentiable node marginals (B, n, Y) and logZ (B,) of a chain batch.
+    """Differentiable node marginals (B, n, Y) of a chain batch, one tape record.
 
-    Both forward and backward recursions stay on the tape, so downstream
-    expectations (the selection context) backpropagate through the
-    marginals themselves.
+    The node marginals are the gradient of logZ, so their backward is the
+    Hessian-vector product of logZ with the output gradient g: du[t, y] =
+    Cov(1[y_t = y], G) with G = sum_t g[t, y_t]. One forward-mode pass over
+    the alpha/beta tables gives the conditional expectations of G's left
+    part (da) and right part (db) given y_t; see Kim et al. 2017,
+    "Structured Attention Networks".
     """
-    b, n, k = unary.shape
-    alphas = [ag.select(unary, 0, axis=1)]
-    for t in range(1, n):
-        prev = ag.reshape(alphas[-1], (b, k, 1))
-        alphas.append(
-            ag.add(ag.logsumexp(ag.add(prev, transition), axis=1), ag.select(unary, t, axis=1))
-        )
-    betas = [None] * n
-    betas[n - 1] = ag.Tensor(np.zeros((b, k)))
-    for t in range(n - 2, -1, -1):
-        nxt = ag.add(ag.select(unary, t + 1, axis=1), betas[t + 1])
-        betas[t] = ag.logsumexp(ag.add(transition, ag.reshape(nxt, (b, 1, k))), axis=2)
-    logz = ag.logsumexp(alphas[-1], axis=1)
-    rows = [
-        ag.reshape(ag.add(alphas[t], betas[t]), (b, 1, k)) for t in range(n)
-    ]
-    stacked = rows[0] if n == 1 else ag.concat(rows, axis=1)
-    return ag.exp(ag.sub(stacked, ag.reshape(logz, (b, 1, 1)))), logz
+    u, trans = _chain(unary.data, transition.data, None, None)
+    alpha, beta, logz = _alpha_beta(u, trans)
+    marg = _marginals(u, trans, alpha, beta, logz)
+
+    def bwd(g):
+        n = g.shape[1]
+        # left[b, t-1, a, c] = p(y_{t-1} = a | y_t = c); right[b, t, c, d] = p(y_{t+1} = d | y_t = c)
+        left = np.exp(alpha[:, :-1, :, None] + trans + (u[:, 1:] - alpha[:, 1:])[:, :, None, :])
+        right = np.exp(trans + (u[:, 1:] + beta[:, 1:])[:, :, None, :] - beta[:, :-1, :, None])
+        da = g.copy()
+        for t in range(1, n):
+            da[:, t] += np.einsum("bac,ba->bc", left[:, t - 1], da[:, t - 1])
+        ahead = g.copy()  # g[t] + db[t]
+        for t in range(n - 2, -1, -1):
+            ahead[:, t] += np.einsum("bcd,bd->bc", right[:, t], ahead[:, t + 1])
+        mean = np.einsum("bty,bty->b", marg.node, g)[:, None, None]
+        if unary.requires_grad:
+            unary.accumulate_grad(marg.node * (da + ahead - g - mean))
+        if transition.requires_grad:
+            pair = da[:, :-1, :, None] + ahead[:, 1:, None, :] - mean[..., None]
+            transition.accumulate_grad((marg.edge * pair).sum(axis=(0, 1)))
+
+    return ag.record("chain_marginals", (unary, transition), marg.node, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +279,7 @@ def selection_attention(finals, params):
     hidden = ag.tanh(ag.add(ag.matmul(finals, params["sel_w"]), params["sel_b"]))
     score_sel = ag.matmul(hidden, params["sel_v"])  # (B, n, 1)
     unary = ag.concat([ag.Tensor(np.zeros((b, n, 1))), score_sel], axis=2)
-    marg, _ = chain_marginals(unary, params["sel_trans"])
-    gamma = ag.select(marg, 1, axis=2)  # (B, n)
+    gamma = ag.select(chain_marginals(unary, params["sel_trans"]), 1, axis=2)  # (B, n)
     context = ag.reduce_sum(ag.mul(ag.reshape(gamma, (b, n, 1)), finals), axis=1)
     return SelectionAttention(
         unary=unary, pairwise=params["sel_trans"], gamma=gamma, context=context
@@ -300,20 +312,3 @@ def compute_potentials(finals, context, params):
     )
     unary = ag.add(act_dot, ag.matmul(hidden, params["emit_wout"]))
     return unary, params["trans"]
-
-
-def freeze_potentials(unary, transition, start=None, stop=None):
-    """Materialize per-conversation PotentialTables from batched tensors."""
-    unary_data = unary.data if isinstance(unary, ag.Tensor) else np.asarray(unary)
-    trans_data = transition.data if isinstance(transition, ag.Tensor) else np.asarray(transition)
-    start_data = None if start is None else (start.data if isinstance(start, ag.Tensor) else start)
-    stop_data = None if stop is None else (stop.data if isinstance(stop, ag.Tensor) else stop)
-    return [
-        PotentialTable(
-            unary=unary_data[i].copy(),
-            transition=trans_data.copy(),
-            start=None if start_data is None else start_data.copy(),
-            stop=None if stop_data is None else stop_data.copy(),
-        )
-        for i in range(unary_data.shape[0])
-    ]

@@ -63,7 +63,6 @@ class BatchArrays:
     char: np.ndarray  # (M, L), PAD after each token's characters
     pos: np.ndarray  # (M,)
     ner: np.ndarray  # (M,)
-    gold: np.ndarray | None  # (B, n) act ids, None when any act missing
 
     @property
     def size(self):
@@ -85,11 +84,6 @@ def prepare_batch(conversations, vocab, min_char_len=4):
     char = np.full((len(tokens), l_max), PAD_ID, dtype=np.int64)
     for m, tok in enumerate(tokens):
         char[m, : len(tok.chars)] = [vocab.char_id(ch) for ch in tok.chars]
-    labeled = all(u.act is not None for u in utterances)
-    gold = None
-    if labeled:
-        gold = np.array([vocab.act_id(u.act) for u in utterances], dtype=np.int64)
-        gold = gold.reshape(len(conversations), -1)
     return BatchArrays(
         conv_ids=[c.id for c in conversations],
         lengths=np.array([len(u.tokens) for u in utterances], dtype=np.int64),
@@ -97,7 +91,6 @@ def prepare_batch(conversations, vocab, min_char_len=4):
         char=char,
         pos=np.array([vocab.pos_id(tok.pos) for tok in tokens], dtype=np.int64),
         ner=np.array([vocab.ner_id(tok.ner) for tok in tokens], dtype=np.int64),
-        gold=gold,
     )
 
 
@@ -337,48 +330,4 @@ def encode_batch(batch, params, cfg, train=False, rng=None):
     attention, out, finals = memory_layer(us, hs, hops=cfg.hops)
     return EncodedConversations(
         original=us, contextual=hs, attention=attention, memory_out=out, final=finals
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-conversation wrappers
-# ---------------------------------------------------------------------------
-
-
-def embed_token(token, vocab, params, min_char_len=4):
-    """Feature vector e_k for one token (word + char-CNN + POS + NER parts)."""
-    l_max = max(min_char_len, len(token.chars))
-    char_ids = np.full((1, l_max), PAD_ID, dtype=np.int64)
-    for i, ch in enumerate(token.chars):
-        char_ids[0, i] = vocab.char_id(ch)
-    word = ag.gather(params["emb_word"], np.array([vocab.word_id(token.surface)]))
-    chars = char_cnn(char_ids, params["emb_char"], params["cnn_filters"])
-    pos = ag.gather(params["emb_pos"], np.array([vocab.pos_id(token.pos)]))
-    ner = ag.gather(params["emb_ner"], np.array([vocab.ner_id(token.ner)]))
-    return ag.reshape(ag.concat([word, chars, pos, ner], axis=1), (-1,))
-
-
-def encode_utterance(embedded, fwd_params, bwd_params):
-    """One utterance (T, E) -> u in R^{2*hidden}."""
-    lengths = np.array([embedded.shape[0]])
-    return ag.reshape(encode_utterances(embedded, lengths, fwd_params, bwd_params), (-1,))
-
-
-def encode_context_single(us, fwd_params, bwd_params, combine):
-    """One conversation (n, d) -> contextual keys (n, d)."""
-    n, d = us.shape
-    hs = encode_context(ag.reshape(us, (1, n, d)), fwd_params, bwd_params, combine)
-    return ag.reshape(hs, (n, d))
-
-
-def memory_layer_single(us, hs, hops=1):
-    """One conversation: (attention (n, n), out (n, d), finals (n, d))."""
-    n, d = us.shape
-    attention, out, finals = memory_layer(
-        ag.reshape(us, (1, n, d)), ag.reshape(hs, (1, n, d)), hops=hops
-    )
-    return (
-        ag.reshape(attention, (n, n)),
-        ag.reshape(out, (n, d)),
-        ag.reshape(finals, (n, d)),
     )

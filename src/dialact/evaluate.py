@@ -83,9 +83,13 @@ class EvalReport:
 
 
 def confusion(preds, golds, labels, ids=None):
-    """Build the full report from aligned label-name sequences."""
+    """Build the full report from aligned label-name sequences.
+
+    Gold names missing from ``labels`` (acts the model never saw) are
+    appended after them, so those utterances count as errors.
+    """
     _check_aligned(preds, golds, ids)
-    labels = tuple(labels)
+    labels = tuple(dict.fromkeys([*labels, *(g for g_seq in golds for g in g_seq)]))
     index = {name: i for i, name in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for p_seq, g_seq in zip(preds, golds):
@@ -121,7 +125,6 @@ def evaluate_model(model, conversations):
 def export_attention(conv, model):
     """Per-conversation attention/marginal document; see module docstring."""
     detail = model.conversation_detail(conv)
-    marginals = detail["marginals"]
     names = model.vocab.act_names
     return {
         "version": EXPORT_VERSION,
@@ -129,9 +132,9 @@ def export_attention(conv, model):
         "acts": list(names),
         "viterbi_path": [names[y] for y in detail["viterbi_path"]],
         "viterbi_score": detail["viterbi_score"],
-        "log_partition": marginals.logZ,
-        "node_marginals": marginals.node.tolist(),
-        "edge_marginals": marginals.edge.tolist(),
+        "log_partition": detail["log_partition"],
+        "node_marginals": detail["node_marginals"].tolist(),
+        "edge_marginals": detail["edge_marginals"].tolist(),
         "selection_gamma": detail["selection_gamma"].tolist(),
         "memory_attention": detail["memory_attention"].tolist(),
     }

@@ -177,10 +177,11 @@ class DialogueActModel:
         start, stop = self.boundary()
         nll_terms = []
         for group in group_by_length(conversations):
+            gold_ids = [[self.vocab.act_id(u.act) for u in conv.utterances] for conv in group]
             batch = encoder.prepare_batch(group, self.vocab)
             unary, trans, _, _ = self.forward_group(batch, train=train, rng=rng)
             logz = crf.chain_log_partition(unary, trans, start=start, stop=stop)
-            gold = crf.chain_gold_score(unary, trans, batch.gold, start=start, stop=stop)
+            gold = crf.chain_gold_score(unary, trans, gold_ids, start=start, stop=stop)
             nll_terms.append(ag.reduce_sum(ag.sub(logz, gold)))
         nll = nll_terms[0]
         for term in nll_terms[1:]:
@@ -192,39 +193,54 @@ class DialogueActModel:
 
     # -- inference ----------------------------------------------------------
 
-    def potential_tables(self, conversations):
-        """Frozen per-conversation PotentialTables (no tape, no dropout)."""
+    def chain_scores(self, conversations):
+        """Numpy chain scores of one equal-length group (no tape, no dropout).
+
+        Returns ((unary (B, n, Y), transition, start, stop), selection,
+        encoded); the transition and boundary arrays are copies, taken
+        once, so later training steps cannot change them.
+        """
         lengths = {len(c) for c in conversations}
         if len(lengths) != 1:
-            raise ValueError("potential_tables needs equal-length conversations")
+            raise ValueError("chain scores need equal-length conversations")
         batch = encoder.prepare_batch(conversations, self.vocab)
         unary, trans, selection, enc = self.forward_group(batch, train=False)
-        start, stop = self.boundary()
-        tables = crf.freeze_potentials(unary, trans, start=start, stop=stop)
+        shared = (None if t is None else t.data.copy() for t in (trans, *self.boundary()))
+        return (unary.data, *shared), selection, enc
+
+    def potential_tables(self, conversations):
+        """Per-conversation PotentialTables sharing one transition table."""
+        (unary, trans, start, stop), selection, enc = self.chain_scores(conversations)
+        tables = [crf.PotentialTable(u, trans, start, stop) for u in unary]
         return tables, selection, enc
 
     def decode(self, conversations):
-        """Viterbi act names per conversation, in input order."""
+        """Viterbi act names per conversation, in input order.
+
+        Gold acts are ignored, so acts unseen in training are fine. Each
+        length group is one batched Viterbi call.
+        """
         order = {id(c): i for i, c in enumerate(conversations)}
         results = [None] * len(conversations)
+        names = self.vocab.act_names
         for group in group_by_length(conversations):
-            tables, _, _ = self.potential_tables(group)
-            for conv, pot in zip(group, tables):
-                path, _ = crf.viterbi_decode(pot)
-                results[order[id(conv)]] = [self.vocab.act_names[y] for y in path]
+            scores, _, _ = self.chain_scores(group)
+            paths, _ = crf.viterbi_decode(*scores)
+            for conv, path in zip(group, paths):
+                results[order[id(conv)]] = [names[y] for y in path]
         return results
 
     def conversation_detail(self, conv):
         """Everything the attention export needs, as numpy arrays."""
-        tables, selection, enc = self.potential_tables([conv])
-        pot = tables[0]
-        marginals = crf.forward_backward(pot)
-        path, score = crf.viterbi_decode(pot)
+        scores, selection, enc = self.chain_scores([conv])
+        marginals = crf.forward_backward(*scores)
+        paths, best = crf.viterbi_decode(*scores)
         return {
-            "potentials": pot,
-            "marginals": marginals,
-            "viterbi_path": path,
-            "viterbi_score": score,
+            "log_partition": float(marginals.logZ[0]),
+            "node_marginals": marginals.node[0],
+            "edge_marginals": marginals.edge[0],
+            "viterbi_path": paths[0].tolist(),
+            "viterbi_score": float(best[0]),
             "selection_gamma": selection.gamma.data[0].copy(),
             "memory_attention": enc.attention.data[0].copy(),
         }

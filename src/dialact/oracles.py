@@ -116,14 +116,15 @@ def chain_oracle_suite(trials=200, max_n=6, max_labels=4, seed=0, tol=1e-9):
         pot = random_potentials(rng, n, k, with_boundary=bool(rng.integers(0, 2)))
         logz_ref, node_ref, edge_ref, path_ref, score_ref = enumerate_chain(pot)
 
-        err = abs(crf.log_partition(pot) - logz_ref)
-        marg = crf.forward_backward(pot)
-        err = max(err, abs(marg.logZ - logz_ref))
-        err = max(err, float(np.abs(marg.node - node_ref).max()))
+        chain = (pot.unary[None], pot.transition, pot.start, pot.stop)
+        marg = crf.forward_backward(*chain)
+        err = abs(marg.logZ[0] - logz_ref)
+        err = max(err, float(np.abs(marg.node[0] - node_ref).max()))
         if n > 1:
-            err = max(err, float(np.abs(marg.edge - edge_ref).max()))
-        path, score = crf.viterbi_decode(pot)
-        score_err = abs(score - score_ref)
+            err = max(err, float(np.abs(marg.edge[0] - edge_ref).max()))
+        paths, scores = crf.viterbi_decode(*chain)
+        path = paths[0].tolist()
+        score_err = abs(scores[0] - score_ref)
         max_err = max(max_err, err, score_err)
         if err <= tol and path == path_ref and score_err <= 1e-9:
             passed += 1
@@ -150,9 +151,7 @@ def selection_oracle_suite(trials=100, max_n=10, seed=0, tol=1e-9):
         n = int(rng.integers(1, max_n + 1))
         unary = rng.normal(0.0, 2.0, size=(n, 2))
         pairwise = rng.normal(0.0, 2.0, size=(2, 2))
-        marg, _ = crf.chain_marginals(
-            ag.Tensor(unary[None, :, :]), ag.Tensor(pairwise)
-        )
+        marg = crf.chain_marginals(ag.Tensor(unary[None, :, :]), ag.Tensor(pairwise))
         gamma = marg.data[0, :, 1]
         gamma_ref = enumerate_selection_gamma(unary, pairwise)
         err = float(np.abs(gamma - gamma_ref).max())

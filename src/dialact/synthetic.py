@@ -161,8 +161,9 @@ class GeneratorModel:
         return crf.PotentialTable(unary=unary, transition=log_trans, start=log_init)
 
     def viterbi_acts(self, conv):
-        path, _ = crf.viterbi_decode(self.potentials_for(conv))
-        return [self.act_names[y] for y in path]
+        pot = self.potentials_for(conv)
+        paths, _ = crf.viterbi_decode(pot.unary[None], pot.transition, pot.start, pot.stop)
+        return [self.act_names[y] for y in paths[0]]
 
     def decode_accuracy(self, conversations):
         """Fraction of utterances the true model itself decodes correctly."""

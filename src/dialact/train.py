@@ -10,7 +10,8 @@ checkpoint use.
 Batches contain only conversations with the same number of utterances
 (so the chain layer never pads), at most ``max_batch`` each, reshuffled
 every epoch from the run seed. Training stops when validation accuracy
-has not improved for ``patience`` epochs, or at ``max_epochs``.
+has not improved for ``patience`` epochs, or at ``max_epochs``. A
+non-finite batch loss raises ``FloatingPointError`` naming the epoch.
 
 Config files are flat ``key = value`` text; keys must be TrainConfig
 field names, unknown keys are an error. History records are one JSON
@@ -96,20 +97,6 @@ def parse_config_file(path):
     return TrainConfig(**overrides)
 
 
-@dataclass
-class TrainState:
-    """Progress counters; the gradient accumulators live in the registry."""
-
-    epoch: int = 0
-    best_val_accuracy: float = -1.0
-    epochs_since_improvement: int = 0
-
-
-def compute_loss(batch_conversations, model, train=True, rng=None):
-    """Summed NLL of the gold sequences plus the L2 term; see model.loss."""
-    return model.loss(batch_conversations, train=train, rng=rng)
-
-
 def adagrad_step(registry, lr):
     """One diagonal adaptive update over every parameter with a gradient."""
     for name in registry.names():
@@ -117,8 +104,8 @@ def adagrad_step(registry, lr):
         g = tensor.grad
         if g is None:
             continue
-        if np.isnan(g).any():
-            raise FloatingPointError(f"NaN gradient in parameter {name!r}")
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
         acc = registry.sq_accum[name]
         acc += g * g
         denom = np.sqrt(np.maximum(acc, 1e-12))
@@ -191,17 +178,27 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
         word_matrix = load_pretrained_embeddings(embeddings_path, vocab, cfg.word_dim, rng=rng)
     model = DialogueActModel(vocab, cfg, rng=rng, word_embeddings=word_matrix)
 
-    state = TrainState()
     history = []
     best_state = model.registry.ema_dict()
+    best_val_accuracy = -1.0
+    epochs_since_improvement = 0
+    previous = ag.Tape()
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
-        state.epoch = epoch
         epoch_loss = 0.0
         for batch in make_batches(train_convs, cfg.max_batch, rng):
             model.registry.zero_grads()
             with ag.Tape() as tape:
                 loss = model.loss(batch, train=True, rng=rng)
+            # A recorded graph is a reference cycle (outputs point back at
+            # their tape), so only the cyclic collector would free it. Drop
+            # the previous step's graph once this step's is allocated: freed
+            # below live memory, its pages are reused instead of being
+            # returned to the OS and faulted back in on every step.
+            previous.clear()
+            previous = tape
+            if not np.isfinite(loss.data):
+                raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
             tape.backward(loss)
             model.registry.mask_frozen_grads()
             clip_gradients(model.registry, cfg.clip_norm)
@@ -216,13 +213,13 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
         )
         if log is not None:
             log(f"epoch {epoch:3d}  loss {epoch_loss:12.4f}  val_acc {val_acc:.4f}  {seconds:.1f}s")
-        if val_acc > state.best_val_accuracy:
-            state.best_val_accuracy = val_acc
-            state.epochs_since_improvement = 0
+        if val_acc > best_val_accuracy:
+            best_val_accuracy = val_acc
+            epochs_since_improvement = 0
             best_state = model.registry.ema_dict()
         else:
-            state.epochs_since_improvement += 1
-            if state.epochs_since_improvement >= cfg.patience:
+            epochs_since_improvement += 1
+            if epochs_since_improvement >= cfg.patience:
                 break
     return model, best_state, history
 

@@ -26,12 +26,12 @@ def fd_grad(closure, flat, eps=1e-6):
 
 
 def test_matmul_identity():
-    out = ag.tensor_op("matmul", [ag.Tensor(np.eye(2)), ag.Tensor([[3.0], [4.0]])])
+    out = ag.matmul(ag.Tensor(np.eye(2)), ag.Tensor([[3.0], [4.0]]))
     assert np.array_equal(out.data, [[3.0], [4.0]])
 
 
 def test_tanh_odd_at_origin():
-    assert ag.tensor_op("tanh", [ag.Tensor([0.0])]).data[0] == 0.0
+    assert ag.tanh(ag.Tensor([0.0])).data[0] == 0.0
 
 
 def test_conv1d_single_window_hand_evaluated():
@@ -39,8 +39,8 @@ def test_conv1d_single_window_hand_evaluated():
     x = ag.Tensor([[[1.0, 0.0], [0.0, 1.0]]])
     w = ag.Tensor(np.ones((4, 1)))
     b = ag.Tensor(np.zeros(1))
-    conv = ag.tensor_op("conv1d", [x, w, b], width=2)
-    out = ag.tensor_op("max_over_time", [conv])
+    conv = ag.conv1d(x, w, b, width=2)
+    out = ag.max_over_time(conv)
     assert out.data.shape == (1, 1)
     assert out.data[0, 0] == pytest.approx(2.0)
 
@@ -78,7 +78,7 @@ def test_softmax_rejects_nan():
 def test_dropout_inverted_scaling_and_eval_identity():
     x = ag.Tensor(np.ones((1000,)), requires_grad=True)
     rng = np.random.default_rng(3)
-    out = ag.tensor_op("dropout", [x], rate=0.2, rng=rng, train=True)
+    out = ag.dropout(x, 0.2, rng, train=True)
     kept = out.data != 0.0
     assert np.allclose(out.data[kept], 1.0 / 0.8)
     assert 0.7 < kept.mean() < 0.9

@@ -179,6 +179,52 @@ def test_predict_output_feeds_eval(trained, tmp_path):
     assert json.loads(report_path.read_text())["accuracy"] == 1.0
 
 
+def with_unseen_acts(test_path, tmp_path):
+    """The test split with every other act renamed to one training never saw."""
+    convs = parse_jsonl(test_path)
+    renamed = [
+        Conversation(
+            id=conv.id,
+            utterances=tuple(
+                Utterance(tokens=u.tokens, speaker=u.speaker, act="farewell" if j % 2 else u.act)
+                for j, u in enumerate(conv.utterances)
+            ),
+        )
+        for conv in convs
+    ]
+    path = tmp_path / "unseen.jsonl"
+    write_jsonl(path, renamed)
+    return path, renamed
+
+
+def test_predict_ignores_unseen_gold_acts(trained, tmp_path):
+    _, ckpt, test_path = trained
+    unseen_path, _ = with_unseen_acts(test_path, tmp_path)
+    out, reference = tmp_path / "unseen_labeled.jsonl", tmp_path / "labeled.jsonl"
+    assert run_cli("predict", "--checkpoint", str(ckpt), "--test", str(unseen_path),
+                   "--out", str(out)) == 0
+    assert run_cli("predict", "--checkpoint", str(ckpt), "--test", str(test_path),
+                   "--out", str(reference)) == 0
+    # gold acts play no part in decoding
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_eval_scores_unseen_gold_acts_as_errors(trained, tmp_path):
+    _, ckpt, test_path = trained
+    unseen_path, renamed = with_unseen_acts(test_path, tmp_path)
+    report_path = tmp_path / "unseen_report.json"
+    assert run_cli("eval", "--checkpoint", str(ckpt), "--test", str(unseen_path),
+                   "--out", str(report_path)) == 0
+    report = json.loads(report_path.read_text())
+    assert report["labels"][-1] == "farewell"
+    assert set(report["labels"][:-1]) == {"greet", "question", "statement"}
+    n_unseen = sum(u.act == "farewell" for conv in renamed for u in conv.utterances)
+    assert sum(report["confusion"][-1]) == n_unseen
+    assert report["confusion"][-1][-1] == 0  # never predicted, so always wrong
+    assert report["recall"][-1] == 0.0
+    assert report["total_utterances"] == sum(len(conv) for conv in renamed)
+
+
 def test_export_attn_documents(trained, tmp_path):
     _, ckpt, test_path = trained
     out = tmp_path / "attn.jsonl"

@@ -246,7 +246,6 @@ def test_every_encoded_id_indexes_its_table(tmp_path):
     assert batch.char.max() < len(vocab.char_index) and batch.char.min() >= 0
     assert batch.pos.max() < len(vocab.pos_index)
     assert batch.ner.max() < len(vocab.ner_index)
-    assert batch.gold.max() < len(vocab.act_index)
     # packed rows are exactly the real tokens, utterance by utterance
     assert batch.lengths.tolist() == [len(u.tokens) for u in conv.utterances]
     assert batch.word.shape == batch.pos.shape == batch.ner.shape == (batch.lengths.sum(),)

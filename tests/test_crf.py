@@ -1,10 +1,15 @@
 """Chain inference vs enumeration, selection layer, potential construction."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialact import autograd as ag
-from dialact import crf, oracles
+from dialact import oracles
+from dialact.corpus import build_vocab
 from dialact.crf import (
     PotentialTable,
     chain_gold_score,
@@ -12,15 +17,36 @@ from dialact.crf import (
     chain_marginals,
     compute_potentials,
     forward_backward,
-    log_partition,
     selection_attention,
-    sequence_log_prob,
     viterbi_decode,
 )
+from dialact.model import DialogueActModel
+from dialact.synthetic import default_spec, generate_synthetic
+from dialact.train import TrainConfig
 
 
 def random_pot(rng, n, k, boundary=False):
     return oracles.random_potentials(rng, n, k, with_boundary=boundary)
+
+
+def fb(pot):
+    """Engine marginals of one table, as a batch of one."""
+    return forward_backward(pot.unary[None], pot.transition, pot.start, pot.stop)
+
+
+def log_partition(pot):
+    return float(fb(pot).logZ[0])
+
+
+def viterbi(pot):
+    paths, scores = viterbi_decode(pot.unary[None], pot.transition, pot.start, pot.stop)
+    return paths[0].tolist(), float(scores[0])
+
+
+def sequence_log_prob(pot, labels):
+    """log p(labels) = gold score - logZ; the score comes from the tape op."""
+    score = chain_gold_score(ag.Tensor(pot.unary[None]), ag.Tensor(pot.transition), [labels])
+    return float(score.data[0]) - log_partition(pot)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +80,10 @@ def test_log_partition_matches_enumeration():
 def test_potentials_must_be_finite():
     with pytest.raises(ValueError, match="finite"):
         PotentialTable(unary=np.array([[np.inf, 0.0]]), transition=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        viterbi_decode(np.zeros((1, 2, 2)), np.array([[0.0, np.nan], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"\(B, n, Y\)"):
+        forward_backward(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +94,16 @@ def test_potentials_must_be_finite():
 def test_marginals_factorize_without_transitions():
     rng = np.random.default_rng(2)
     unary = rng.normal(size=(4, 3))
-    marg = forward_backward(PotentialTable(unary=unary, transition=np.zeros((3, 3))))
+    marg = fb(PotentialTable(unary=unary, transition=np.zeros((3, 3))))
     softmax = np.exp(unary - unary.max(1, keepdims=True))
     softmax /= softmax.sum(1, keepdims=True)
-    assert np.abs(marg.node - softmax).max() < 1e-12
+    assert np.abs(marg.node[0] - softmax).max() < 1e-12
 
 
 def test_marginals_fully_symmetric_case():
     pot = PotentialTable(unary=np.zeros((2, 2)), transition=np.zeros((2, 2)))
-    marg = forward_backward(pot)
-    assert np.abs(marg.edge[0] - 0.25).max() < 1e-12
+    marg = fb(pot)
+    assert np.abs(marg.edge[0, 0] - 0.25).max() < 1e-12
     assert np.abs(marg.node - 0.5).max() < 1e-12
 
 
@@ -81,10 +111,10 @@ def test_marginals_match_enumeration():
     rng = np.random.default_rng(3)
     pot = random_pot(rng, 6, 3)
     logz_ref, node_ref, edge_ref, *_ = oracles.enumerate_chain(pot)
-    marg = forward_backward(pot)
-    assert abs(marg.logZ - logz_ref) < 1e-9
-    assert np.abs(marg.node - node_ref).max() < 1e-9
-    assert np.abs(marg.edge - edge_ref).max() < 1e-9
+    marg = fb(pot)
+    assert abs(marg.logZ[0] - logz_ref) < 1e-9
+    assert np.abs(marg.node[0] - node_ref).max() < 1e-9
+    assert np.abs(marg.edge[0] - edge_ref).max() < 1e-9
 
 
 def test_marginal_normalization_and_consistency():
@@ -92,18 +122,19 @@ def test_marginal_normalization_and_consistency():
     for _ in range(25):
         pot = random_pot(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)),
                          boundary=bool(rng.integers(0, 2)))
-        marg = forward_backward(pot)
-        assert np.abs(marg.node.sum(axis=1) - 1.0).max() < 1e-9
-        assert np.abs(marg.edge.sum(axis=(1, 2)) - 1.0).max() < 1e-9
+        marg = fb(pot)
+        node, edge = marg.node[0], marg.edge[0]
+        assert np.abs(node.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.abs(edge.sum(axis=(1, 2)) - 1.0).max() < 1e-9
         # edge slices reduce to the node marginals on both sides
-        assert np.abs(marg.edge.sum(axis=2) - marg.node[:-1]).max() < 1e-9
-        assert np.abs(marg.edge.sum(axis=1) - marg.node[1:]).max() < 1e-9
+        assert np.abs(edge.sum(axis=2) - node[:-1]).max() < 1e-9
+        assert np.abs(edge.sum(axis=1) - node[1:]).max() < 1e-9
 
 
 def test_single_position_chain():
     pot = PotentialTable(unary=np.array([[1.0, 2.0, 0.5]]), transition=np.zeros((3, 3)))
-    marg = forward_backward(pot)
-    assert marg.edge.shape == (0, 3, 3)
+    marg = fb(pot)
+    assert marg.edge.shape == (1, 0, 3, 3)
     assert marg.node.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -118,8 +149,6 @@ def test_sequence_log_prob_uniform_two_state():
 
 
 def test_sequence_probabilities_normalize():
-    import itertools
-
     rng = np.random.default_rng(5)
     pot = random_pot(rng, 4, 3)
     total = sum(
@@ -132,7 +161,7 @@ def test_sequence_probabilities_normalize():
 def test_sequence_log_prob_never_positive_and_viterbi_dominates():
     rng = np.random.default_rng(6)
     pot = random_pot(rng, 5, 4)
-    path, _ = viterbi_decode(pot)
+    path, _ = viterbi(pot)
     best = sequence_log_prob(pot, path)
     assert best <= 0.0
     for _ in range(30):
@@ -156,7 +185,7 @@ def test_sequence_log_prob_validates_labels():
 def test_viterbi_factorizes_without_transitions():
     rng = np.random.default_rng(7)
     unary = rng.normal(size=(6, 4))
-    path, score = viterbi_decode(PotentialTable(unary=unary, transition=np.zeros((4, 4))))
+    path, score = viterbi(PotentialTable(unary=unary, transition=np.zeros((4, 4))))
     assert path == list(np.argmax(unary, axis=1))
     assert score == pytest.approx(unary.max(axis=1).sum())
 
@@ -168,7 +197,7 @@ def test_viterbi_alternates_under_repeat_penalty():
     unary = np.tile([0.0, 1.0], (5, 1))
     transition = np.array([[0.0, 0.0], [0.0, -3.0]])
     pot = PotentialTable(unary=unary, transition=transition)
-    path, score = viterbi_decode(pot)
+    path, score = viterbi(pot)
     *_, path_ref, score_ref = oracles.enumerate_chain(pot)
     assert path == path_ref == [1, 0, 1, 0, 1]
     assert score == pytest.approx(score_ref) == 3.0
@@ -179,14 +208,14 @@ def test_viterbi_matches_enumeration():
     for boundary in (False, True):
         pot = random_pot(rng, 6, 4, boundary)
         *_, path_ref, score_ref = oracles.enumerate_chain(pot)
-        path, score = viterbi_decode(pot)
+        path, score = viterbi(pot)
         assert path == path_ref
         assert score == pytest.approx(score_ref, abs=1e-12)
 
 
 def test_viterbi_ties_break_low():
     pot = PotentialTable(unary=np.zeros((3, 3)), transition=np.zeros((3, 3)))
-    path, _ = viterbi_decode(pot)
+    path, _ = viterbi(pot)
     assert path == [0, 0, 0]
 
 
@@ -195,13 +224,13 @@ def test_unary_shift_invariance():
     pot = random_pot(rng, 5, 3)
     shift = 1.7
     shifted = PotentialTable(unary=pot.unary + shift, transition=pot.transition)
-    assert viterbi_decode(shifted)[0] == viterbi_decode(pot)[0]
+    assert viterbi(shifted)[0] == viterbi(pot)[0]
     assert log_partition(shifted) == pytest.approx(log_partition(pot) + 5 * shift, abs=1e-9)
-    assert np.abs(forward_backward(shifted).node - forward_backward(pot).node).max() < 1e-9
+    assert np.abs(fb(shifted).node - fb(pot).node).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# tape recursions against the numpy route
+# tape ops against enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -211,7 +240,7 @@ def test_tape_log_partition_equals_numpy():
     trans = rng.normal(size=(4, 4))
     logz = chain_log_partition(ag.Tensor(unary), ag.Tensor(trans))
     for b in range(3):
-        ref = log_partition(PotentialTable(unary=unary[b], transition=trans))
+        ref, *_ = oracles.enumerate_chain(PotentialTable(unary=unary[b], transition=trans))
         assert logz.data[b] == pytest.approx(ref, abs=1e-10)
 
 
@@ -224,13 +253,11 @@ def test_log_partition_gradient_is_node_marginals():
     with ag.Tape() as tape:
         logz = ag.reduce_sum(chain_log_partition(ut, tt))
     tape.backward(logz)
+    edge_total = np.zeros((3, 3))
     for b in range(2):
-        marg = forward_backward(PotentialTable(unary=unary[b], transition=trans))
-        assert np.abs(ut.grad[b] - marg.node).max() < 1e-8
-    edge_total = sum(
-        forward_backward(PotentialTable(unary=unary[b], transition=trans)).edge.sum(axis=0)
-        for b in range(2)
-    )
+        _, node, edge, *_ = oracles.enumerate_chain(PotentialTable(unary=unary[b], transition=trans))
+        assert np.abs(ut.grad[b] - node).max() < 1e-8
+        edge_total += edge.sum(axis=0)
     assert np.abs(tt.grad - edge_total).max() < 1e-8
 
 
@@ -241,7 +268,7 @@ def test_gold_score_matches_sequence_score():
     gold = rng.integers(0, 3, size=(2, 4))
     score = chain_gold_score(ag.Tensor(unary), ag.Tensor(trans), gold)
     for b in range(2):
-        ref = crf.sequence_score(PotentialTable(unary=unary[b], transition=trans), gold[b])
+        ref = unary[b, np.arange(4), gold[b]].sum() + trans[gold[b, :-1], gold[b, 1:]].sum()
         assert score.data[b] == pytest.approx(ref, abs=1e-12)
 
 
@@ -249,11 +276,113 @@ def test_chain_marginals_match_forward_backward():
     rng = np.random.default_rng(13)
     unary = rng.normal(size=(2, 5, 2))
     trans = rng.normal(size=(2, 2))
-    marg_t, logz_t = chain_marginals(ag.Tensor(unary), ag.Tensor(trans))
+    marg_t = chain_marginals(ag.Tensor(unary), ag.Tensor(trans))
+    ref = forward_backward(unary, trans)
+    assert np.array_equal(marg_t.data, ref.node)
     for b in range(2):
-        ref = forward_backward(PotentialTable(unary=unary[b], transition=trans))
-        assert np.abs(marg_t.data[b] - ref.node).max() < 1e-10
-        assert logz_t.data[b] == pytest.approx(ref.logZ, abs=1e-10)
+        _, node_ref, *_ = oracles.enumerate_chain(PotentialTable(unary=unary[b], transition=trans))
+        assert np.abs(marg_t.data[b] - node_ref).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# engine properties
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def chain_batches(draw):
+    """(unary (B, n, Y), transition, start, stop) with boundaries on or off."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 4))
+    boundary = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = rng.normal(0.0, 2.0, k) if boundary else None
+    stop = rng.normal(0.0, 2.0, k) if boundary else None
+    return rng.normal(0.0, 2.0, (b, n, k)), rng.normal(0.0, 2.0, (k, k)), start, stop
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_batches())
+def test_engine_matches_enumeration_per_conversation(chain):
+    unary, trans, start, stop = chain
+    marg = forward_backward(*chain)
+    paths, scores = viterbi_decode(*chain)
+    for b in range(unary.shape[0]):
+        pot = PotentialTable(unary=unary[b], transition=trans, start=start, stop=stop)
+        logz_ref, node_ref, edge_ref, path_ref, score_ref = oracles.enumerate_chain(pot)
+        assert abs(marg.logZ[b] - logz_ref) < 1e-9
+        assert np.abs(marg.node[b] - node_ref).max() < 1e-9
+        if unary.shape[1] > 1:
+            assert np.abs(marg.edge[b] - edge_ref).max() < 1e-9
+        assert paths[b].tolist() == path_ref
+        assert abs(scores[b] - score_ref) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_batches())
+def test_batched_viterbi_equals_one_row_at_a_time(chain):
+    unary, trans, start, stop = chain
+    paths, scores = viterbi_decode(*chain)
+    for b in range(unary.shape[0]):
+        row_paths, row_scores = viterbi_decode(unary[b : b + 1], trans, start, stop)
+        assert np.array_equal(paths[b], row_paths[0])
+        assert scores[b] == row_scores[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_batches(), st.integers(0, 2**32 - 1))
+def test_chain_marginals_backward_is_enumeration_covariance(chain, seed):
+    unary, trans, _, _ = chain
+    b, n, k = unary.shape
+    g = np.random.default_rng(seed).normal(size=unary.shape)
+    ut = ag.Tensor(unary, requires_grad=True)
+    tt = ag.Tensor(trans, requires_grad=True)
+    with ag.Tape() as tape:
+        out = ag.reduce_sum(ag.mul(chain_marginals(ut, tt), g))
+    tape.backward(out)
+    # Cov(1[y_j = y], G) and sum_t Cov(1[y_t = a, y_t+1 = c], G), G = sum_t g[t, y_t]
+    seqs = np.array(list(itertools.product(range(k), repeat=n)))
+    steps = np.arange(n)
+    trans_ref = np.zeros((k, k))
+    for row in range(b):
+        scores = unary[row, steps, seqs].sum(axis=1) + trans[seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
+        p = np.exp(scores - scores.max())
+        p /= p.sum()
+        big_g = g[row, steps, seqs].sum(axis=1)
+        centred = p * (big_g - p @ big_g)
+        unary_ref = np.zeros((n, k))
+        np.add.at(unary_ref, (np.broadcast_to(steps, seqs.shape), seqs), centred[:, None])
+        np.add.at(trans_ref, (seqs[:, :-1], seqs[:, 1:]), centred[:, None])
+        assert np.abs(ut.grad[row] - unary_ref).max() < 1e-9
+    assert np.abs(tt.grad - trans_ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_fused_chain_ops_pass_grad_check(n):
+    rng = np.random.default_rng(40 + n)
+    reg = ag.ParamRegistry()
+    unary = reg.add("unary", rng.normal(size=(3, n, 3)))
+    trans = reg.add("trans", rng.normal(size=(3, 3)))
+    start = reg.add("start", rng.normal(size=3))
+    stop = reg.add("stop", rng.normal(size=3))
+    weights = rng.normal(size=(3, n, 3))
+    for closure in (
+        lambda: ag.reduce_sum(chain_log_partition(unary, trans, start=start, stop=stop)),
+        lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans), weights)),
+    ):
+        report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+        assert report.passed, report.summary()
+
+
+def test_each_fused_chain_op_is_one_record():
+    rng = np.random.default_rng(44)
+    unary = ag.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    trans = ag.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    with ag.Tape() as tape:
+        chain_log_partition(unary, trans)
+        chain_marginals(unary, trans)
+    assert [r.op for r in tape.records] == ["chain_log_partition", "chain_marginals"]
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +493,18 @@ def test_act_embedding_perturbation_is_column_local():
     assert np.abs(untouched).max() == 0.0
 
 
-def test_freeze_potentials_round_trip():
-    rng = np.random.default_rng(21)
-    unary = ag.Tensor(rng.normal(size=(2, 3, 4)))
-    trans = ag.Tensor(rng.normal(size=(4, 4)))
-    tables = crf.freeze_potentials(unary, trans)
+def test_potential_tables_share_one_transition():
+    convs, _ = generate_synthetic(
+        default_spec(num_acts=3, num_conversations=12, min_len=3, max_len=3, seed=21)
+    )
+    cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4,
+                      emit_dim=4, boundary_potentials=True)
+    model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(21))
+    tables, _, _ = model.potential_tables(convs[:2])
+    (unary, trans, start, stop), _, _ = model.chain_scores(convs[:2])
     assert len(tables) == 2
-    assert np.array_equal(tables[1].unary, unary.data[1])
-    assert np.array_equal(tables[0].transition, trans.data)
+    assert np.array_equal(tables[1].unary, unary[1])
+    assert tables[0].transition is tables[1].transition
+    assert np.array_equal(tables[0].transition, model.registry["crf.trans"].data)
+    assert not np.shares_memory(tables[0].transition, model.registry["crf.trans"].data)
+    assert np.array_equal(tables[0].start, start) and np.array_equal(tables[1].stop, stop)

@@ -10,14 +10,13 @@ from dialact import encoder
 from dialact.corpus import Conversation, Token, Utterance, build_vocab
 from dialact.encoder import (
     char_cnn,
-    embed_token,
-    encode_context_single,
-    encode_utterance,
+    embed_tokens,
+    encode_context,
+    encode_utterances,
     gru_params,
     gru_sequence,
     init_gru,
     memory_layer,
-    memory_layer_single,
     prepare_batch,
     split_filter_counts,
 )
@@ -55,12 +54,18 @@ def test_split_filter_counts():
 # ---------------------------------------------------------------------------
 
 
+def embed_one(token, vocab, params):
+    """Feature row of a single token, through the batched path."""
+    conv = Conversation(id="one", utterances=(Utterance(tokens=(token,), speaker="A"),))
+    return embed_tokens(prepare_batch([conv], vocab), params)
+
+
 def test_embed_token_dimension_arithmetic():
     cfg = TrainConfig(d=128, d_u=64)  # defaults: word 100, char 100, pos/ner 16
     model, _, vocab = toy_model(cfg=cfg)
-    e = embed_token(Token("hello"), vocab, model.encoder_params())
-    assert e.shape == (100 + 100 + 16 + 16,)
-    assert e.shape == (232,)
+    e = embed_one(Token("hello"), vocab, model.encoder_params())
+    assert e.shape == (1, 100 + 100 + 16 + 16)
+    assert e.shape == (1, 232)
 
 
 def test_all_pad_chars_yield_bias_only_char_component():
@@ -78,9 +83,9 @@ def test_all_pad_chars_yield_bias_only_char_component():
 def test_unk_word_gets_unk_row_but_real_char_signal():
     model, _, vocab = toy_model()
     params = model.encoder_params()
-    e = embed_token(Token("hullo"), vocab, params)  # unseen word, seen chars
-    word_part = e.data[: TOY_CFG.word_dim]
-    char_part = e.data[TOY_CFG.word_dim : TOY_CFG.word_dim + TOY_CFG.char_out]
+    e = embed_one(Token("hullo"), vocab, params)  # unseen word, seen chars
+    word_part = e.data[0, : TOY_CFG.word_dim]
+    char_part = e.data[0, TOY_CFG.word_dim : TOY_CFG.word_dim + TOY_CFG.char_out]
     assert np.array_equal(word_part, params["emb_word"].data[1])  # UNK row
     bias_only = np.concatenate(
         [params["cnn_filters"][w][1].data for w in sorted(params["cnn_filters"])]
@@ -129,13 +134,13 @@ def reference_gru(params, xs, mask, hidden_dim, reverse=False):
 def test_encode_utterance_single_step():
     fwd, bwd, _ = gru_pair(1, 5, 3)
     e = ag.Tensor(np.random.default_rng(2).normal(size=(1, 5)))
-    u = encode_utterance(e, fwd, bwd)
-    assert u.shape == (6,)
+    u = encode_utterances(e, [1], fwd, bwd)
+    assert u.shape == (1, 6)
     # with one token both directions see the same single input
     h_f = gru_sequence(fwd, e, [1])
     h_b = gru_sequence(bwd, e, [1], reverse=True)
-    assert np.array_equal(u.data[:3], h_f.data[0])
-    assert np.array_equal(u.data[3:], h_b.data[0])
+    assert np.array_equal(u.data[0, :3], h_f.data[0])
+    assert np.array_equal(u.data[0, 3:], h_b.data[0])
 
 
 def test_direction_symmetry_under_reversal():
@@ -270,32 +275,37 @@ def context_setup(seed, d=6, hidden=3):
     return gru_params(reg, "cf"), gru_params(reg, "cb"), combine, reg
 
 
+def context_of(us, cf, cb, combine):
+    """Contextual keys (n, d) of one conversation (n, d), as a batch of one."""
+    return encode_context(ag.Tensor(us[None]), cf, cb, combine).data[0]
+
+
 def test_context_single_utterance():
     cf, cb, combine, _ = context_setup(7)
     u1 = np.random.default_rng(8).normal(size=(1, 6))
-    h = encode_context_single(ag.Tensor(u1), cf, cb, combine)
+    h = context_of(u1, cf, cb, combine)
     assert h.shape == (1, 6)
-    h2 = encode_context_single(ag.Tensor(u1 * 2.0), cf, cb, combine)
-    assert np.abs(h.data - h2.data).max() > 0.0  # h_1 is a function of u_1
+    h2 = context_of(u1 * 2.0, cf, cb, combine)
+    assert np.abs(h - h2).max() > 0.0  # h_1 is a function of u_1
 
 
 def test_context_values_in_tanh_range():
     cf, cb, combine, _ = context_setup(9)
     us = np.random.default_rng(10).normal(scale=5.0, size=(4, 6))
-    h = encode_context_single(ag.Tensor(us), cf, cb, combine)
-    assert np.all(h.data > -1.0) and np.all(h.data < 1.0)
+    h = context_of(us, cf, cb, combine)
+    assert np.all(h > -1.0) and np.all(h < 1.0)
 
 
 def test_permuting_later_utterances_changes_first_context():
     cf, cb, combine, _ = context_setup(11)
     rng = np.random.default_rng(12)
     us = rng.normal(size=(5, 6))
-    h = encode_context_single(ag.Tensor(us), cf, cb, combine)
+    h = context_of(us, cf, cb, combine)
     permuted = us.copy()
     permuted[1:] = permuted[[3, 1, 4, 2]]
-    h_perm = encode_context_single(ag.Tensor(permuted), cf, cb, combine)
+    h_perm = context_of(permuted, cf, cb, combine)
     # the backward pass carries the permutation into position 0
-    assert np.abs(h.data[0] - h_perm.data[0]).max() > 1e-9
+    assert np.abs(h[0] - h_perm[0]).max() > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +313,37 @@ def test_permuting_later_utterances_changes_first_context():
 # ---------------------------------------------------------------------------
 
 
+def memory_one(u, h):
+    """(attention, out, finals) of one conversation (n, d), as a batch of one."""
+    return tuple(t.data[0] for t in memory_layer(ag.Tensor(u[None]), ag.Tensor(h[None])))
+
+
 def test_memory_single_utterance_doubles():
     u = np.random.default_rng(13).normal(size=(1, 4))
     h = np.random.default_rng(14).normal(size=(1, 4))
-    p, o, finals = memory_layer_single(ag.Tensor(u), ag.Tensor(h))
-    assert np.array_equal(p.data, [[1.0]])
-    assert np.array_equal(o.data, u)
-    assert np.abs(finals.data - 2.0 * u).max() < 1e-15
+    p, o, finals = memory_one(u, h)
+    assert np.array_equal(p, [[1.0]])
+    assert np.array_equal(o, u)
+    assert np.abs(finals - 2.0 * u).max() < 1e-15
 
 
 def test_memory_identical_keys_give_uniform_attention():
     rng = np.random.default_rng(15)
     u = rng.normal(size=(3, 4))
     h = np.tile(rng.normal(size=(1, 4)), (3, 1))
-    p, _, _ = memory_layer_single(ag.Tensor(u), ag.Tensor(h))
-    assert np.abs(p.data - 1.0 / 3.0).max() < 1e-12
+    p, _, _ = memory_one(u, h)
+    assert np.abs(p - 1.0 / 3.0).max() < 1e-12
 
 
 def test_memory_weighted_sum_recomputed_independently():
     rng = np.random.default_rng(16)
     u = rng.normal(size=(3, 5))
     h = rng.normal(size=(3, 5))
-    p, o, finals = memory_layer_single(ag.Tensor(u), ag.Tensor(h))
+    p, o, finals = memory_one(u, h)
     for j in range(3):
-        direct = sum(p.data[j, i] * u[i] for i in range(3))
-        assert np.abs(o.data[j] - direct).max() < 1e-12
-    assert np.abs(p.data.sum(axis=1) - 1.0).max() < 1e-9
+        direct = sum(p[j, i] * u[i] for i in range(3))
+        assert np.abs(o[j] - direct).max() < 1e-12
+    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_memory_residual_identity_exact():

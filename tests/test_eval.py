@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dialact import crf, evaluate, synthetic
+from dialact import evaluate, oracles, synthetic
 from dialact.corpus import build_vocab
 from dialact.evaluate import AlignmentError, accuracy, confusion, export_attention
 from dialact.model import DialogueActModel
@@ -48,6 +48,15 @@ def test_confusion_swap_case():
     report = confusion([["b", "a"]], [["a", "b"]], labels=["a", "b"])
     assert np.array_equal(report.confusion, [[0, 1], [1, 0]])
     assert report.accuracy == 0.0
+
+
+def test_confusion_appends_unseen_gold_labels():
+    report = confusion([["a", "b", "a"]], [["a", "z", "y"]], labels=["a", "b"])
+    assert report.labels == ("a", "b", "z", "y")
+    assert report.confusion.shape == (4, 4)
+    assert report.confusion[2, 1] == 1 and report.confusion[3, 0] == 1
+    assert report.accuracy == pytest.approx(1 / 3)
+    assert report.recall[2] == report.recall[3] == 0.0
 
 
 def test_confusion_row_and_column_sums():
@@ -119,12 +128,12 @@ def test_export_consistent_with_direct_inference():
     conv = max(convs, key=len)
     doc = export_attention(conv, model)
     tables, _, _ = model.potential_tables([conv])
-    path, score = crf.viterbi_decode(tables[0])
+    logz, node, edge, path, score = oracles.enumerate_chain(tables[0])
     assert doc["viterbi_path"] == [model.vocab.act_names[y] for y in path]
     assert doc["viterbi_score"] == pytest.approx(score, abs=1e-12)
-    marg = crf.forward_backward(tables[0])
-    assert np.abs(np.array(doc["node_marginals"]) - marg.node).max() < 1e-9
-    assert np.abs(np.array(doc["edge_marginals"]) - marg.edge).max() < 1e-9
+    assert doc["log_partition"] == pytest.approx(logz, abs=1e-9)
+    assert np.abs(np.array(doc["node_marginals"]) - node).max() < 1e-9
+    assert np.abs(np.array(doc["edge_marginals"]) - edge).max() < 1e-9
 
 
 def test_export_json_round_trip_exact(tmp_path):
@@ -163,3 +172,14 @@ def test_evaluate_model_end_to_end():
     assert report.total_utterances == sum(len(c) for c in convs)
     assert 0.0 <= report.accuracy <= 1.0
     assert len(preds) == len(convs)
+
+
+def test_decode_rejects_non_finite_potentials():
+    model, convs = trained_toy()
+    model.registry["crf.trans"].data[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        model.decode(convs)
+    model.registry["crf.trans"].data[0, 0] = 0.0
+    model.registry["crf.emit_b"].data[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        model.decode(convs)

@@ -11,7 +11,6 @@ from dialact.train import (
     TrainConfig,
     adagrad_step,
     clip_gradients,
-    compute_loss,
     ema_update,
     make_batches,
     parse_config_file,
@@ -144,11 +143,21 @@ def test_loss_rejects_unlabeled():
         model.loss([conv], train=False)
 
 
+def test_loss_maps_gold_acts_and_rejects_unknown():
+    conv = two_label_conv()
+    model = zeroed_model([conv])
+    stranger = Conversation(
+        id="s", utterances=(Utterance(tokens=(Token("hi"),), speaker="A", act="farewell"),)
+    )
+    with pytest.raises(TranscriptError, match="unknown act label 'farewell'"):
+        model.loss([stranger], train=False)
+
+
 def test_loss_finite_at_random_init():
     spec = synthetic.default_spec(num_acts=4, num_conversations=10, seed=2)
     convs, _ = synthetic.generate_synthetic(spec)
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
-    loss = compute_loss(convs, model, train=False)
+    loss = model.loss(convs, train=False)
     assert np.isfinite(loss.data).all()
 
 
@@ -236,6 +245,17 @@ def test_adagrad_aborts_on_nan_naming_parameter():
     p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError, match="'w'"):
         adagrad_step(reg, lr=0.01)
+
+
+def test_adagrad_rejects_inf_when_clipping_is_off():
+    # with clip_norm <= 0 nothing rescales an inf gradient before the step,
+    # and inf / sqrt(inf) would write NaN into the weights
+    reg, p = one_param_registry(0.5)
+    p.grad = np.array([np.inf])
+    assert clip_gradients(reg, max_norm=0.0) == 1.0
+    with pytest.raises(FloatingPointError, match="non-finite gradient in parameter 'w'"):
+        adagrad_step(reg, lr=0.01)
+    assert p.data[0] == 0.5
 
 
 def test_first_gradient_is_a_private_copy():
@@ -402,3 +422,39 @@ def test_checkpoint_round_trip_through_model(tmp_path):
     # decoding agrees with the source model evaluated on its best shadows
     model.registry.load_state_dict(best_state)
     assert again.decode(convs[:4]) == model.decode(convs[:4])
+
+
+def huge_embeddings(tmp_path, convs, dim):
+    """Word vectors so large that the L2 term overflows to inf."""
+    path = tmp_path / "huge.txt"
+    words = sorted({tok.surface for conv in convs for u in conv.utterances for tok in u.tokens})
+    path.write_text("".join(f"{w} {' '.join(['1e200'] * dim)}\n" for w in words), encoding="utf-8")
+    return path
+
+
+def test_train_loop_names_epoch_of_non_finite_loss(tmp_path):
+    convs = small_corpus()
+    path = huge_embeddings(tmp_path, convs, TOY_CFG.word_dim)
+    with pytest.raises(FloatingPointError, match="non-finite training loss inf in epoch 1"):
+        train_loop(convs[:18], convs[18:], TOY_CFG, embeddings_path=path)
+
+
+def test_cli_train_reports_non_finite_loss_in_one_line(tmp_path, capsys):
+    convs = small_corpus()
+    data = tmp_path / "convs.jsonl"
+    write_jsonl(data, convs)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(
+        "d = 8\nd_u = 4\nd_c = 4\nd_p = 3\nd_n = 3\nword_dim = 6\nchar_out = 6\n"
+        "attn_dim = 4\nemit_dim = 4\nmax_epochs = 2\n",
+        encoding="utf-8",
+    )
+    ckpt = tmp_path / "m.ckpt"
+    code = cli.run(
+        ["train", "--train", str(data), "--valid", str(data), "--checkpoint", str(ckpt),
+         "--config", str(cfg), "--embeddings", str(huge_embeddings(tmp_path, convs, 6)), "--quiet"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "epoch 1" in err
+    assert not ckpt.exists()
