@@ -18,11 +18,11 @@ n, d, a = 6, 8, 5
 finals = ag.Tensor(rng.normal(size=(1, n, d)))
 
 params = {
-    "sel_w": ag.Tensor(rng.uniform(-0.4, 0.4, (d, a))),
-    "sel_b": ag.Tensor(np.zeros(a)),
-    "sel_v": ag.Tensor(rng.uniform(-0.8, 0.8, (a, 1))),
+    "sel.w": ag.Tensor(rng.uniform(-0.4, 0.4, (d, a))),
+    "sel.b": ag.Tensor(np.zeros(a)),
+    "sel.v": ag.Tensor(rng.uniform(-0.8, 0.8, (a, 1))),
     # favor keeping runs of selected positions together
-    "sel_trans": ag.Tensor(np.array([[0.5, -0.5], [-0.5, 1.0]])),
+    "sel.trans": ag.Tensor(np.array([[0.5, -0.5], [-0.5, 1.0]])),
 }
 
 sel = crf.selection_attention(finals, params)
@@ -30,10 +30,10 @@ gamma = sel.gamma.data[0]
 print(f"selection marginals over {n} positions (chain-coupled):")
 print("  " + "  ".join(f"{g:.3f}" for g in gamma))
 
-hidden = np.tanh(finals.data[0] @ params["sel_w"].data + params["sel_b"].data)
-scores = (hidden @ params["sel_v"].data)[:, 0]
+hidden = np.tanh(finals.data[0] @ params["sel.w"].data + params["sel.b"].data)
+scores = (hidden @ params["sel.v"].data)[:, 0]
 unary = np.stack([np.zeros(n), scores], axis=1)
-gamma_ref = oracles.enumerate_selection_gamma(unary, params["sel_trans"].data)
+gamma_ref = oracles.enumerate_selection_gamma(unary, params["sel.trans"].data)
 print(f"  enumeration over {2 ** n} patterns agrees to {np.abs(gamma - gamma_ref).max():.2e}")
 
 independent = 1.0 / (1.0 + np.exp(-scores))

@@ -37,7 +37,6 @@ __all__ = [
     "GradCheckReport",
     "ShapeError",
     "record",
-    "backward",
     "grad_check",
     "matmul",
     "add",
@@ -53,9 +52,6 @@ __all__ = [
     "max_over_time",
     "dropout",
     "softmax",
-    "logsumexp",
-    "exp",
-    "log",
     "reduce_sum",
     "reshape",
     "transpose_last",
@@ -76,13 +72,12 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float64 array, optionally carrying a gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self._tape = None
 
     @property
     def shape(self):
@@ -91,9 +86,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def item(self):
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -113,31 +105,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; constants are wrapped as non-grad tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _Record:
     __slots__ = ("op", "output", "backward_fn")
@@ -152,7 +119,13 @@ _ACTIVE_TAPE = None
 
 
 class Tape:
-    """Recorded-operation context; one single-threaded execution per tape."""
+    """Recorded-operation context; at most one tape is live per process.
+
+    An op is recorded only when one of its inputs requires a gradient, so
+    work on grad-free tensors (inference) never reaches a live tape, from
+    whichever thread it runs. Records point at their outputs and inputs,
+    never back at the tape, so a graph is freed as soon as its tape is.
+    """
 
     def __init__(self):
         self.records = []
@@ -169,9 +142,6 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def clear(self):
-        self.records.clear()
-
     def backward(self, loss):
         """Reverse sweep from a scalar loss; accumulates into .grad fields."""
         if loss.data.size != 1:
@@ -183,13 +153,6 @@ class Tape:
             g = rec.output.grad
             if g is not None:
                 rec.backward_fn(g)
-
-
-def backward(loss):
-    """Run the reverse sweep on the tape that recorded ``loss``."""
-    if loss._tape is None:
-        raise RuntimeError("loss was not recorded on any tape")
-    loss._tape.backward(loss)
 
 
 def _as_tensor(x):
@@ -209,7 +172,6 @@ def record(op, inputs, out_data, backward_fn):
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._tape = tape
         tape.records.append(_Record(op, out, backward_fn))
     return out
 
@@ -475,42 +437,6 @@ def softmax(x, axis=-1):
     return record("softmax", (x,), out_data, bwd)
 
 
-def logsumexp(x, axis=-1):
-    x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    out_keep = m + np.log(np.exp(x.data - m).sum(axis=axis, keepdims=True))
-    out_data = np.squeeze(out_keep, axis=axis)
-
-    def bwd(g):
-        if x.requires_grad:
-            w = np.exp(x.data - out_keep)
-            x.accumulate_grad(np.expand_dims(g, axis) * w)
-
-    return record("logsumexp", (x,), out_data, bwd)
-
-
-def exp(x):
-    x = _as_tensor(x)
-    out_data = np.exp(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out_data)
-
-    return record("exp", (x,), out_data, bwd)
-
-
-def log(x):
-    x = _as_tensor(x)
-    out_data = np.log(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / x.data)
-
-    return record("log", (x,), out_data, bwd)
-
-
 def reduce_sum(x, axis=None, keepdims=False):
     x = _as_tensor(x)
     out_data = x.data.sum(axis=axis, keepdims=keepdims)
@@ -593,6 +519,9 @@ class ParamRegistry:
     ``ema`` holds the exponential moving-average shadow, initialized to the
     initial parameter values. ``frozen_rows`` lists row indices whose
     gradient is masked to keep them pinned (padding rows).
+
+    Parameter and EMA arrays are never written in place: updates bind a
+    new array, so any mapping of arrays taken earlier stays as it was.
     """
 
     def __init__(self):
@@ -642,9 +571,6 @@ class ParamRegistry:
     def state_dict(self):
         return {name: t.data.copy() for name, t in self.params.items()}
 
-    def ema_dict(self):
-        return {name: v.copy() for name, v in self.ema.items()}
-
     def load_state_dict(self, state):
         for name, value in state.items():
             if name not in self.params:
@@ -654,26 +580,6 @@ class ParamRegistry:
                     f"shape mismatch for {name!r}: have {self.params[name].shape}, got {value.shape}"
                 )
             self.params[name].data = value.astype(np.float64).copy()
-
-    class _EmaSwap:
-        def __init__(self, registry):
-            self.registry = registry
-            self.saved = None
-
-        def __enter__(self):
-            self.saved = {n: t.data for n, t in self.registry.params.items()}
-            for n, t in self.registry.params.items():
-                t.data = self.registry.ema[n]
-            return self.registry
-
-        def __exit__(self, exc_type, exc, tb):
-            for n, t in self.registry.params.items():
-                t.data = self.saved[n]
-            return False
-
-    def using_ema(self):
-        """Context manager: evaluate with EMA shadows in place of raw weights."""
-        return ParamRegistry._EmaSwap(self)
 
 
 # ---------------------------------------------------------------------------
@@ -751,16 +657,17 @@ def grad_check(closure, registry, eps=1e-4, tol=1e-4, max_per_tensor=50, seed=0,
             chosen = rng.choice(candidates, size=max_per_tensor, replace=False)
         else:
             chosen = candidates
-        flat = t.data.reshape(-1)
+        base = t.data
         worst = 0.0
         for j in sorted(int(c) for c in chosen):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = _loss_value(closure)
-            flat[j] = orig - eps
-            down = _loss_value(closure)
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * eps)
+            losses = []
+            for step in (eps, -eps):
+                # rebind, never write: arrays read earlier must not change
+                t.data = base.copy()
+                t.data.reshape(-1)[j] += step
+                losses.append(_loss_value(closure))
+            t.data = base
+            numeric = (losses[0] - losses[1]) / (2.0 * eps)
             worst = max(worst, _rel_err(analytic.reshape(-1)[j], numeric, floor))
         report.record(name, worst, len(chosen))
     return report

@@ -6,9 +6,10 @@ A transcript file is line-delimited JSON, one conversation per line:
                                 "pos": [str]?, "ner": [str]?, "act": str?}]}
 
 Tokens arrive pre-tokenized and pre-normalized. POS/NER columns are
-optional; when absent they map to a dedicated ABSENT tag with its own
-learned embedding. Acts are optional per utterance (absent means
-unlabeled), but every utterance must carry one at training time.
+optional, and so is each tag in them (``null``); a missing tag maps to a
+dedicated ABSENT tag with its own learned embedding. Acts are optional
+per utterance (absent means unlabeled), but every utterance must carry
+one at training time.
 """
 
 from __future__ import annotations
@@ -86,13 +87,12 @@ def _utterance_from_obj(obj, conv_id, index):
     for name, tags in (("pos", pos), ("ner", ner)):
         if tags is not None and len(tags) != len(tokens):
             raise TranscriptError(f"{where}: '{name}' length {len(tags)} != {len(tokens)} tokens")
+
+    def tag(tags, i):
+        return None if tags is None or tags[i] is None else str(tags[i])
+
     toks = tuple(
-        Token(
-            surface=str(t),
-            pos=None if pos is None else str(pos[i]),
-            ner=None if ner is None else str(ner[i]),
-        )
-        for i, t in enumerate(tokens)
+        Token(surface=str(t), pos=tag(pos, i), ner=tag(ner, i)) for i, t in enumerate(tokens)
     )
     speaker = str(obj.get("speaker", ""))
     act = obj.get("act")
@@ -274,7 +274,8 @@ def load_pretrained_embeddings(path, vocab, dim, rng=None):
     """Word matrix (|V_w| x dim): file rows where available, else uniform.
 
     Out-of-file words (UNK included) draw from uniform(-0.05, 0.05) using
-    ``rng``; the PAD row is all zeros.
+    ``rng``; the PAD row is all zeros. A non-finite value in a loaded row
+    raises ``TranscriptError`` naming the line and the word.
     """
     if rng is None:
         rng = np.random.default_rng(42)
@@ -282,7 +283,7 @@ def load_pretrained_embeddings(path, vocab, dim, rng=None):
     matrix = rng.uniform(-0.05, 0.05, size=(n_words, dim))
     matrix[PAD_ID] = 0.0
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split()
             if not parts:
                 continue
@@ -293,5 +294,8 @@ def load_pretrained_embeddings(path, vocab, dim, rng=None):
                 )
             idx = vocab.word_index.get(word)
             if idx is not None and idx != PAD_ID:
-                matrix[idx] = [float(v) for v in values]
+                row = np.array([float(v) for v in values])
+                if not np.isfinite(row).all():
+                    raise TranscriptError(f"{path}:{lineno}: embedding row for {word!r} is not finite")
+                matrix[idx] = row
     return matrix

@@ -271,18 +271,18 @@ class SelectionAttention:
 def selection_attention(finals, params):
     """Soft selection over utterance positions via a 2-state chain.
 
-    finals: tensor (B, n, d). params: dict with ``sel_w`` (d, a),
-    ``sel_b`` (a,), ``sel_v`` (a, 1), ``sel_trans`` (2, 2). The
-    not-selected state scores 0 at every position.
+    finals: tensor (B, n, d). params: name -> tensor mapping holding
+    ``sel.w`` (d, a), ``sel.b`` (a,), ``sel.v`` (a, 1) and ``sel.trans``
+    (2, 2). The not-selected state scores 0 at every position.
     """
     b, n, d = finals.shape
-    hidden = ag.tanh(ag.add(ag.matmul(finals, params["sel_w"]), params["sel_b"]))
-    score_sel = ag.matmul(hidden, params["sel_v"])  # (B, n, 1)
+    hidden = ag.tanh(ag.add(ag.matmul(finals, params["sel.w"]), params["sel.b"]))
+    score_sel = ag.matmul(hidden, params["sel.v"])  # (B, n, 1)
     unary = ag.concat([ag.Tensor(np.zeros((b, n, 1))), score_sel], axis=2)
-    gamma = ag.select(chain_marginals(unary, params["sel_trans"]), 1, axis=2)  # (B, n)
+    gamma = ag.select(chain_marginals(unary, params["sel.trans"]), 1, axis=2)  # (B, n)
     context = ag.reduce_sum(ag.mul(ag.reshape(gamma, (b, n, 1)), finals), axis=1)
     return SelectionAttention(
-        unary=unary, pairwise=params["sel_trans"], gamma=gamma, context=context
+        unary=unary, pairwise=params["sel.trans"], gamma=gamma, context=context
     )
 
 
@@ -298,17 +298,19 @@ def compute_potentials(finals, context, params):
     layer emission over the utterance vector and the selection context:
 
         finals[b,i] . act_emb[y]
-        + w_out[:, y] . tanh(finals[b,i] @ emit_wu + context[b] @ emit_wc + emit_b)
+        + emit_wout[:, y] . tanh(finals[b,i] @ emit_wu + context[b] @ emit_wc + emit_b)
 
-    params: ``act_emb`` (Y, d), ``emit_wu`` (d, h), ``emit_wc`` (d, h),
-    ``emit_b`` (h,), ``emit_wout`` (h, Y), ``trans`` (Y, Y), and optionally
-    ``start`` / ``stop`` (Y,). Returns (unary (B, n, Y), transition).
+    params: name -> tensor mapping holding ``crf.act_emb`` (Y, d),
+    ``crf.emit_wu`` (d, h), ``crf.emit_wc`` (d, h), ``crf.emit_b`` (h,),
+    ``crf.emit_wout`` (h, Y) and ``crf.trans`` (Y, Y). The optional
+    boundary vectors ``crf.start``/``crf.stop`` are read by the caller.
+    Returns (unary (B, n, Y), transition).
     """
     b, n, d = finals.shape
-    act_dot = ag.matmul(finals, ag.transpose_last(params["act_emb"]))
-    ctx_part = ag.reshape(ag.matmul(context, params["emit_wc"]), (b, 1, -1))
+    act_dot = ag.matmul(finals, ag.transpose_last(params["crf.act_emb"]))
+    ctx_part = ag.reshape(ag.matmul(context, params["crf.emit_wc"]), (b, 1, -1))
     hidden = ag.tanh(
-        ag.add(ag.add(ag.matmul(finals, params["emit_wu"]), ctx_part), params["emit_b"])
+        ag.add(ag.add(ag.matmul(finals, params["crf.emit_wu"]), ctx_part), params["crf.emit_b"])
     )
-    unary = ag.add(act_dot, ag.matmul(hidden, params["emit_wout"]))
-    return unary, params["trans"]
+    unary = ag.add(act_dot, ag.matmul(hidden, params["crf.emit_wout"]))
+    return unary, params["crf.trans"]

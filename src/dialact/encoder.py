@@ -22,6 +22,14 @@ first, and at step t updates only the prefix of sequences still running;
 the reverse direction reads each sequence from its last row. Padding
 rows of the embedding tables stay identically zero: they are initialized
 to zero and their gradients are masked by the registry.
+
+Every layer takes ``params``, one flat mapping from checkpoint name to
+tensor, and reads its own entries: ``emb.*`` and ``cnn.w{k}``/``cnn.b{k}``
+for the token features, ``{prefix}.w_r`` ... ``{prefix}.b_h`` for a GRU
+(``utt_fwd``, ``utt_bwd``, ``ctx_fwd``, ``ctx_bwd``), and ``ctx.w_fwd``,
+``ctx.w_bwd``, ``ctx.b`` for the context combination. Training passes the
+registry's tensors; inference passes grad-free tensors over the same
+arrays, so it records nothing.
 """
 
 from __future__ import annotations
@@ -107,13 +115,6 @@ def init_gru(registry, prefix, input_dim, hidden_dim, rng, scale=0.08):
         registry.add(f"{prefix}.b_{gate}", np.zeros(hidden_dim))
 
 
-def gru_params(registry, prefix):
-    return {
-        key: registry[f"{prefix}.{key}"]
-        for key in (f"{kind}_{gate}" for gate in GRU_GATES for kind in ("w", "u", "b"))
-    }
-
-
 def gru_step(params, x, h):
     """One gated update of the k running sequences, on plain arrays.
 
@@ -163,12 +164,12 @@ class PackedSchedule:
         )
 
 
-def gru_sequence(params, xs, lengths, reverse=False, collect=False):
+def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False):
     """GRU over packed rows, recorded as one tape op.
 
     ``xs`` (M, E) is a tensor holding the sequences end to end, in order, with
-    ``lengths`` (S,) rows each (all >= 1, summing to M); ``params`` are the
-    tensors from ``gru_params``. The state starts at zero, runs over each
+    ``lengths`` (S,) rows each (all >= 1, summing to M); the GRU's weights
+    are ``params[f"{prefix}.w_r"]`` and so on. The state starts at zero, runs over each
     sequence (from its last row when ``reverse``) and never sees another
     sequence's rows. Returns the final states (S, H), or with ``collect``
     the state after every row, (M, H) in packed order.
@@ -177,12 +178,13 @@ def gru_sequence(params, xs, lengths, reverse=False, collect=False):
     if xs.ndim != 2 or xs.shape[0] != lengths.sum():
         raise ag.ShapeError(f"gru_sequence needs (sum(lengths), E) rows, got {xs.shape} for {lengths}")
     sched = PackedSchedule.build(lengths, reverse)
-    w = np.concatenate([params[f"w_{g}"].data for g in GRU_GATES], axis=1)
+    own = {f"{kind}_{g}": params[f"{prefix}.{kind}_{g}"] for g in GRU_GATES for kind in "wub"}
+    w = np.concatenate([own[f"w_{g}"].data for g in GRU_GATES], axis=1)
     step_params = {
-        "u_rz": np.concatenate([params["u_r"].data, params["u_z"].data], axis=1),
-        "u_h": params["u_h"].data,
+        "u_rz": np.concatenate([own["u_r"].data, own["u_z"].data], axis=1),
+        "u_h": own["u_h"].data,
     }
-    bias = np.concatenate([params[f"b_{g}"].data for g in GRU_GATES])
+    bias = np.concatenate([own[f"b_{g}"].data for g in GRU_GATES])
     hid = step_params["u_h"].shape[0]
     a = (xs.data @ w + bias)[sched.perm]
     rows = a.shape[0]
@@ -235,12 +237,12 @@ def gru_sequence(params, xs, lengths, reverse=False, collect=False):
             grads[f"w_{gate}"] = d_w[:, i * hid : (i + 1) * hid]
             grads[f"b_{gate}"] = d_b[i * hid : (i + 1) * hid]
         for name, grad in grads.items():
-            if params[name].requires_grad:
-                params[name].accumulate_grad(grad)
+            if own[name].requires_grad:
+                own[name].accumulate_grad(grad)
         if xs.requires_grad:
             xs.accumulate_grad(da_packed @ w.T)
 
-    return ag.record("gru", (xs, *params.values()), out_data, bwd)
+    return ag.record("gru", (xs, *own.values()), out_data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -248,47 +250,53 @@ def gru_sequence(params, xs, lengths, reverse=False, collect=False):
 # ---------------------------------------------------------------------------
 
 
-def char_cnn(char_ids, char_table, filters):
+def char_cnn(char_ids, params):
     """Character convolutions with max-over-time pooling.
 
-    char_ids: (N, L) ids; filters: {width: (weight, bias)}. Output
-    (N, total_filters), widths concatenated in ascending order.
+    char_ids: (N, L) ids into ``emb.char``; one filter bank ``cnn.w{k}``,
+    ``cnn.b{k}`` per width k. Output (N, total_filters), widths
+    concatenated in ascending order.
     """
-    emb = ag.gather(char_table, char_ids)
+    emb = ag.gather(params["emb.char"], char_ids)
     pooled = [
-        ag.max_over_time(ag.conv1d(emb, w, b, width))
-        for width, (w, b) in sorted(filters.items())
+        ag.max_over_time(ag.conv1d(emb, params[f"cnn.w{width}"], params[f"cnn.b{width}"], width))
+        for width in CHAR_WIDTHS
     ]
     return ag.concat(pooled, axis=1)
 
 
 def embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0):
     """Token feature tensor (M, E), one row per real token in packed order."""
-    word = ag.gather(params["emb_word"], batch.word)
-    chars = char_cnn(batch.char, params["emb_char"], params["cnn_filters"])
-    pos = ag.gather(params["emb_pos"], batch.pos)
-    ner = ag.gather(params["emb_ner"], batch.ner)
+    word = ag.gather(params["emb.word"], batch.word)
+    chars = char_cnn(batch.char, params)
+    pos = ag.gather(params["emb.pos"], batch.pos)
+    ner = ag.gather(params["emb.ner"], batch.ner)
     e = ag.concat([word, chars, pos, ner], axis=1)
     return ag.dropout(e, dropout_rate, rng, train)
 
 
-def encode_utterances(embedded, lengths, fwd_params, bwd_params):
-    """Utterance vectors (S, 2*hidden) from final BiGRU states over packed rows."""
-    h_fwd = gru_sequence(fwd_params, embedded, lengths)
-    h_bwd = gru_sequence(bwd_params, embedded, lengths, reverse=True)
+def encode_utterances(embedded, lengths, params):
+    """Utterance vectors (S, 2*hidden) from the ``utt_fwd``/``utt_bwd`` GRUs' final states."""
+    h_fwd = gru_sequence(params, "utt_fwd", embedded, lengths)
+    h_bwd = gru_sequence(params, "utt_bwd", embedded, lengths, reverse=True)
     return ag.concat([h_fwd, h_bwd], axis=1)
 
 
-def encode_context(us, fwd_params, bwd_params, combine):
-    """Contextual keys h_j = tanh(Wf fwd_j + Wb bwd_j + b) over (B, n, d)."""
+def encode_context(us, params):
+    """Contextual keys h_j = tanh(Wf fwd_j + Wb bwd_j + b) over (B, n, d).
+
+    fwd/bwd are the ``ctx_fwd``/``ctx_bwd`` GRU states; Wf, Wb and b are
+    ``ctx.w_fwd``, ``ctx.w_bwd`` and ``ctx.b``.
+    """
     b, n, d = us.shape
     rows = ag.reshape(us, (b * n, d))
     lengths = np.full(b, n)
-    fwd = ag.matmul(gru_sequence(fwd_params, rows, lengths, collect=True), combine["w_fwd"])
+    fwd = ag.matmul(gru_sequence(params, "ctx_fwd", rows, lengths, collect=True), params["ctx.w_fwd"])
     bwd = ag.matmul(
-        gru_sequence(bwd_params, rows, lengths, reverse=True, collect=True), combine["w_bwd"]
+        gru_sequence(params, "ctx_bwd", rows, lengths, reverse=True, collect=True),
+        params["ctx.w_bwd"],
     )
-    return ag.reshape(ag.tanh(ag.add(ag.add(fwd, bwd), combine["bias"])), (b, n, -1))
+    return ag.reshape(ag.tanh(ag.add(ag.add(fwd, bwd), params["ctx.b"])), (b, n, -1))
 
 
 def memory_layer(us, hs, hops=1):
@@ -323,10 +331,10 @@ def encode_batch(batch, params, cfg, train=False, rng=None):
     """Full hierarchy over one prepared batch; see the module docstring."""
     rate = cfg.dropout if train else 0.0
     e = embed_tokens(batch, params, train=train, rng=rng, dropout_rate=rate)
-    us_flat = encode_utterances(e, batch.lengths, params["utt_fwd"], params["utt_bwd"])
+    us_flat = encode_utterances(e, batch.lengths, params)
     us = ag.reshape(us_flat, (batch.size, batch.n_utts, 2 * cfg.d_u))
     us = ag.dropout(us, rate, rng, train)
-    hs = encode_context(us, params["ctx_fwd"], params["ctx_bwd"], params["ctx_combine"])
+    hs = encode_context(us, params)
     attention, out, finals = memory_layer(us, hs, hops=cfg.hops)
     return EncodedConversations(
         original=us, contextual=hs, attention=attention, memory_out=out, final=finals

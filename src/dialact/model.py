@@ -4,6 +4,16 @@ Owns the parameter registry, the loss graph for a batch of conversations,
 decoding, and checkpoint round-trips. Conversations of mixed lengths are
 grouped internally; each equal-length group runs as one batched graph.
 
+There is one parameter namespace, the checkpoint names (``emb.word``,
+``utt_fwd.w_r``, ``sel.trans``, ``crf.start`` ...). Every layer takes a
+flat ``params`` mapping from those names to tensors and reads its own
+entries. ``loss`` passes ``registry.params``, whose tensors require a
+gradient and are recorded on the live tape. Inference (``decode``,
+``accuracy``, ``potential_tables``, ``conversation_detail``) passes fresh
+grad-free tensors over the current arrays, or over ``weights`` such as
+``registry.ema``; it records nothing on any tape and writes no shared
+state, so it may run next to training in another thread.
+
 A checkpoint is the binary tensor container written by
 :mod:`dialact.autograd` plus a ``<path>.meta.json`` sidecar carrying the
 vocabulary and configuration needed to rebuild the model around the
@@ -98,67 +108,20 @@ class DialogueActModel:
             reg.add("crf.start", np.zeros(self.n_acts))
             reg.add("crf.stop", np.zeros(self.n_acts))
 
-    def encoder_params(self):
-        reg = self.registry
-        return {
-            "emb_word": reg["emb.word"],
-            "emb_char": reg["emb.char"],
-            "emb_pos": reg["emb.pos"],
-            "emb_ner": reg["emb.ner"],
-            "cnn_filters": {
-                width: (reg[f"cnn.w{width}"], reg[f"cnn.b{width}"])
-                for width in encoder.CHAR_WIDTHS
-            },
-            "utt_fwd": encoder.gru_params(reg, "utt_fwd"),
-            "utt_bwd": encoder.gru_params(reg, "utt_bwd"),
-            "ctx_fwd": encoder.gru_params(reg, "ctx_fwd"),
-            "ctx_bwd": encoder.gru_params(reg, "ctx_bwd"),
-            "ctx_combine": {
-                "w_fwd": reg["ctx.w_fwd"],
-                "w_bwd": reg["ctx.w_bwd"],
-                "bias": reg["ctx.b"],
-            },
-        }
-
-    def selection_params(self):
-        reg = self.registry
-        return {
-            "sel_w": reg["sel.w"],
-            "sel_b": reg["sel.b"],
-            "sel_v": reg["sel.v"],
-            "sel_trans": reg["sel.trans"],
-        }
-
-    def crf_params(self):
-        reg = self.registry
-        return {
-            "act_emb": reg["crf.act_emb"],
-            "emit_wu": reg["crf.emit_wu"],
-            "emit_wc": reg["crf.emit_wc"],
-            "emit_b": reg["crf.emit_b"],
-            "emit_wout": reg["crf.emit_wout"],
-            "trans": reg["crf.trans"],
-        }
-
-    def boundary(self):
-        reg = self.registry
-        if "crf.start" in reg:
-            return reg["crf.start"], reg["crf.stop"]
-        return None, None
-
     # -- forward ------------------------------------------------------------
 
-    def forward_group(self, batch, train=False, rng=None):
+    def forward_group(self, batch, params, train=False, rng=None):
         """Run one equal-length batch through to chain potentials.
 
-        Returns (unary (B, n, Y) tensor, transition tensor, selection,
-        encoded) where selection holds the gamma/context tensors.
+        ``params`` maps checkpoint names to tensors (see the module
+        docstring). Returns (unary (B, n, Y) tensor, transition tensor,
+        selection, encoded) where selection holds the gamma/context tensors.
         """
-        enc = encoder.encode_batch(batch, self.encoder_params(), self.cfg, train=train, rng=rng)
+        enc = encoder.encode_batch(batch, params, self.cfg, train=train, rng=rng)
         rate = self.cfg.dropout if train else 0.0
         finals = ag.dropout(enc.final, rate, rng, train)
-        selection = crf.selection_attention(finals, self.selection_params())
-        unary, trans = crf.compute_potentials(finals, selection.context, self.crf_params())
+        selection = crf.selection_attention(finals, params)
+        unary, trans = crf.compute_potentials(finals, selection.context, params)
         return unary, trans, selection, enc
 
     def loss(self, conversations, train=True, rng=None):
@@ -174,12 +137,13 @@ class DialogueActModel:
                 raise TranscriptError(f"conversation {conv.id!r} has unlabeled utterances")
         if train and rng is None:
             raise ValueError("training-mode loss needs an rng for dropout")
-        start, stop = self.boundary()
+        params = self.registry.params
+        start, stop = params.get("crf.start"), params.get("crf.stop")
         nll_terms = []
         for group in group_by_length(conversations):
             gold_ids = [[self.vocab.act_id(u.act) for u in conv.utterances] for conv in group]
             batch = encoder.prepare_batch(group, self.vocab)
-            unary, trans, _, _ = self.forward_group(batch, train=train, rng=rng)
+            unary, trans, _, _ = self.forward_group(batch, params, train=train, rng=rng)
             logz = crf.chain_log_partition(unary, trans, start=start, stop=stop)
             gold = crf.chain_gold_score(unary, trans, gold_ids, start=start, stop=stop)
             nll_terms.append(ag.reduce_sum(ag.sub(logz, gold)))
@@ -187,26 +151,39 @@ class DialogueActModel:
         for term in nll_terms[1:]:
             nll = ag.add(nll, term)
         if self.cfg.l2 > 0.0:
-            params = [self.registry[name] for name in self.registry.names()]
-            nll = ag.add(nll, ag.l2_penalty(params, self.cfg.l2))
+            nll = ag.add(nll, ag.l2_penalty(list(params.values()), self.cfg.l2))
         return nll
 
     # -- inference ----------------------------------------------------------
 
-    def chain_scores(self, conversations):
+    def _snapshot(self, weights):
+        """Name -> array: a shallow copy of ``weights``, or of the current weights.
+
+        Training rebinds weight arrays and never writes into them, so the
+        arrays of a snapshot never change under its reader.
+        """
+        if weights is None:
+            return {name: t.data for name, t in self.registry.params.items()}
+        return dict(weights)
+
+    def chain_scores(self, conversations, weights=None):
         """Numpy chain scores of one equal-length group (no tape, no dropout).
 
-        Returns ((unary (B, n, Y), transition, start, stop), selection,
-        encoded); the transition and boundary arrays are copies, taken
-        once, so later training steps cannot change them.
+        ``weights`` maps checkpoint names to arrays (e.g. ``registry.ema``);
+        by default the current weights are used. Either way the forward runs
+        on grad-free tensors over those arrays, so it records nothing on any
+        live tape. Returns ((unary (B, n, Y), transition, start, stop),
+        selection, encoded).
         """
         lengths = {len(c) for c in conversations}
         if len(lengths) != 1:
             raise ValueError("chain scores need equal-length conversations")
+        weights = self._snapshot(weights)
+        params = {name: ag.Tensor(value) for name, value in weights.items()}
         batch = encoder.prepare_batch(conversations, self.vocab)
-        unary, trans, selection, enc = self.forward_group(batch, train=False)
-        shared = (None if t is None else t.data.copy() for t in (trans, *self.boundary()))
-        return (unary.data, *shared), selection, enc
+        unary, trans, selection, enc = self.forward_group(batch, params)
+        start, stop = weights.get("crf.start"), weights.get("crf.stop")
+        return (unary.data, trans.data, start, stop), selection, enc
 
     def potential_tables(self, conversations):
         """Per-conversation PotentialTables sharing one transition table."""
@@ -214,17 +191,19 @@ class DialogueActModel:
         tables = [crf.PotentialTable(u, trans, start, stop) for u in unary]
         return tables, selection, enc
 
-    def decode(self, conversations):
+    def decode(self, conversations, weights=None):
         """Viterbi act names per conversation, in input order.
 
         Gold acts are ignored, so acts unseen in training are fine. Each
-        length group is one batched Viterbi call.
+        length group is one batched Viterbi call; every group reads the
+        same snapshot of ``weights`` (default: the current weights).
         """
+        weights = self._snapshot(weights)
         order = {id(c): i for i, c in enumerate(conversations)}
         results = [None] * len(conversations)
         names = self.vocab.act_names
         for group in group_by_length(conversations):
-            scores, _, _ = self.chain_scores(group)
+            scores, _, _ = self.chain_scores(group, weights)
             paths, _ = crf.viterbi_decode(*scores)
             for conv, path in zip(group, paths):
                 results[order[id(conv)]] = [names[y] for y in path]
@@ -245,10 +224,10 @@ class DialogueActModel:
             "memory_attention": enc.attention.data[0].copy(),
         }
 
-    def accuracy(self, conversations):
-        """Utterance-level decode accuracy against gold acts."""
+    def accuracy(self, conversations, weights=None):
+        """Utterance-level decode accuracy against gold acts, under ``weights``."""
         correct = total = 0
-        for conv, pred in zip(conversations, self.decode(conversations)):
+        for conv, pred in zip(conversations, self.decode(conversations, weights)):
             for utt, p in zip(conv.utterances, pred):
                 correct += int(utt.act == p)
                 total += 1

@@ -109,7 +109,7 @@ def adagrad_step(registry, lr):
         acc = registry.sq_accum[name]
         acc += g * g
         denom = np.sqrt(np.maximum(acc, 1e-12))
-        tensor.data -= lr * g / denom
+        tensor.data = tensor.data - lr * g / denom  # rebind: snapshots keep the old array
 
 
 def clip_gradients(registry, max_norm):
@@ -133,11 +133,9 @@ def clip_gradients(registry, max_norm):
 
 
 def ema_update(registry, decay):
-    """shadow <- decay * shadow + (1 - decay) * param, elementwise."""
+    """shadow <- decay * shadow + (1 - decay) * param, elementwise, as a new array."""
     for name in registry.names():
-        shadow = registry.ema[name]
-        shadow *= decay
-        shadow += (1.0 - decay) * registry.params[name].data
+        registry.ema[name] = decay * registry.ema[name] + (1.0 - decay) * registry.params[name].data
 
 
 def make_batches(conversations, max_batch, rng):
@@ -179,10 +177,9 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
     model = DialogueActModel(vocab, cfg, rng=rng, word_embeddings=word_matrix)
 
     history = []
-    best_state = model.registry.ema_dict()
+    best_state = dict(model.registry.ema)  # arrays are rebound, never written
     best_val_accuracy = -1.0
     epochs_since_improvement = 0
-    previous = ag.Tape()
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         epoch_loss = 0.0
@@ -190,13 +187,10 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
             model.registry.zero_grads()
             with ag.Tape() as tape:
                 loss = model.loss(batch, train=True, rng=rng)
-            # A recorded graph is a reference cycle (outputs point back at
-            # their tape), so only the cyclic collector would free it. Drop
-            # the previous step's graph once this step's is allocated: freed
-            # below live memory, its pages are reused instead of being
-            # returned to the OS and faulted back in on every step.
-            previous.clear()
-            previous = tape
+            # ``previous`` keeps the last step's graph alive until this step's
+            # is allocated: freed below live memory, its pages are reused
+            # instead of being returned to the OS and faulted back in.
+            previous = tape  # noqa: F841
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
             tape.backward(loss)
@@ -205,8 +199,7 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
             adagrad_step(model.registry, cfg.lr)
             ema_update(model.registry, cfg.ema_decay)
             epoch_loss += float(loss.data)
-        with model.registry.using_ema():
-            val_acc = model.accuracy(valid_convs)
+        val_acc = model.accuracy(valid_convs, weights=model.registry.ema)
         seconds = time.perf_counter() - t0
         history.append(
             {"epoch": epoch, "train_loss": epoch_loss, "val_accuracy": val_acc, "seconds": seconds}
@@ -216,7 +209,7 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
         if val_acc > best_val_accuracy:
             best_val_accuracy = val_acc
             epochs_since_improvement = 0
-            best_state = model.registry.ema_dict()
+            best_state = dict(model.registry.ema)
         else:
             epochs_since_improvement += 1
             if epochs_since_improvement >= cfg.patience:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialact import cli
 from dialact.corpus import Conversation, Token, Utterance, build_vocab, parse_jsonl, write_jsonl
@@ -257,17 +259,23 @@ def test_checkpoint_vocab_mismatch_detected(trained, tmp_path):
     assert code == 2
 
 
-def test_truncated_checkpoint_exits_two_at_every_offset(tmp_path, capsys):
+def tiny_checkpoint(directory):
+    """(checkpoint path, test transcript path) of a minimal untrained model."""
     utts = (Utterance(tokens=(Token("hi"),), speaker="A", act="a"),
             Utterance(tokens=(Token("ok"),), speaker="B", act="b"))
     convs = [Conversation(id="c", utterances=utts)]
-    test_path = tmp_path / "test.jsonl"
+    test_path = directory / "test.jsonl"
     write_jsonl(test_path, convs)
     cfg = TrainConfig(
         d=2, d_u=1, d_c=1, d_p=1, d_n=1, word_dim=1, char_out=3, attn_dim=1, emit_dim=1
     )
-    ckpt = tmp_path / "tiny.ckpt"
+    ckpt = directory / "tiny.ckpt"
     DialogueActModel(build_vocab(convs), cfg).save(ckpt)
+    return ckpt, test_path
+
+
+def test_truncated_checkpoint_exits_two_at_every_offset(tmp_path, capsys):
+    ckpt, test_path = tiny_checkpoint(tmp_path)
     full = ckpt.read_bytes()
     for offset in range(len(full)):
         ckpt.write_bytes(full[:offset])
@@ -276,3 +284,26 @@ def test_truncated_checkpoint_exits_two_at_every_offset(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, offset
         assert err.count("\n") == 1 and "tiny.ckpt is truncated" in err, (offset, err)
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("tiny")
+    ckpt, test_path = tiny_checkpoint(directory)
+    (directory / "corrupt.ckpt.meta.json").write_bytes((directory / "tiny.ckpt.meta.json").read_bytes())
+    return directory, ckpt.read_bytes(), test_path
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_overwritten_checkpoint_byte_exits_zero_or_two(tiny, capsys, data):
+    directory, full, test_path = tiny
+    offset = data.draw(st.integers(0, len(full) - 1), label="offset")
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != full[offset]), label="byte")
+    ckpt = directory / "corrupt.ckpt"
+    ckpt.write_bytes(full[:offset] + bytes([value]) + full[offset + 1 :])
+    code = run_cli("eval", "--checkpoint", str(ckpt), "--test", str(test_path),
+                   "--out", str(directory / "r.json"))
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2), err

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialact import corpus
 from dialact.corpus import (
@@ -123,6 +125,41 @@ def test_round_trip_exact(tmp_path):
     assert parse_jsonl(path) == [conv_a, conv_b]
 
 
+def test_null_tags_map_to_absent(tmp_path):
+    path = tmp_path / "nulls.jsonl"
+    write_lines(
+        path,
+        ['{"id":"c","utterances":[{"speaker":"A","tokens":["a","b"],'
+         '"pos":["NN",null],"ner":[null,"O"]}]}'],
+    )
+    tokens = parse_jsonl(path)[0].utterances[0].tokens
+    assert [(t.pos, t.ner) for t in tokens] == [("NN", None), (None, "O")]
+    vocab = build_vocab([make_conv(["a b"], ["x"])])
+    assert vocab.pos_id(tokens[1].pos) == vocab.ner_id(tokens[0].ner) == ABSENT_ID
+
+
+TAGS = st.none() | st.text(max_size=3)
+TOKENS = st.builds(Token, surface=st.text(min_size=1, max_size=5), pos=TAGS, ner=TAGS)
+UTTERANCES = st.builds(
+    Utterance,
+    tokens=st.lists(TOKENS, min_size=1, max_size=4).map(tuple),
+    speaker=st.text(max_size=3),
+    act=st.none() | st.text(max_size=4),
+)
+CONVERSATIONS = st.builds(
+    Conversation, id=st.text(max_size=4), utterances=st.lists(UTTERANCES, min_size=1, max_size=3).map(tuple)
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(convs=st.lists(CONVERSATIONS, min_size=1, max_size=3))
+def test_write_then_parse_returns_equal_conversations(tmp_path, convs):
+    """Per-token optional tags, optional acts and any (non-ASCII too) surface survive."""
+    path = tmp_path / "prop.jsonl"
+    write_jsonl(path, convs)
+    assert parse_jsonl(path) == convs
+
+
 def test_token_invariants():
     tok = Token("hello")
     assert tok.chars == ("h", "e", "l", "l", "o")
@@ -233,6 +270,15 @@ def test_embeddings_dimension_mismatch_names_word(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("hello 0.1 0.2 0.3\n", encoding="utf-8")
     with pytest.raises(TranscriptError, match="hello"):
+        load_pretrained_embeddings(path, vocab, dim=2)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_embeddings_reject_non_finite_values_naming_line_and_word(tmp_path, bad):
+    vocab = build_vocab([make_conv(["hello world"], ["x"])])
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"world 0.5 0.5\nhello 0.1 {bad}\n", encoding="utf-8")
+    with pytest.raises(TranscriptError, match=r"vecs\.txt:2: .*'hello' is not finite"):
         load_pretrained_embeddings(path, vocab, dim=2)
 
 

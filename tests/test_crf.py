@@ -22,7 +22,7 @@ from dialact.crf import (
 )
 from dialact.model import DialogueActModel
 from dialact.synthetic import default_spec, generate_synthetic
-from dialact.train import TrainConfig
+from dialact.train import TrainConfig, adagrad_step
 
 
 def random_pot(rng, n, k, boundary=False):
@@ -390,12 +390,12 @@ def test_each_fused_chain_op_is_one_record():
 # ---------------------------------------------------------------------------
 
 
-def selection_params(rng, d, a):
+def selection_weights(rng, d, a):
     return {
-        "sel_w": ag.Tensor(rng.uniform(-0.3, 0.3, (d, a))),
-        "sel_b": ag.Tensor(np.zeros(a)),
-        "sel_v": ag.Tensor(rng.uniform(-0.5, 0.5, (a, 1))),
-        "sel_trans": ag.Tensor(rng.normal(size=(2, 2))),
+        "sel.w": ag.Tensor(rng.uniform(-0.3, 0.3, (d, a))),
+        "sel.b": ag.Tensor(np.zeros(a)),
+        "sel.v": ag.Tensor(rng.uniform(-0.5, 0.5, (a, 1))),
+        "sel.trans": ag.Tensor(rng.normal(size=(2, 2))),
     }
 
 
@@ -403,10 +403,10 @@ def test_selection_zero_parameters_is_uniform():
     rng = np.random.default_rng(14)
     finals = rng.normal(size=(1, 4, 6))
     params = {
-        "sel_w": ag.Tensor(np.zeros((6, 3))),
-        "sel_b": ag.Tensor(np.zeros(3)),
-        "sel_v": ag.Tensor(np.zeros((3, 1))),
-        "sel_trans": ag.Tensor(np.zeros((2, 2))),
+        "sel.w": ag.Tensor(np.zeros((6, 3))),
+        "sel.b": ag.Tensor(np.zeros(3)),
+        "sel.v": ag.Tensor(np.zeros((3, 1))),
+        "sel.trans": ag.Tensor(np.zeros((2, 2))),
     }
     sel = selection_attention(ag.Tensor(finals), params)
     assert np.abs(sel.gamma.data - 0.5).max() < 1e-12
@@ -416,29 +416,29 @@ def test_selection_zero_parameters_is_uniform():
 def test_selection_single_node_is_sigmoid():
     rng = np.random.default_rng(15)
     finals = rng.normal(size=(1, 1, 4))
-    params = selection_params(rng, 4, 3)
+    params = selection_weights(rng, 4, 3)
     sel = selection_attention(ag.Tensor(finals), params)
-    hidden = np.tanh(finals[0, 0] @ params["sel_w"].data + params["sel_b"].data)
-    s = float((hidden @ params["sel_v"].data)[0])
+    hidden = np.tanh(finals[0, 0] @ params["sel.w"].data + params["sel.b"].data)
+    s = float((hidden @ params["sel.v"].data)[0])
     assert sel.gamma.data[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-s)), abs=1e-12)
 
 
 def test_selection_gamma_matches_enumeration():
     rng = np.random.default_rng(16)
     finals = rng.normal(size=(1, 5, 6))
-    params = selection_params(rng, 6, 4)
+    params = selection_weights(rng, 6, 4)
     sel = selection_attention(ag.Tensor(finals), params)
-    hidden = np.tanh(finals[0] @ params["sel_w"].data + params["sel_b"].data)
-    s1 = (hidden @ params["sel_v"].data)[:, 0]
+    hidden = np.tanh(finals[0] @ params["sel.w"].data + params["sel.b"].data)
+    s1 = (hidden @ params["sel.v"].data)[:, 0]
     unary = np.stack([np.zeros(5), s1], axis=1)
-    gamma_ref = oracles.enumerate_selection_gamma(unary, params["sel_trans"].data)
+    gamma_ref = oracles.enumerate_selection_gamma(unary, params["sel.trans"].data)
     assert np.abs(sel.gamma.data[0] - gamma_ref).max() < 1e-9
 
 
 def test_selection_context_is_gamma_weighted_sum():
     rng = np.random.default_rng(17)
     finals = rng.normal(size=(3, 6, 5))
-    sel = selection_attention(ag.Tensor(finals), selection_params(rng, 5, 4))
+    sel = selection_attention(ag.Tensor(finals), selection_weights(rng, 5, 4))
     recomputed = np.einsum("bn,bnd->bd", sel.gamma.data, finals)
     assert np.abs(sel.context.data - recomputed).max() < 1e-12
     assert sel.gamma.data.min() >= 0.0 and sel.gamma.data.max() <= 1.0
@@ -449,15 +449,15 @@ def test_selection_context_is_gamma_weighted_sum():
 # ---------------------------------------------------------------------------
 
 
-def crf_params(rng, d, h, k, zero=False):
+def potential_weights(rng, d, h, k, zero=False):
     init = (lambda shape: np.zeros(shape)) if zero else (lambda shape: rng.uniform(-0.3, 0.3, shape))
     return {
-        "act_emb": ag.Tensor(init((k, d))),
-        "emit_wu": ag.Tensor(init((d, h))),
-        "emit_wc": ag.Tensor(init((d, h))),
-        "emit_b": ag.Tensor(np.zeros(h)),
-        "emit_wout": ag.Tensor(init((h, k))),
-        "trans": ag.Tensor(np.zeros((k, k))),
+        "crf.act_emb": ag.Tensor(init((k, d))),
+        "crf.emit_wu": ag.Tensor(init((d, h))),
+        "crf.emit_wc": ag.Tensor(init((d, h))),
+        "crf.emit_b": ag.Tensor(np.zeros(h)),
+        "crf.emit_wout": ag.Tensor(init((h, k))),
+        "crf.trans": ag.Tensor(np.zeros((k, k))),
     }
 
 
@@ -465,7 +465,7 @@ def test_zero_parameters_give_zero_potentials():
     rng = np.random.default_rng(18)
     finals = ag.Tensor(rng.normal(size=(1, 3, 4)))
     ctx = ag.Tensor(rng.normal(size=(1, 4)))
-    unary, trans = compute_potentials(finals, ctx, crf_params(rng, 4, 5, 3, zero=True))
+    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3, zero=True))
     assert np.array_equal(unary.data, np.zeros((1, 3, 3)))
     assert np.array_equal(trans.data, np.zeros((3, 3)))
 
@@ -474,7 +474,7 @@ def test_potential_shapes():
     rng = np.random.default_rng(19)
     finals = ag.Tensor(rng.normal(size=(1, 2, 4)))
     ctx = ag.Tensor(rng.normal(size=(1, 4)))
-    unary, trans = compute_potentials(finals, ctx, crf_params(rng, 4, 5, 3))
+    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3))
     assert unary.shape == (1, 2, 3)
     assert trans.shape == (3, 3)
 
@@ -483,9 +483,9 @@ def test_act_embedding_perturbation_is_column_local():
     rng = np.random.default_rng(20)
     finals = ag.Tensor(rng.normal(size=(1, 4, 6)))
     ctx = ag.Tensor(rng.normal(size=(1, 6)))
-    params = crf_params(rng, 6, 5, 4)
+    params = potential_weights(rng, 6, 5, 4)
     base, _ = compute_potentials(finals, ctx, params)
-    params["act_emb"].data[2] += 0.37
+    params["crf.act_emb"].data[2] += 0.37
     bumped, _ = compute_potentials(finals, ctx, params)
     diff = bumped.data - base.data
     assert np.abs(diff[:, :, 2]).min() > 0.0
@@ -506,5 +506,11 @@ def test_potential_tables_share_one_transition():
     assert np.array_equal(tables[1].unary, unary[1])
     assert tables[0].transition is tables[1].transition
     assert np.array_equal(tables[0].transition, model.registry["crf.trans"].data)
-    assert not np.shares_memory(tables[0].transition, model.registry["crf.trans"].data)
+    # training rebinds weights rather than writing into them, so a later
+    # step leaves the tables as they were without any copy
+    before = tables[0].transition.copy()
+    model.registry["crf.trans"].grad = np.ones_like(before)
+    adagrad_step(model.registry, lr=0.1)
+    assert not np.array_equal(model.registry["crf.trans"].data, before)
+    assert np.array_equal(tables[0].transition, before)
     assert np.array_equal(tables[0].start, start) and np.array_equal(tables[1].stop, stop)

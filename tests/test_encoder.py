@@ -13,7 +13,6 @@ from dialact.encoder import (
     embed_tokens,
     encode_context,
     encode_utterances,
-    gru_params,
     gru_sequence,
     init_gru,
     memory_layer,
@@ -63,33 +62,29 @@ def embed_one(token, vocab, params):
 def test_embed_token_dimension_arithmetic():
     cfg = TrainConfig(d=128, d_u=64)  # defaults: word 100, char 100, pos/ner 16
     model, _, vocab = toy_model(cfg=cfg)
-    e = embed_one(Token("hello"), vocab, model.encoder_params())
+    e = embed_one(Token("hello"), vocab, model.registry.params)
     assert e.shape == (1, 100 + 100 + 16 + 16)
     assert e.shape == (1, 232)
 
 
 def test_all_pad_chars_yield_bias_only_char_component():
     model, _, vocab = toy_model()
-    params = model.encoder_params()
+    params = model.registry.params
     # all-PAD char window: conv output is the bias alone, pooled over time
     pad_ids = np.zeros((1, 4), dtype=np.int64)
-    out = char_cnn(pad_ids, params["emb_char"], params["cnn_filters"])
-    expected = np.concatenate(
-        [params["cnn_filters"][w][1].data for w in sorted(params["cnn_filters"])]
-    )
+    out = char_cnn(pad_ids, params)
+    expected = np.concatenate([params[f"cnn.b{w}"].data for w in encoder.CHAR_WIDTHS])
     assert np.abs(out.data[0] - expected).max() < 1e-15
 
 
 def test_unk_word_gets_unk_row_but_real_char_signal():
     model, _, vocab = toy_model()
-    params = model.encoder_params()
+    params = model.registry.params
     e = embed_one(Token("hullo"), vocab, params)  # unseen word, seen chars
     word_part = e.data[0, : TOY_CFG.word_dim]
     char_part = e.data[0, TOY_CFG.word_dim : TOY_CFG.word_dim + TOY_CFG.char_out]
-    assert np.array_equal(word_part, params["emb_word"].data[1])  # UNK row
-    bias_only = np.concatenate(
-        [params["cnn_filters"][w][1].data for w in sorted(params["cnn_filters"])]
-    )
+    assert np.array_equal(word_part, params["emb.word"].data[1])  # UNK row
+    bias_only = np.concatenate([params[f"cnn.b{w}"].data for w in encoder.CHAR_WIDTHS])
     assert np.abs(char_part - bias_only).max() > 1e-6  # chars contribute
 
 
@@ -99,24 +94,27 @@ def test_unk_word_gets_unk_row_but_real_char_signal():
 
 
 def gru_pair(seed, input_dim, hidden):
+    """The utterance BiGRU's parameters, ``utt_fwd.*`` and ``utt_bwd.*``."""
     reg = ag.ParamRegistry()
     rng = np.random.default_rng(seed)
-    init_gru(reg, "fwd", input_dim, hidden, rng)
-    init_gru(reg, "bwd", input_dim, hidden, rng)
-    return gru_params(reg, "fwd"), gru_params(reg, "bwd"), reg
+    init_gru(reg, "utt_fwd", input_dim, hidden, rng)
+    init_gru(reg, "utt_bwd", input_dim, hidden, rng)
+    return reg.params
 
 
-def reference_gru_step(params, x, h):
+def reference_gru_step(params, prefix, x, h):
     """One gated update from primitive tape ops; h' = z * h + (1 - z) * candidate."""
-    r = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params["w_r"]), ag.matmul(h, params["u_r"])), params["b_r"]))
-    z = ag.sigmoid(ag.add(ag.add(ag.matmul(x, params["w_z"]), ag.matmul(h, params["u_z"])), params["b_z"]))
-    cand = ag.tanh(
-        ag.add(ag.add(ag.matmul(x, params["w_h"]), ag.matmul(ag.mul(r, h), params["u_h"])), params["b_h"])
-    )
+
+    def p(key):
+        return params[f"{prefix}.{key}"]
+
+    r = ag.sigmoid(ag.add(ag.add(ag.matmul(x, p("w_r")), ag.matmul(h, p("u_r"))), p("b_r")))
+    z = ag.sigmoid(ag.add(ag.add(ag.matmul(x, p("w_z")), ag.matmul(h, p("u_z"))), p("b_z")))
+    cand = ag.tanh(ag.add(ag.add(ag.matmul(x, p("w_h")), ag.matmul(ag.mul(r, h), p("u_h"))), p("b_h")))
     return ag.add(ag.mul(z, h), ag.mul(ag.sub(1.0, z), cand))
 
 
-def reference_gru(params, xs, mask, hidden_dim, reverse=False):
+def reference_gru(params, prefix, xs, mask, hidden_dim, reverse=False):
     """Padded (B, T, in) GRU whose padded steps freeze the state.
 
     Returns (final states (B, hidden), per-position states, each (B, hidden)).
@@ -126,59 +124,59 @@ def reference_gru(params, xs, mask, hidden_dim, reverse=False):
     states = [None] * t_len
     for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
         m = mask[:, t : t + 1]
-        h = ag.add(ag.mul(reference_gru_step(params, ag.select(xs, t, axis=1), h), m), ag.mul(h, 1.0 - m))
+        step = reference_gru_step(params, prefix, ag.select(xs, t, axis=1), h)
+        h = ag.add(ag.mul(step, m), ag.mul(h, 1.0 - m))
         states[t] = h
     return h, states
 
 
 def test_encode_utterance_single_step():
-    fwd, bwd, _ = gru_pair(1, 5, 3)
+    params = gru_pair(1, 5, 3)
     e = ag.Tensor(np.random.default_rng(2).normal(size=(1, 5)))
-    u = encode_utterances(e, [1], fwd, bwd)
+    u = encode_utterances(e, [1], params)
     assert u.shape == (1, 6)
     # with one token both directions see the same single input
-    h_f = gru_sequence(fwd, e, [1])
-    h_b = gru_sequence(bwd, e, [1], reverse=True)
+    h_f = gru_sequence(params, "utt_fwd", e, [1])
+    h_b = gru_sequence(params, "utt_bwd", e, [1], reverse=True)
     assert np.array_equal(u.data[0, :3], h_f.data[0])
     assert np.array_equal(u.data[0, 3:], h_b.data[0])
 
 
 def test_direction_symmetry_under_reversal():
-    fwd, bwd, _ = gru_pair(3, 4, 3)
+    params = gru_pair(3, 4, 3)
     seq = np.random.default_rng(4).normal(size=(6, 4))
-    fwd_on_reversed = gru_sequence(fwd, ag.Tensor(seq[::-1].copy()), [6])
-    bwd_on_original = gru_sequence(fwd, ag.Tensor(seq), [6], reverse=True)
+    fwd_on_reversed = gru_sequence(params, "utt_fwd", ag.Tensor(seq[::-1].copy()), [6])
+    bwd_on_original = gru_sequence(params, "utt_fwd", ag.Tensor(seq), [6], reverse=True)
     assert np.abs(fwd_on_reversed.data - bwd_on_original.data).max() < 1e-14
 
 
 def test_zero_gru_weights_give_zero_state():
     reg = ag.ParamRegistry()
     init_gru(reg, "z", 4, 3, np.random.default_rng(0), scale=0.0)
-    params = gru_params(reg, "z")
     seq = ag.Tensor(np.random.default_rng(1).normal(size=(10, 4)))
-    h = gru_sequence(params, seq, [5, 5])
+    h = gru_sequence(reg.params, "z", seq, [5, 5])
     # candidate tanh(0) = 0 and h0 = 0, so the state never leaves zero
     assert np.array_equal(h.data, np.zeros((2, 3)))
 
 
 def test_masked_padding_equals_unpadded_encoding():
     # packed form: a sequence's neighbours in the packed rows never reach it
-    fwd, bwd, _ = gru_pair(5, 4, 3)
+    params = gru_pair(5, 4, 3)
     rng = np.random.default_rng(6)
     short = rng.normal(size=(3, 4))
     packed = np.concatenate([rng.normal(size=(5, 4)), short, rng.normal(size=(2, 4))])
-    u_short = encoder.encode_utterances(ag.Tensor(short), [3], fwd, bwd)
-    u_packed = encoder.encode_utterances(ag.Tensor(packed), [5, 3, 2], fwd, bwd)
+    u_short = encoder.encode_utterances(ag.Tensor(short), [3], params)
+    u_packed = encoder.encode_utterances(ag.Tensor(packed), [5, 3, 2], params)
     assert np.abs(u_short.data[0] - u_packed.data[1]).max() < 1e-14
 
 
 def test_gru_sequence_rejects_bad_lengths():
-    fwd, _, _ = gru_pair(0, 2, 2)
+    params = gru_pair(0, 2, 2)
     x = ag.Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(fwd, x, [4, 0])
+        gru_sequence(params, "utt_fwd", x, [4, 0])
     with pytest.raises(ag.ShapeError, match="rows"):
-        gru_sequence(fwd, x, [2, 1])
+        gru_sequence(params, "utt_fwd", x, [2, 1])
 
 
 def random_gru(rng, input_dim, hidden):
@@ -207,13 +205,13 @@ def test_fused_gru_matches_primitive_reference(seed, b, t_len, e, hidden, revers
     t_len = int(lengths.max())
     real = np.arange(t_len)[None, :] < lengths[:, None]
     reg = random_gru(rng, e, hidden)
-    params = gru_params(reg, "g")
+    params = reg.params
     padded = reg.add("x", rng.normal(size=(b, t_len, e)))
     weights = rng.normal(size=(int(lengths.sum()) if collect else b, hidden))
 
     reg.zero_grads()
     with ag.Tape() as tape:
-        final, states = reference_gru(params, padded, real.astype(float), hidden, reverse)
+        final, states = reference_gru(params, "g", padded, real.astype(float), hidden, reverse)
         if collect:
             stacked = ag.concat([ag.reshape(s, (b, 1, hidden)) for s in states], axis=1)
             spread = np.zeros((b, t_len, hidden))
@@ -229,13 +227,15 @@ def test_fused_gru_matches_primitive_reference(seed, b, t_len, e, hidden, revers
     reg.zero_grads()
     packed = ag.Tensor(padded.data[real], requires_grad=True)
     with ag.Tape() as tape:
-        out = gru_sequence(params, packed, lengths, reverse=reverse, collect=collect)
+        out = gru_sequence(params, "g", packed, lengths, reverse=reverse, collect=collect)
         loss = ag.reduce_sum(ag.mul(out, weights))
     tape.backward(loss)
 
     assert np.abs(out.data - expected).max() < 1e-12
-    for name in params:
-        assert np.abs(params[name].grad - ref_grads[f"g.{name}"]).max() < 1e-10, name
+    names = [name for name in reg.names() if name.startswith("g.")]
+    assert len(names) == 9
+    for name in names:
+        assert np.abs(params[name].grad - ref_grads[name]).max() < 1e-10, name
     assert np.abs(packed.grad - ref_grads["x"][real]).max() < 1e-10
 
 
@@ -245,12 +245,11 @@ def test_fused_gru_passes_grad_check(reverse, collect):
     rng = np.random.default_rng(21)
     lengths = [3, 1, 4, 1, 2]  # includes length-1 rows
     reg = random_gru(rng, 3, 2)
-    params = gru_params(reg, "g")
     x = reg.add("x", rng.normal(size=(sum(lengths), 3)))
     weights = rng.normal(size=(sum(lengths) if collect else len(lengths), 2))
 
     def closure():
-        out = gru_sequence(params, x, lengths, reverse=reverse, collect=collect)
+        out = gru_sequence(reg.params, "g", x, lengths, reverse=reverse, collect=collect)
         return ag.reduce_sum(ag.mul(out, weights))
 
     report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4, max_per_tensor=20, seed=2)
@@ -263,47 +262,46 @@ def test_fused_gru_passes_grad_check(reverse, collect):
 
 
 def context_setup(seed, d=6, hidden=3):
+    """The context encoder's parameters, ``ctx_fwd.*``, ``ctx_bwd.*`` and ``ctx.*``."""
     reg = ag.ParamRegistry()
     rng = np.random.default_rng(seed)
-    init_gru(reg, "cf", d, hidden, rng)
-    init_gru(reg, "cb", d, hidden, rng)
-    combine = {
-        "w_fwd": reg.add("w_fwd", rng.uniform(-0.3, 0.3, (hidden, d))),
-        "w_bwd": reg.add("w_bwd", rng.uniform(-0.3, 0.3, (hidden, d))),
-        "bias": reg.add("bias", np.zeros(d)),
-    }
-    return gru_params(reg, "cf"), gru_params(reg, "cb"), combine, reg
+    init_gru(reg, "ctx_fwd", d, hidden, rng)
+    init_gru(reg, "ctx_bwd", d, hidden, rng)
+    reg.add("ctx.w_fwd", rng.uniform(-0.3, 0.3, (hidden, d)))
+    reg.add("ctx.w_bwd", rng.uniform(-0.3, 0.3, (hidden, d)))
+    reg.add("ctx.b", np.zeros(d))
+    return reg.params
 
 
-def context_of(us, cf, cb, combine):
+def context_of(us, params):
     """Contextual keys (n, d) of one conversation (n, d), as a batch of one."""
-    return encode_context(ag.Tensor(us[None]), cf, cb, combine).data[0]
+    return encode_context(ag.Tensor(us[None]), params).data[0]
 
 
 def test_context_single_utterance():
-    cf, cb, combine, _ = context_setup(7)
+    params = context_setup(7)
     u1 = np.random.default_rng(8).normal(size=(1, 6))
-    h = context_of(u1, cf, cb, combine)
+    h = context_of(u1, params)
     assert h.shape == (1, 6)
-    h2 = context_of(u1 * 2.0, cf, cb, combine)
+    h2 = context_of(u1 * 2.0, params)
     assert np.abs(h - h2).max() > 0.0  # h_1 is a function of u_1
 
 
 def test_context_values_in_tanh_range():
-    cf, cb, combine, _ = context_setup(9)
+    params = context_setup(9)
     us = np.random.default_rng(10).normal(scale=5.0, size=(4, 6))
-    h = context_of(us, cf, cb, combine)
+    h = context_of(us, params)
     assert np.all(h > -1.0) and np.all(h < 1.0)
 
 
 def test_permuting_later_utterances_changes_first_context():
-    cf, cb, combine, _ = context_setup(11)
+    params = context_setup(11)
     rng = np.random.default_rng(12)
     us = rng.normal(size=(5, 6))
-    h = context_of(us, cf, cb, combine)
+    h = context_of(us, params)
     permuted = us.copy()
     permuted[1:] = permuted[[3, 1, 4, 2]]
-    h_perm = context_of(permuted, cf, cb, combine)
+    h_perm = context_of(permuted, params)
     # the backward pass carries the permutation into position 0
     assert np.abs(h[0] - h_perm[0]).max() > 1e-9
 
@@ -380,7 +378,7 @@ def test_attention_row_shift_invariance():
 def test_encoded_conversation_field_contracts():
     model, convs, vocab = toy_model()
     batch = prepare_batch(convs, vocab)
-    enc = encoder.encode_batch(batch, model.encoder_params(), model.cfg)
+    enc = encoder.encode_batch(batch, model.registry.params, model.cfg)
     assert enc.original.shape == (1, 2, TOY_CFG.d)
     assert enc.attention.shape == (1, 2, 2)
     assert np.abs(enc.attention.data.sum(axis=2) - 1.0).max() < 1e-9
@@ -392,7 +390,7 @@ def test_whole_encoder_gradients_pass_grad_check():
     batch = prepare_batch(convs, vocab)
 
     def closure():
-        enc = encoder.encode_batch(batch, model.encoder_params(), model.cfg)
+        enc = encoder.encode_batch(batch, model.registry.params, model.cfg)
         return ag.reduce_sum(ag.mul(enc.final, enc.final))
 
     report = ag.grad_check(closure, model.registry, eps=1e-4, tol=1e-4, max_per_tensor=8, seed=1)

@@ -1,5 +1,8 @@
 """Loss contract, adaptive updates, EMA, batching, the training loop."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -424,6 +427,86 @@ def test_checkpoint_round_trip_through_model(tmp_path):
     assert again.decode(convs[:4]) == model.decode(convs[:4])
 
 
+def inference_results(model, convs):
+    """Decode paths, EMA validation accuracy and one export detail."""
+    detail = model.conversation_detail(convs[0])
+    return (
+        model.decode(convs),
+        model.accuracy(convs, weights=model.registry.ema),
+        {k: np.asarray(v).tolist() for k, v in detail.items()},
+    )
+
+
+def test_inference_never_records_and_leaves_weights_in_place():
+    convs = small_corpus()
+    model, _, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
+    reg, valid = model.registry, convs[18:]
+    assert any(not np.array_equal(reg.ema[n], reg[n].data) for n in reg.names())
+    arrays = {name: reg[name].data for name in reg.names()}
+    expected = inference_results(model, valid)
+
+    results = []
+    with ag.Tape() as tape:
+        loss = model.loss(convs[:6], train=True, rng=np.random.default_rng(1))
+        recorded = len(tape.records)
+        results.append(inference_results(model, valid))
+        worker = threading.Thread(target=lambda: results.append(inference_results(model, valid)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(tape.records) == recorded
+    tape.backward(loss)
+
+    assert results == [expected, expected]
+    assert all(reg[name].data is array for name, array in arrays.items())
+    # EMA validation scores what a model holding the shadows as weights scores
+    shadows = DialogueActModel(model.vocab, model.cfg)
+    shadows.registry.load_state_dict(reg.ema)
+    assert shadows.accuracy(valid) == expected[1]
+
+
+def test_decode_on_a_snapshot_holds_while_training_steps_run():
+    """Three decoding threads against training steps that rebind every weight."""
+    convs = small_corpus()
+    model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
+    reg = model.registry
+    snapshot = {name: reg[name].data for name in reg.names()}
+    expected = model.decode(convs, weights=snapshot)
+    with ag.Tape() as tape:
+        model.loss(convs[:8], train=True, rng=np.random.default_rng(0))
+    records = len(tape.records)
+
+    stop, agreed = threading.Event(), []
+
+    def decode_until_stopped():
+        while not stop.is_set():
+            agreed.append(model.decode(convs, weights=snapshot) == expected)
+
+    workers = [threading.Thread(target=decode_until_stopped) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    rng = np.random.default_rng(0)
+    try:
+        for worker in workers:
+            worker.start()
+        for _ in range(6):
+            reg.zero_grads()
+            with ag.Tape() as tape:
+                loss = model.loss(convs[:8], train=True, rng=rng)
+            assert len(tape.records) == records
+            tape.backward(loss)
+            adagrad_step(reg, 0.5)
+            ema_update(reg, 0.5)
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert agreed and all(agreed)
+    assert not any(np.array_equal(reg[name].data, snapshot[name]) for name in ("crf.trans", "sel.w"))
+
+
 def huge_embeddings(tmp_path, convs, dim):
     """Word vectors so large that the L2 term overflows to inf."""
     path = tmp_path / "huge.txt"
@@ -439,8 +522,8 @@ def test_train_loop_names_epoch_of_non_finite_loss(tmp_path):
         train_loop(convs[:18], convs[18:], TOY_CFG, embeddings_path=path)
 
 
-def test_cli_train_reports_non_finite_loss_in_one_line(tmp_path, capsys):
-    convs = small_corpus()
+def cli_train_with_embeddings(tmp_path, convs, embeddings):
+    """``dialact train`` of a toy config; returns (exit code, checkpoint path)."""
     data = tmp_path / "convs.jsonl"
     write_jsonl(data, convs)
     cfg = tmp_path / "toy.cfg"
@@ -452,9 +535,27 @@ def test_cli_train_reports_non_finite_loss_in_one_line(tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     code = cli.run(
         ["train", "--train", str(data), "--valid", str(data), "--checkpoint", str(ckpt),
-         "--config", str(cfg), "--embeddings", str(huge_embeddings(tmp_path, convs, 6)), "--quiet"]
+         "--config", str(cfg), "--embeddings", str(embeddings), "--quiet"]
     )
+    return code, ckpt
+
+
+def test_cli_train_reports_non_finite_loss_in_one_line(tmp_path, capsys):
+    convs = small_corpus()
+    code, ckpt = cli_train_with_embeddings(tmp_path, convs, huge_embeddings(tmp_path, convs, 6))
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "epoch 1" in err
+    assert not ckpt.exists()
+
+
+def test_cli_train_rejects_non_finite_embeddings_in_one_line(tmp_path, capsys):
+    convs = small_corpus()
+    word = convs[0].utterances[0].tokens[0].surface
+    path = tmp_path / "nan.txt"
+    path.write_text(f"{word} {' '.join(['nan'] * 6)}\n", encoding="utf-8")
+    code, ckpt = cli_train_with_embeddings(tmp_path, convs, path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"nan.txt:1: embedding row for {word!r} is not finite" in err
     assert not ckpt.exists()
