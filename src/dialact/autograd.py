@@ -48,8 +48,7 @@ __all__ = [
     "gather",
     "pick",
     "gather_pairs",
-    "conv1d",
-    "max_over_time",
+    "scatter_add",
     "dropout",
     "softmax",
     "reduce_sum",
@@ -298,6 +297,21 @@ def sigmoid(x):
     return record("sigmoid", (x,), out_data, bwd)
 
 
+def scatter_add(indices, values, rows):
+    """``np.add.at`` of ``values`` into a zero table of ``rows`` rows, to the bit.
+
+    ``values`` holds one row per entry of ``indices``: the index shape,
+    then the row shape. One ``np.bincount`` over the flat (row, column)
+    positions adds every element, in index order as ``np.add.at`` does.
+    """
+    indices = np.asarray(indices)
+    shape = np.shape(values)[indices.ndim :]
+    width = math.prod(shape)
+    flat = (indices.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(flat, weights=np.reshape(values, -1), minlength=rows * width)
+    return sums.reshape(rows, *shape)
+
+
 def gather(table, indices):
     """Row lookup: out[..., :] = table[indices[...], :]."""
     table = _as_tensor(table)
@@ -310,9 +324,7 @@ def gather(table, indices):
 
     def bwd(g):
         if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx.reshape(-1), g.reshape(-1, *table.shape[1:]))
-            table.accumulate_grad(gt)
+            table.accumulate_grad(scatter_add(idx, g, table.shape[0]))
 
     return record("gather", (table,), out_data, bwd)
 
@@ -346,62 +358,10 @@ def gather_pairs(m, rows, cols):
 
     def bwd(g):
         if m.requires_grad:
-            gm = np.zeros_like(m.data)
-            np.add.at(gm, (rows.reshape(-1), cols.reshape(-1)), g.reshape(-1))
-            m.accumulate_grad(gm)
+            flat = rows * m.shape[1] + cols
+            m.accumulate_grad(scatter_add(flat, g, m.data.size).reshape(m.shape))
 
     return record("gather_pairs", (m,), out_data, bwd)
-
-
-def conv1d(x, weight, bias, width):
-    """Valid 1-d convolution over axis 1.
-
-    x: (N, L, C_in); weight: (width * C_in, F), laid out position-major;
-    bias: (F,). Output (N, L - width + 1, F).
-    """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    n, length, c_in = x.shape
-    if length < width:
-        raise ShapeError(f"conv1d input length {length} shorter than filter width {width}")
-    if weight.shape[0] != width * c_in:
-        raise ShapeError(f"conv1d weight rows {weight.shape[0]} != width*C_in {width * c_in}")
-    l_out = length - width + 1
-    # windows: (N, L_out, width, C_in) -> columns (N, L_out, width*C_in)
-    win = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=1)
-    col = np.ascontiguousarray(np.swapaxes(win, 2, 3)).reshape(n, l_out, width * c_in)
-    out_data = col @ weight.data + bias.data
-
-    def bwd(g):
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 1)))
-        if weight.requires_grad:
-            gw = col.reshape(-1, width * c_in).T @ g.reshape(-1, g.shape[-1])
-            weight.accumulate_grad(gw)
-        if x.requires_grad:
-            gcol = (g @ weight.data.T).reshape(n, l_out, width, c_in)
-            gx = np.zeros_like(x.data)
-            for k in range(width):
-                gx[:, k : k + l_out, :] += gcol[:, :, k, :]
-            x.accumulate_grad(gx)
-
-    return record("conv1d", (x, weight, bias), out_data, bwd)
-
-
-def max_over_time(x):
-    """Max-pool over axis 1 of (N, L, F); ties route to the first position."""
-    x = _as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"max_over_time expects (N, L, F), got {x.shape}")
-    arg = np.argmax(x.data, axis=1)
-    out_data = np.take_along_axis(x.data, arg[:, None, :], axis=1)[:, 0, :]
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
-            x.accumulate_grad(gx)
-
-    return record("max_over_time", (x,), out_data, bwd)
 
 
 def dropout(x, rate, rng, train):

@@ -79,21 +79,31 @@ class Conversation:
 
 def _utterance_from_obj(obj, conv_id, index):
     where = f"conversation {conv_id!r}, utterance {index}"
+    if not isinstance(obj, dict):
+        raise TranscriptError(f"{where}: must be an object, got {type(obj).__name__}")
     tokens = obj.get("tokens")
     if not isinstance(tokens, list) or not tokens:
         raise TranscriptError(f"{where}: 'tokens' must be a non-empty list")
+    for i, t in enumerate(tokens):
+        if not isinstance(t, str) or not t:
+            raise TranscriptError(f"{where}: token {i} must be a non-empty string, got {t!r}")
     pos = obj.get("pos")
     ner = obj.get("ner")
     for name, tags in (("pos", pos), ("ner", ner)):
-        if tags is not None and len(tags) != len(tokens):
+        if tags is None:
+            continue
+        if not isinstance(tags, list):
+            raise TranscriptError(f"{where}: '{name}' must be a list or null, got {type(tags).__name__}")
+        if len(tags) != len(tokens):
             raise TranscriptError(f"{where}: '{name}' length {len(tags)} != {len(tokens)} tokens")
+        for i, t in enumerate(tags):
+            if t is not None and not isinstance(t, str):
+                raise TranscriptError(f"{where}: '{name}' tag {i} must be a string or null, got {t!r}")
 
     def tag(tags, i):
-        return None if tags is None or tags[i] is None else str(tags[i])
+        return None if tags is None else tags[i]
 
-    toks = tuple(
-        Token(surface=str(t), pos=tag(pos, i), ner=tag(ner, i)) for i, t in enumerate(tokens)
-    )
+    toks = tuple(Token(surface=t, pos=tag(pos, i), ner=tag(ner, i)) for i, t in enumerate(tokens))
     speaker = str(obj.get("speaker", ""))
     act = obj.get("act")
     return Utterance(tokens=toks, speaker=speaker, act=None if act is None else str(act))
@@ -111,6 +121,8 @@ def parse_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise TranscriptError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+            if not isinstance(obj, dict):
+                raise TranscriptError(f"{path}:{lineno}: a conversation must be an object")
             try:
                 conv_id = str(obj["id"])
                 utts = obj["utterances"]

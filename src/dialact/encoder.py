@@ -13,7 +13,15 @@ Pipeline per conversation batch (equal utterance counts):
 Token rows are packed: the tokens of every utterance are laid end to end,
 conversation by conversation and utterance by utterance, with a separate
 array of per-utterance lengths. No padded token row exists, so nothing
-padded reaches the char CNN, dropout or the recurrences.
+padded reaches dropout or the recurrences.
+
+A token's word id and characters depend only on its surface, so a batch
+stores them once per type row (one distinct surface, in order of first
+occurrence) and ``types`` maps each packed token row to its type row.
+``embed_tokens`` runs the word lookup and ``char_cnn``, one fused tape
+op, over the type rows, expands them to tokens with one gather and adds
+the per-token POS/NER rows; table gradients are summed by
+``ag.scatter_add``.
 
 Both BiGRUs run through ``gru_sequence``, one tape record per direction
 with a hand-written backward through time. It projects every input row
@@ -62,13 +70,17 @@ class BatchArrays:
 
     Token arrays are packed: row m is one real token, utterances laid end
     to end in (conversation, utterance, token) order; ``lengths`` gives the
-    token count of each utterance in the same order.
+    token count of each utterance in the same order. Word ids and
+    characters depend only on a token's surface, so they are stored once
+    per type: a type row is one distinct surface in the batch, in order of
+    first occurrence, and ``types[m]`` is token m's type row.
     """
 
     conv_ids: list
     lengths: np.ndarray  # (B*n,) tokens per utterance
-    word: np.ndarray  # (M,)
-    char: np.ndarray  # (M, L), PAD after each token's characters
+    types: np.ndarray  # (M,) type row of each token
+    word: np.ndarray  # (U,) word id of each type
+    char: np.ndarray  # (U, L), PAD after each type's characters
     pos: np.ndarray  # (M,)
     ner: np.ndarray  # (M,)
 
@@ -82,20 +94,27 @@ class BatchArrays:
 
 
 def prepare_batch(conversations, vocab, min_char_len=4):
-    """Map conversations with equal utterance counts onto packed id arrays."""
+    """Map conversations with equal utterance counts onto packed id arrays.
+
+    L, the width of ``char``, is the longest surface in the batch but at
+    least ``min_char_len``.
+    """
     lengths = {len(c) for c in conversations}
     if len(lengths) != 1:
         raise ValueError(f"batch mixes conversation lengths {sorted(lengths)}")
     utterances = [u for c in conversations for u in c.utterances]
     tokens = [tok for u in utterances for tok in u.tokens]
-    l_max = max(min_char_len, max(len(tok.chars) for tok in tokens))
-    char = np.full((len(tokens), l_max), PAD_ID, dtype=np.int64)
-    for m, tok in enumerate(tokens):
-        char[m, : len(tok.chars)] = [vocab.char_id(ch) for ch in tok.chars]
+    type_rows = {}
+    types = [type_rows.setdefault(tok.surface, len(type_rows)) for tok in tokens]
+    l_max = max(min_char_len, max(map(len, type_rows)))
+    char = np.full((len(type_rows), l_max), PAD_ID, dtype=np.int64)
+    for row, surface in enumerate(type_rows):
+        char[row, : len(surface)] = [vocab.char_id(ch) for ch in surface]
     return BatchArrays(
         conv_ids=[c.id for c in conversations],
         lengths=np.array([len(u.tokens) for u in utterances], dtype=np.int64),
-        word=np.array([vocab.word_id(tok.surface) for tok in tokens], dtype=np.int64),
+        types=np.array(types, dtype=np.int64),
+        word=np.array([vocab.word_id(surface) for surface in type_rows], dtype=np.int64),
         char=char,
         pos=np.array([vocab.pos_id(tok.pos) for tok in tokens], dtype=np.int64),
         ner=np.array([vocab.ner_id(tok.ner) for tok in tokens], dtype=np.int64),
@@ -251,27 +270,82 @@ def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False):
 
 
 def char_cnn(char_ids, params):
-    """Character convolutions with max-over-time pooling.
+    """Character convolutions with max-over-time pooling, as one tape record.
 
-    char_ids: (N, L) ids into ``emb.char``; one filter bank ``cnn.w{k}``,
-    ``cnn.b{k}`` per width k. Output (N, total_filters), widths
-    concatenated in ascending order.
+    char_ids: (N, L) ids into ``emb.char`` (C columns), L at least the
+    widest filter. Width k has the filter bank ``cnn.w{k}`` (k*C, F_k),
+    laid out position-major, and ``cnn.b{k}`` (F_k,). Output (N, sum F_k),
+    widths concatenated in ascending order.
+
+    Each width reads its windows' character rows straight from the id
+    array (im2col by indexing), convolves all N rows with one stacked
+    matmul and keeps each filter's argmax window; ties go to the first
+    window. The backward routes each pooled gradient to its argmax window
+    only and adds every width's window gradients into ``emb.char`` with one
+    ``scatter_add``.
     """
-    emb = ag.gather(params["emb.char"], char_ids)
-    pooled = [
-        ag.max_over_time(ag.conv1d(emb, params[f"cnn.w{width}"], params[f"cnn.b{width}"], width))
-        for width in CHAR_WIDTHS
-    ]
-    return ag.concat(pooled, axis=1)
+    table = params["emb.char"]
+    banks = [(k, params[f"cnn.w{k}"], params[f"cnn.b{k}"]) for k in CHAR_WIDTHS]
+    n, length = char_ids.shape
+    dim = table.shape[1]
+    pooled, saved = [], []
+    for width, weight, bias in banks:
+        if length < width:
+            raise ag.ShapeError(f"char_cnn input length {length} shorter than filter width {width}")
+        if weight.shape[0] != width * dim:
+            raise ag.ShapeError(f"char_cnn weight rows {weight.shape[0]} != width*C {width * dim}")
+        ids = np.lib.stride_tricks.sliding_window_view(char_ids, width, axis=1)
+        col = table.data[ids].reshape(n, length - width + 1, width * dim)
+        # A stacked (N, L_out, k*C) matmul rounds each row as a per-token
+        # product does; one flat 2-D GEMM would not.
+        conv = col @ weight.data + bias.data
+        arg = conv.argmax(axis=1)
+        pooled.append(np.take_along_axis(conv, arg[:, None, :], axis=1)[:, 0, :])
+        saved.append((ids, col, arg))
+    out_data = np.concatenate(pooled, axis=1)
+
+    def bwd(g):
+        lo = 0
+        window_ids, window_grads = [], []
+        for (width, weight, bias), (ids, col, arg) in zip(banks, saved):
+            filters = weight.shape[1]
+            g_k = g[:, lo : lo + filters]
+            lo += filters
+            if bias.requires_grad:
+                bias.accumulate_grad(g_k.sum(axis=0))
+            argmax_rows = np.arange(n)[:, None] * col.shape[1] + arg
+            d_conv = np.zeros((n * col.shape[1], filters))
+            d_conv[argmax_rows, np.arange(filters)] = g_k
+            if weight.requires_grad:
+                weight.accumulate_grad(col.reshape(-1, width * dim).T @ d_conv)
+            if table.requires_grad:
+                window_ids.append(ids.reshape(-1))
+                window_grads.append((d_conv @ weight.data.T).reshape(-1, dim))
+        if table.requires_grad:
+            table.accumulate_grad(
+                ag.scatter_add(np.concatenate(window_ids), np.concatenate(window_grads), table.shape[0])
+            )
+
+    inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
+    return ag.record("char_cnn", inputs, out_data, bwd)
 
 
 def embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0):
-    """Token feature tensor (M, E), one row per real token in packed order."""
-    word = ag.gather(params["emb.word"], batch.word)
-    chars = char_cnn(batch.char, params)
-    pos = ag.gather(params["emb.pos"], batch.pos)
-    ner = ag.gather(params["emb.ner"], batch.ner)
-    e = ag.concat([word, chars, pos, ner], axis=1)
+    """Token feature tensor (M, E), one row per real token in packed order.
+
+    The word row and the char-CNN features are built once per type row and
+    copied to the tokens of that type by one gather; POS/NER rows and
+    dropout are per token.
+    """
+    per_type = ag.concat([ag.gather(params["emb.word"], batch.word), char_cnn(batch.char, params)], axis=1)
+    e = ag.concat(
+        [
+            ag.gather(per_type, batch.types),
+            ag.gather(params["emb.pos"], batch.pos),
+            ag.gather(params["emb.ner"], batch.ner),
+        ],
+        axis=1,
+    )
     return ag.dropout(e, dropout_rate, rng, train)
 
 

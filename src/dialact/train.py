@@ -15,7 +15,11 @@ non-finite batch loss raises ``FloatingPointError`` naming the epoch.
 
 Config files are flat ``key = value`` text; keys must be TrainConfig
 field names, unknown keys are an error. History records are one JSON
-object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds"}.
+object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds",
+"utt_per_s", "clip_frac"}. ``seconds`` is the epoch's wall time,
+validation included; ``utt_per_s`` is the training utterances of the
+epoch over it, and ``clip_frac`` the share of the epoch's steps whose
+gradients were scaled down by the global-norm clip.
 """
 
 from __future__ import annotations
@@ -176,6 +180,7 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
         word_matrix = load_pretrained_embeddings(embeddings_path, vocab, cfg.word_dim, rng=rng)
     model = DialogueActModel(vocab, cfg, rng=rng, word_embeddings=word_matrix)
 
+    train_utts = sum(len(conv) for conv in train_convs)
     history = []
     best_state = dict(model.registry.ema)  # arrays are rebound, never written
     best_val_accuracy = -1.0
@@ -183,7 +188,9 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
         epoch_loss = 0.0
-        for batch in make_batches(train_convs, cfg.max_batch, rng):
+        batches = make_batches(train_convs, cfg.max_batch, rng)
+        clipped = 0
+        for batch in batches:
             model.registry.zero_grads()
             with ag.Tape() as tape:
                 loss = model.loss(batch, train=True, rng=rng)
@@ -195,17 +202,27 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
                 raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
             tape.backward(loss)
             model.registry.mask_frozen_grads()
-            clip_gradients(model.registry, cfg.clip_norm)
+            if clip_gradients(model.registry, cfg.clip_norm) < 1.0:
+                clipped += 1
             adagrad_step(model.registry, cfg.lr)
             ema_update(model.registry, cfg.ema_decay)
             epoch_loss += float(loss.data)
         val_acc = model.accuracy(valid_convs, weights=model.registry.ema)
         seconds = time.perf_counter() - t0
-        history.append(
-            {"epoch": epoch, "train_loss": epoch_loss, "val_accuracy": val_acc, "seconds": seconds}
-        )
+        record = {
+            "epoch": epoch,
+            "train_loss": epoch_loss,
+            "val_accuracy": val_acc,
+            "seconds": seconds,
+            "utt_per_s": train_utts / seconds,
+            "clip_frac": clipped / len(batches),
+        }
+        history.append(record)
         if log is not None:
-            log(f"epoch {epoch:3d}  loss {epoch_loss:12.4f}  val_acc {val_acc:.4f}  {seconds:.1f}s")
+            log(
+                f"epoch {epoch:3d}  loss {epoch_loss:12.4f}  val_acc {val_acc:.4f}  {seconds:.1f}s"
+                f"  {record['utt_per_s']:.0f} utt/s"
+            )
         if val_acc > best_val_accuracy:
             best_val_accuracy = val_acc
             epochs_since_improvement = 0

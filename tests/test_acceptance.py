@@ -271,7 +271,8 @@ def test_criterion_6_invariant_battery():
     convs, _ = synthetic.generate_synthetic(spec)
     cfg = TrainConfig(**{**TOY_CFG.__dict__, "dropout": 0.2, "max_epochs": 3, "seed": 9})
     runs = [train_loop(convs[:16], convs[16:], cfg) for _ in range(2)]
-    strip = lambda hs: [{k: v for k, v in h.items() if k != "seconds"} for h in hs]
+    # wall-clock fields are measurements, not outputs
+    strip = lambda hs: [{k: v for k, v in h.items() if k not in ("seconds", "utt_per_s")} for h in hs]
     same_history = strip(runs[0][2]) == strip(runs[1][2])
     same_state = all(
         np.array_equal(runs[0][1][name], runs[1][1][name]) for name in runs[0][1]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dialact import autograd as ag
+from dialact import encoder
 
 
 def fd_grad(closure, flat, eps=1e-6):
@@ -35,17 +36,6 @@ def test_matmul_identity():
 
 def test_tanh_odd_at_origin():
     assert ag.tanh(ag.Tensor([0.0])).data[0] == 0.0
-
-
-def test_conv1d_single_window_hand_evaluated():
-    # one-hot chars "a","b": the single width-2 window sums both -> 2
-    x = ag.Tensor([[[1.0, 0.0], [0.0, 1.0]]])
-    w = ag.Tensor(np.ones((4, 1)))
-    b = ag.Tensor(np.zeros(1))
-    conv = ag.conv1d(x, w, b, width=2)
-    out = ag.max_over_time(conv)
-    assert out.data.shape == (1, 1)
-    assert out.data[0, 0] == pytest.approx(2.0)
 
 
 def test_softmax_uniform_and_singleton():
@@ -94,8 +84,6 @@ def test_shape_errors_name_op_and_shapes():
         ag.matmul(ag.Tensor(np.zeros((2, 3))), ag.Tensor(np.zeros((2, 3))))
     with pytest.raises(IndexError, match="gather"):
         ag.gather(ag.Tensor(np.zeros((3, 2))), np.array([0, 3]))
-    with pytest.raises(ag.ShapeError, match="conv1d"):
-        ag.conv1d(ag.Tensor(np.zeros((1, 2, 3))), ag.Tensor(np.zeros((9, 4))), ag.Tensor(np.zeros(4)), width=3)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +177,26 @@ def test_forward_bit_reproducible():
     assert np.array_equal(run(), run())
 
 
+def char_cnn_on_table(p):
+    """The fused char-CNN op with ``p`` as a 3-row, 3-column char table."""
+    rng = np.random.default_rng(3)
+    params = {"emb.char": p}
+    for width in encoder.CHAR_WIDTHS:
+        params[f"cnn.w{width}"] = ag.Tensor(rng.normal(size=(3 * width, 2)))
+        params[f"cnn.b{width}"] = ag.Tensor(rng.normal(size=2))
+    return encoder.char_cnn(np.array([[1, 2, 0, 2, 1], [2, 2, 1, 0, 0]]), params)
+
+
+def char_cnn_on_filters(p):
+    """The fused char-CNN op with ``p`` as the width-3 bank over 1-column chars."""
+    rng = np.random.default_rng(3)
+    params = {"emb.char": ag.Tensor(rng.normal(size=(5, 1)))}
+    for width in encoder.CHAR_WIDTHS:
+        params[f"cnn.w{width}"] = p if width == 3 else ag.Tensor(rng.normal(size=(width, 3)))
+        params[f"cnn.b{width}"] = ag.Tensor(rng.normal(size=3))
+    return encoder.char_cnn(np.array([[1, 2, 3, 4, 1, 3], [4, 3, 0, 2, 1, 2]]), params)
+
+
 PRIMITIVE_CASES = {
     "matmul2d": lambda p: ag.matmul(p, ag.Tensor(np.arange(6.0).reshape(3, 2))),
     "matmul3d": lambda p: ag.matmul(ag.reshape(ag.concat([p, p], axis=0), (2, 3, 3)),
@@ -207,10 +215,11 @@ PRIMITIVE_CASES = {
     "gather": lambda p: ag.gather(p, np.array([[0, 2], [2, 2]])),
     "pick": lambda p: ag.pick(p, np.array([0, 2, 1])),
     "gather_pairs": lambda p: ag.gather_pairs(p, np.array([0, 2, 2]), np.array([1, 1, 2])),
-    "max_over_time": lambda p: ag.max_over_time(ag.reshape(p, (1, 3, 3))),
-    "conv1d": lambda p: ag.conv1d(ag.reshape(p, (1, 3, 3)),
-                                  ag.Tensor(np.arange(6.0).reshape(6, 1) / 5.0),
-                                  ag.Tensor(np.zeros(1)), width=2),
+    # convolution and max-over-time pooling are one fused record, encoder.char_cnn:
+    # "conv1d" takes the gradient into the char table through the window
+    # convolutions, "max_over_time" into a filter bank through the argmax routing
+    "conv1d": char_cnn_on_table,
+    "max_over_time": char_cnn_on_filters,
 }
 
 
@@ -230,6 +239,31 @@ def test_primitive_backward_matches_finite_differences(name):
     tape.backward(loss)
     numeric = fd_grad(closure, param.data.reshape(-1)).reshape(3, 3)
     assert np.abs(param.grad - numeric).max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "table_shape, indices",
+    [
+        ((6, 3), np.array([4, 1, 4, 0, 1, 4, 5])),  # unsorted, repeated
+        ((6, 3), np.array([[2, 0, 2], [5, 2, 0]])),  # 2-d indices
+        ((6,), np.array([3, 3, 1, 0, 3])),  # 1-d table
+        ((6, 3), np.array([], dtype=np.int64)),  # empty index
+        ((6,), np.array([], dtype=np.int64)),
+    ],
+)
+def test_gather_backward_equals_add_at(table_shape, indices):
+    rng = np.random.default_rng(4)
+    table = ag.Tensor(rng.normal(size=table_shape), requires_grad=True)
+    shape = indices.shape + table_shape[1:]
+    upstream = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)  # wide magnitudes
+    expected = np.zeros(table_shape)
+    np.add.at(expected, indices.reshape(-1), upstream.reshape(-1, *table_shape[1:]))
+    with ag.Tape() as tape:
+        out = ag.gather(table, indices)
+        loss = ag.reduce_sum(ag.mul(out, upstream))
+    tape.backward(loss)
+    assert np.array_equal(table.grad, expected)  # same additions in the same order
+    assert np.array_equal(ag.scatter_add(indices, upstream, table_shape[0]), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,20 @@ def tiny_checkpoint(directory):
     return ckpt, test_path
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_transcript_with_wrong_json_types_exits_two_in_one_line(tmp_path, capsys, command):
+    ckpt, _ = tiny_checkpoint(tmp_path)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id":"c","utterances":[{"tokens":["a","b"],"pos":"NN","act":"a"}]}\n', encoding="utf-8")
+    if command == "train":
+        argv = ["--train", str(bad), "--valid", str(bad), "--checkpoint", str(tmp_path / "new.ckpt")]
+    else:
+        argv = ["--checkpoint", str(ckpt), "--test", str(bad), "--out", str(tmp_path / "out")]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "conversation 'c', utterance 0: 'pos' must be a list or null" in err
+
+
 def test_truncated_checkpoint_exits_two_at_every_offset(tmp_path, capsys):
     ckpt, test_path = tiny_checkpoint(tmp_path)
     full = ckpt.read_bytes()

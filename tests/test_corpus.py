@@ -97,6 +97,38 @@ def test_parse_rejects_misaligned_tags(tmp_path):
         parse_jsonl(path)
 
 
+BAD_FIELD_LINES = {
+    "pos number": ('{"id":"c","utterances":[{"tokens":["a"],"pos":5}]}', "'pos' must be a list or null"),
+    "ner string": ('{"id":"c","utterances":[{"tokens":["a","b"],"ner":"NN"}]}', "'ner' must be a list or null"),
+    "tag number": ('{"id":"c","utterances":[{"tokens":["a"],"pos":[7]}]}', "'pos' tag 0 must be a string or null"),
+    "utterance number": ('{"id":"c","utterances":[5]}', "must be an object, got int"),
+    "utterance list": ('{"id":"c","utterances":[["a"]]}', "must be an object, got list"),
+    "null token": ('{"id":"c","utterances":[{"tokens":["a",null]}]}', "token 1 must be a non-empty string, got None"),
+    "list token": ('{"id":"c","utterances":[{"tokens":[["a"]]}]}', "token 0 must be a non-empty string"),
+    "number token": ('{"id":"c","utterances":[{"tokens":[3]}]}', "token 0 must be a non-empty string, got 3"),
+    "empty token": ('{"id":"c","utterances":[{"tokens":[""]}]}', "token 0 must be a non-empty string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELD_LINES))
+def test_parse_rejects_wrong_json_types_naming_utterance(tmp_path, case):
+    line, message = BAD_FIELD_LINES[case]
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, ['{"id":"ok","utterances":[{"tokens":["x"]}]}', line])
+    with pytest.raises(TranscriptError) as err:
+        parse_jsonl(path)
+    assert ":2: conversation 'c', utterance 0: " in str(err.value)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+def test_parse_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [line])
+    with pytest.raises(TranscriptError, match=":1: a conversation must be an object"):
+        parse_jsonl(path)
+
+
 def test_parse_ten_turn_snippet(tmp_path):
     path = tmp_path / "snippet.jsonl"
     write_jsonl(path, [conv_from_snippet()])
@@ -294,7 +326,17 @@ def test_every_encoded_id_indexes_its_table(tmp_path):
     assert batch.ner.max() < len(vocab.ner_index)
     # packed rows are exactly the real tokens, utterance by utterance
     assert batch.lengths.tolist() == [len(u.tokens) for u in conv.utterances]
-    assert batch.word.shape == batch.pos.shape == batch.ner.shape == (batch.lengths.sum(),)
+    assert batch.types.shape == batch.pos.shape == batch.ner.shape == (batch.lengths.sum(),)
+    # word ids and characters are stored once per type; ``types`` maps back
+    tokens = [tok for u in conv.utterances for tok in u.tokens]
+    surfaces = {tok.surface for tok in tokens}
+    assert batch.word.shape == (len(surfaces),) and batch.char.shape[0] == len(surfaces)
+    assert batch.types.min() >= 0 and batch.types.max() < len(surfaces)
+    assert batch.word[batch.types].tolist() == [vocab.word_id(tok.surface) for tok in tokens]
+    assert batch.char.shape[1] == max(4, max(len(s) for s in surfaces))
+    for tok, row in zip(tokens, batch.char[batch.types]):
+        spelled = [vocab.char_id(ch) for ch in tok.chars]
+        assert row.tolist() == spelled + [PAD_ID] * (row.size - len(spelled))
     # no POS/NER columns in the snippet: real tokens carry the ABSENT tag
     assert np.all(batch.pos == ABSENT_ID)
     assert np.all(batch.ner == ABSENT_ID)

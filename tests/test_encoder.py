@@ -88,6 +88,146 @@ def test_unk_word_gets_unk_row_but_real_char_signal():
     assert np.abs(char_part - bias_only).max() > 1e-6  # chars contribute
 
 
+def char_bank(rng, dim, filters=2):
+    """``emb.char`` (PAD row pinned) and one random bank per width, as a registry."""
+    reg = ag.ParamRegistry()
+    table = rng.normal(size=(7, dim))
+    table[0] = 0.0
+    reg.add("emb.char", table, frozen_rows=[0])
+    for width in encoder.CHAR_WIDTHS:
+        reg.add(f"cnn.w{width}", rng.normal(size=(width * dim, filters)))
+        reg.add(f"cnn.b{width}", rng.normal(size=filters))
+    return reg
+
+
+def test_char_cnn_single_window_hand_evaluated():
+    # one-hot chars "a", "b" then PAD: every width's best window covers both
+    reg = ag.ParamRegistry()
+    reg.add("emb.char", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for width in encoder.CHAR_WIDTHS:
+        reg.add(f"cnn.w{width}", np.ones((2 * width, 1)))
+        reg.add(f"cnn.b{width}", np.zeros(1))
+    out = char_cnn(np.array([[1, 2, 0, 0]]), reg.params)
+    assert out.data.shape == (1, 3)
+    assert np.array_equal(out.data, [[2.0, 2.0, 2.0]])
+    # rows are position-major: window ("a", "b") reads w[0] (pos 0, col 0) and w[3]
+    reg.params["cnn.w2"].data = np.array([[1.0], [10.0], [100.0], [1000.0]])
+    assert char_cnn(np.array([[1, 2, 0, 0]]), reg.params).data[0, 0] == 1001.0
+
+
+def test_char_cnn_shape_errors_name_op_and_shapes():
+    reg = char_bank(np.random.default_rng(0), dim=3)
+    with pytest.raises(ag.ShapeError, match="char_cnn input length 3 shorter than filter width 4"):
+        char_cnn(np.ones((1, 3), dtype=np.int64), reg.params)
+    reg.params["cnn.w3"].data = np.zeros((8, 2))
+    with pytest.raises(ag.ShapeError, match="char_cnn weight rows 8 != width\\*C 9"):
+        char_cnn(np.ones((1, 5), dtype=np.int64), reg.params)
+
+
+def test_char_cnn_is_one_record_and_passes_grad_check():
+    rng = np.random.default_rng(13)
+    reg = char_bank(rng, dim=3)
+    ids = rng.integers(0, 7, size=(5, 6))
+    ids[0] = [3, 0, 0, 0, 0, 0]  # a one-character word
+    ids[1] = [2, 2, 2, 2, 2, 2]  # one character repeated
+    weights = rng.normal(size=(5, 6))
+
+    def closure():
+        return ag.reduce_sum(ag.mul(char_cnn(ids, reg.params), weights))
+
+    with ag.Tape() as tape:
+        closure()
+    assert [rec.op for rec in tape.records] == ["char_cnn", "mul", "reduce_sum"]
+    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4, max_per_tensor=30, seed=3)
+    assert report.passed, report.summary()
+
+
+def reference_embed(batch, vocab, params, convs):
+    """Token features built token by token from primitive ops (no type rows).
+
+    Each token's characters are looked up and convolved on their own: every
+    window is a gathered and flattened (1, k*C) row, the windows stack into
+    one (L_out, k*C) matmul, and the max over time picks the argmax window.
+    """
+    length = batch.char.shape[1]
+    rows = []
+    for tok in (tok for c in convs for u in c.utterances for tok in u.tokens):
+        ids = [vocab.char_id(ch) for ch in tok.chars] + [0] * (length - len(tok.chars))
+        pooled = []
+        for width in encoder.CHAR_WIDTHS:
+            windows = [
+                ag.reshape(ag.gather(params["emb.char"], np.array(ids[t : t + width])), (1, -1))
+                for t in range(length - width + 1)
+            ]
+            conv = ag.add(ag.matmul(ag.concat(windows, axis=0), params[f"cnn.w{width}"]), params[f"cnn.b{width}"])
+            arg = conv.data.argmax(axis=0)
+            pooled.append(ag.pick(ag.transpose_last(conv), arg))
+        features = [
+            ag.gather(params["emb.word"], np.array([vocab.word_id(tok.surface)])),
+            ag.reshape(ag.concat(pooled, axis=0), (1, -1)),
+            ag.gather(params["emb.pos"], np.array([vocab.pos_id(tok.pos)])),
+            ag.gather(params["emb.ner"], np.array([vocab.ner_id(tok.ner)])),
+        ]
+        rows.append(ag.concat(features, axis=1))
+    return ag.concat(rows, axis=0)
+
+
+SURFACE_CHARS = "ab\u00e9\u00df\u65e5\U0001f642"  # ASCII, Latin-1, CJK and an emoji
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.lists(st.text(SURFACE_CHARS, min_size=1, max_size=3), min_size=1, max_size=5),
+    long_word=st.text(SURFACE_CHARS, min_size=4, max_size=9),
+    b=st.integers(1, 3),
+    n=st.integers(1, 3),
+    min_count=st.integers(1, 2),
+)
+def test_type_level_embedding_matches_per_token_reference(seed, pool, long_word, b, n, min_count):
+    """Forward bit-for-bit; every emb.* and cnn.* gradient to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    tags = [None, "NN", "VB"]
+
+    def utterance(forced=()):
+        picks = rng.integers(0, len(pool), size=rng.integers(1, 6))
+        surfaces = [*forced, *(pool[i] for i in picks)]
+        return Utterance(
+            tokens=tuple(Token(w, pos=tags[rng.integers(3)], ner=tags[rng.integers(3)]) for w in surfaces),
+            speaker="A",
+            act="x",
+        )
+
+    # the longest word, a 1-character word and a repeated surface, all in one batch
+    forced = (long_word, pool[0][:1], pool[0], pool[0])
+    convs = [
+        Conversation(id=f"c{i}", utterances=tuple(utterance(forced if i == j == 0 else ()) for j in range(n)))
+        for i in range(b)
+    ]
+    vocab = build_vocab(convs, min_count=min_count)  # min_count 2 sends several types to UNK
+    model = DialogueActModel(vocab, TOY_CFG, rng=rng)
+    params = model.registry.params
+    batch = prepare_batch(convs, vocab)
+    assert batch.word.size < batch.types.size  # repeated surfaces share a type row
+    names = [name for name in params if name.startswith(("emb.", "cnn."))]
+
+    def run(build):
+        model.registry.zero_grads()
+        with ag.Tape() as tape:
+            e = build()
+            loss = ag.reduce_sum(ag.mul(e, weights))
+        tape.backward(loss)
+        return e.data, {name: params[name].grad for name in names}
+
+    weights = rng.normal(size=(batch.types.size, TOY_CFG.word_dim + TOY_CFG.char_out + TOY_CFG.d_p + TOY_CFG.d_n))
+    ref_e, ref_grads = run(lambda: reference_embed(batch, vocab, params, convs))
+    out_e, grads = run(lambda: embed_tokens(batch, params))
+    assert np.array_equal(out_e, ref_e)
+    for name in names:
+        scale = max(np.abs(ref_grads[name]).max(), 1e-300)
+        assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
 # ---------------------------------------------------------------------------
 # utterance encoder
 # ---------------------------------------------------------------------------

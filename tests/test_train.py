@@ -1,5 +1,6 @@
 """Loss contract, adaptive updates, EMA, batching, the training loop."""
 
+import json
 import sys
 import threading
 
@@ -390,18 +391,33 @@ def test_train_loop_deterministic_and_history_schema(tmp_path):
     convs = small_corpus()
     runs = [train_loop(convs[:18], convs[18:], TOY_CFG) for _ in range(2)]
     h1, h2 = runs[0][2], runs[1][2]
-    strip = lambda hs: [{k: v for k, v in h.items() if k != "seconds"} for h in hs]
+    strip = lambda hs: [{k: v for k, v in h.items() if k not in ("seconds", "utt_per_s")} for h in hs]
     assert strip(h1) == strip(h2)
     for name, value in runs[0][1].items():
         assert np.array_equal(value, runs[1][1][name])
     for record in h1:
-        assert set(record) == {"epoch", "train_loss", "val_accuracy", "seconds"}
+        assert set(record) == {"epoch", "train_loss", "val_accuracy", "seconds", "utt_per_s", "clip_frac"}
     path = tmp_path / "history.jsonl"
     write_history(path, h1)
     import json
 
     parsed = [json.loads(line) for line in path.read_text().splitlines()]
     assert parsed[0]["epoch"] == 1
+
+
+@pytest.mark.parametrize("clip_norm, clipped", [(0.0, False), (1e-6, True), (1e6, False)])
+def test_history_reports_throughput_and_clip_fraction(clip_norm, clipped):
+    convs = small_corpus()
+    cfg = TrainConfig(**{**TOY_CFG.__dict__, "max_epochs": 2, "max_batch": 4, "clip_norm": clip_norm})
+    lines = []
+    _, _, history = train_loop(convs[:18], convs[18:], cfg, log=lines.append)
+    train_utts = sum(len(c) for c in convs[:18])
+    for record, line in zip(history, lines):
+        assert record["utt_per_s"] == pytest.approx(train_utts / record["seconds"], rel=1e-12)
+        assert f"{record['utt_per_s']:.0f} utt/s" in line
+        # 18 conversations of lengths 3-5 make at least 3 batches of at most 4
+        assert record["clip_frac"] == (1.0 if clipped else 0.0)
+    assert json.loads(json.dumps(history)) == history
 
 
 def test_pad_rows_stay_zero_through_training():
