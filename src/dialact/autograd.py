@@ -44,7 +44,6 @@ __all__ = [
     "mul",
     "concat",
     "tanh",
-    "sigmoid",
     "gather",
     "pick",
     "gather_pairs",
@@ -85,9 +84,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def zero_grad(self):
-        self.grad = None
 
     def accumulate_grad(self, g):
         """Add ``g`` into ``.grad``; the first gradient is stored as a private copy.
@@ -284,19 +280,6 @@ def tanh(x):
     return record("tanh", (x,), out_data, bwd)
 
 
-def sigmoid(x):
-    x = _as_tensor(x)
-    # Stable piecewise form; avoids exp overflow for large |x|.
-    d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out_data * (1.0 - out_data))
-
-    return record("sigmoid", (x,), out_data, bwd)
-
-
 def scatter_add(indices, values, rows):
     """``np.add.at`` of ``values`` into a zero table of ``rows`` rows, to the bit.
 
@@ -397,17 +380,14 @@ def softmax(x, axis=-1):
     return record("softmax", (x,), out_data, bwd)
 
 
-def reduce_sum(x, axis=None, keepdims=False):
+def reduce_sum(x, axis=None):
     x = _as_tensor(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    out_data = x.data.sum(axis=axis)
 
     def bwd(g):
         if x.requires_grad:
-            if axis is None:
-                x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
-            else:
-                ge = g if keepdims else np.expand_dims(g, axis)
-                x.accumulate_grad(np.broadcast_to(ge, x.shape).copy())
+            ge = g if axis is None else np.expand_dims(g, axis)
+            x.accumulate_grad(np.broadcast_to(ge, x.shape).copy())
 
     return record("reduce_sum", (x,), out_data, bwd)
 
@@ -503,9 +483,6 @@ class ParamRegistry:
 
     def __getitem__(self, name):
         return self.params[name]
-
-    def __contains__(self, name):
-        return name in self.params
 
     def names(self):
         return list(self.params)

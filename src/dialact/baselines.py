@@ -14,18 +14,14 @@ from collections import Counter
 import numpy as np
 
 from .corpus import UNK_ID
+from .evaluate import accuracy
 
 
 def majority_baseline(train_convs, eval_convs):
     """Accuracy of always predicting the most frequent training act."""
     counts = Counter(u.act for c in train_convs for u in c.utterances if u.act is not None)
     top = counts.most_common(1)[0][0]
-    total = correct = 0
-    for conv in eval_convs:
-        for utt in conv.utterances:
-            total += 1
-            correct += int(utt.act == top)
-    return correct / total, top
+    return accuracy([[top] * len(c) for c in eval_convs], [c.acts for c in eval_convs]), top
 
 
 def _mean_embedding_features(conversations, vocab, word_matrix):

@@ -1,4 +1,5 @@
-"""Transcript data model, JSONL ingestion, vocabulary, pretrained embeddings.
+"""Transcript data model, JSONL ingestion, vocabulary, pretrained embeddings,
+and the flat ``key = value`` reader behind config and spec files.
 
 A transcript file is line-delimited JSON, one conversation per line:
 
@@ -8,8 +9,9 @@ A transcript file is line-delimited JSON, one conversation per line:
 Tokens arrive pre-tokenized and pre-normalized. POS/NER columns are
 optional, and so is each tag in them (``null``); a missing tag maps to a
 dedicated ABSENT tag with its own learned embedding. Acts are optional
-per utterance (absent means unlabeled), but every utterance must carry
-one at training time.
+per utterance (absent or ``null`` means unlabeled), but every utterance
+must carry one at training time. A value of the wrong JSON type is an
+error; nothing is converted to a string.
 """
 
 from __future__ import annotations
@@ -104,9 +106,13 @@ def _utterance_from_obj(obj, conv_id, index):
         return None if tags is None else tags[i]
 
     toks = tuple(Token(surface=t, pos=tag(pos, i), ner=tag(ner, i)) for i, t in enumerate(tokens))
-    speaker = str(obj.get("speaker", ""))
+    speaker = obj.get("speaker", "")
+    if not isinstance(speaker, str):
+        raise TranscriptError(f"{where}: 'speaker' must be a string, got {speaker!r}")
     act = obj.get("act")
-    return Utterance(tokens=toks, speaker=speaker, act=None if act is None else str(act))
+    if act is not None and not isinstance(act, str):
+        raise TranscriptError(f"{where}: 'act' must be a string or null, got {act!r}")
+    return Utterance(tokens=toks, speaker=speaker, act=act)
 
 
 def parse_jsonl(path):
@@ -124,7 +130,9 @@ def parse_jsonl(path):
             if not isinstance(obj, dict):
                 raise TranscriptError(f"{path}:{lineno}: a conversation must be an object")
             try:
-                conv_id = str(obj["id"])
+                conv_id = obj["id"]
+                if not isinstance(conv_id, str):
+                    raise TranscriptError(f"'id' must be a string, got {conv_id!r}")
                 utts = obj["utterances"]
                 if not isinstance(utts, list) or not utts:
                     raise TranscriptError("'utterances' must be a non-empty list")
@@ -141,6 +149,23 @@ def parse_jsonl(path):
             except TranscriptError as e:
                 raise TranscriptError(f"{path}:{lineno}: {e}") from e
     return conversations
+
+
+def read_key_values(path):
+    """``key = value`` lines as {key: (line number, value)}; ``#`` comments; bad lines raise."""
+    pairs = {}
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise TranscriptError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in pairs:
+                raise TranscriptError(f"{path}:{lineno}: duplicate key {key!r}")
+            pairs[key] = (lineno, value)
+    return pairs
 
 
 def conversation_to_obj(conv):
@@ -185,10 +210,7 @@ class Vocab:
 
     @property
     def act_names(self):
-        names = [None] * len(self.act_index)
-        for sym, i in self.act_index.items():
-            names[i] = sym
-        return names
+        return _symbols(self.act_index)
 
     def word_id(self, w):
         return self.word_index.get(w, UNK_ID)
@@ -212,18 +234,12 @@ class Vocab:
         return self.act_index[a]
 
     def to_json_obj(self):
-        def as_list(index):
-            out = [None] * len(index)
-            for sym, i in index.items():
-                out[i] = sym
-            return out
-
         return {
-            "words": as_list(self.word_index),
-            "chars": as_list(self.char_index),
-            "pos": as_list(self.pos_index),
-            "ner": as_list(self.ner_index),
-            "acts": as_list(self.act_index),
+            "words": _symbols(self.word_index),
+            "chars": _symbols(self.char_index),
+            "pos": _symbols(self.pos_index),
+            "ner": _symbols(self.ner_index),
+            "acts": _symbols(self.act_index),
         }
 
     @staticmethod
@@ -235,6 +251,11 @@ class Vocab:
             ner_index={s: i for i, s in enumerate(obj["ner"])},
             act_index={s: i for i, s in enumerate(obj["acts"])},
         )
+
+
+def _symbols(index):
+    """The symbols of a dense id map, in id order."""
+    return sorted(index, key=index.get)
 
 
 def _ranked(counter):

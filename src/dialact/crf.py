@@ -2,11 +2,15 @@
 
 One engine does all chain inference. ``forward_backward`` (logZ, node and
 edge marginals) and ``viterbi_decode`` (argmax paths) run on a batch of
-equal-length chains: unary scores (B, n, Y) as numpy arrays, one shared
-(Y, Y) transition table, and optional start/stop vectors added at the
-first and last positions. Decoding, the attention export, the oracle
-suites and the synthetic reference decoder call it directly. Training
-reaches it through two tape ops, one record each:
+chains: unary scores (B, N, Y) as numpy arrays, one shared (Y, Y)
+transition table, optional start/stop vectors added at each chain's first
+and last positions, and optional ``lengths`` (B,), N by default. Scores
+past a chain's length are padding and never read: at step t a ``live =
+t < lengths`` mask carries alpha and the Viterbi score forward, keeps beta
+0 and makes backpointers the identity, and marginals there are 0.
+Decoding, the attention export, the oracle suites and the synthetic
+reference decoder call the engine directly. Training reaches it through
+two tape ops, one record each:
 
 * ``chain_log_partition``: logZ per chain. Its backward is the gradient
   of logZ, i.e. the node, edge and boundary marginals.
@@ -72,18 +76,10 @@ class PotentialTable:
         for name, value in zip(("unary", "transition", "start", "stop"), checked):
             object.__setattr__(self, name, value)
 
-    @property
-    def n(self):
-        return self.unary.shape[0]
-
-    @property
-    def n_labels(self):
-        return self.unary.shape[1]
-
 
 @dataclass(frozen=True)
 class MarginalSet:
-    """Exact marginals of a chain batch: node (B, n, Y), edge (B, n-1, Y, Y), logZ (B,)."""
+    """Exact marginals of a chain batch: node (B, N, Y), edge (B, N-1, Y, Y), logZ (B,)."""
 
     node: np.ndarray
     edge: np.ndarray
@@ -95,67 +91,83 @@ class MarginalSet:
 # ---------------------------------------------------------------------------
 
 
-def _chain(unary, transition, start, stop):
-    """Checked (B, n, Y) unaries with the boundary scores folded in, and transition."""
+def _live(lengths, b, n):
+    """Checked int lengths (B,), n by default, and the (B, n) mask t < lengths."""
+    lengths = np.full(b, n) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (b,) or lengths.dtype.kind not in "iu" or not ((lengths >= 1) & (lengths <= n)).all():
+        raise ValueError(f"lengths must be {b} ints in [1, {n}], got {lengths}")
+    return lengths, np.arange(n) < lengths[:, None]
+
+
+def _chain(unary, transition, start, stop, lengths):
+    """Checked (B, N, Y) unaries with boundaries folded in (padding zeroed), transition, live mask."""
     unary, transition, start, stop = _checked(unary, transition, start, stop, ndim=3)
-    if start is not None or stop is not None:
-        unary = unary.copy()
+    b, n, _ = unary.shape
+    lengths, live = _live(lengths, b, n)
+    if start is not None or stop is not None or not live.all():
+        unary = np.where(live[..., None], unary, 0.0)
         if start is not None:
             unary[:, 0] += start
         if stop is not None:
-            unary[:, -1] += stop
-    return unary, transition
+            unary[np.arange(b), lengths - 1] += stop
+    return unary, transition, live
 
 
-def _alpha_beta(unary, transition):
-    """Log forward/backward tables (B, n, Y) and logZ (B,)."""
+def _masked_exp(log_values, mask):
+    """exp of ``log_values`` where ``mask`` holds, exactly 0 elsewhere."""
+    return np.exp(np.where(mask, log_values, -np.inf))
+
+
+def _alpha_beta(unary, transition, live):
+    """Log forward/backward tables (B, N, Y), carried and 0 past each chain's end, and logZ (B,)."""
     n = unary.shape[1]
     alpha = np.empty_like(unary)
     beta = np.zeros_like(unary)
     alpha[:, 0] = unary[:, 0]
     for t in range(1, n):
-        alpha[:, t] = _logsumexp(alpha[:, t - 1, :, None] + transition, axis=1) + unary[:, t]
+        step = _logsumexp(alpha[:, t - 1, :, None] + transition, axis=1) + unary[:, t]
+        alpha[:, t] = np.where(live[:, t, None], step, alpha[:, t - 1])
     for t in range(n - 2, -1, -1):
-        beta[:, t] = _logsumexp(transition + (unary[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+        step = _logsumexp(transition + (unary[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+        beta[:, t] = np.where(live[:, t + 1, None], step, 0.0)
     return alpha, beta, _logsumexp(alpha[:, -1], axis=1)
 
 
-def _marginals(unary, transition, alpha, beta, logz):
-    node = np.exp(alpha + beta - logz[:, None, None])
-    edge = np.exp(
-        alpha[:, :-1, :, None]
-        + transition
-        + (unary[:, 1:] + beta[:, 1:])[:, :, None, :]
-        - logz[:, None, None, None]
-    )
+def _marginals(unary, transition, live, alpha, beta, logz):
+    node = _masked_exp(alpha + beta - logz[:, None, None], live[..., None])
+    pair = alpha[:, :-1, :, None] + transition + (unary[:, 1:] + beta[:, 1:])[:, :, None, :]
+    edge = _masked_exp(pair - logz[:, None, None, None], live[:, 1:, None, None])
     return MarginalSet(node=node, edge=edge, logZ=logz)
 
 
-def forward_backward(unary, transition, start=None, stop=None):
+def forward_backward(unary, transition, start=None, stop=None, lengths=None):
     """Node and edge marginals plus logZ of each chain in a batch.
 
-    unary (B, n, Y), transition (Y, Y), start/stop (Y,) or None; all
-    finite numpy arrays. Returns a :class:`MarginalSet`.
+    unary (B, N, Y), transition (Y, Y), start/stop (Y,) or None; all
+    finite numpy arrays; lengths (B,) in [1, N]. Returns a :class:`MarginalSet`.
     """
-    unary, transition = _chain(unary, transition, start, stop)
-    return _marginals(unary, transition, *_alpha_beta(unary, transition))
+    unary, transition, live = _chain(unary, transition, start, stop, lengths)
+    return _marginals(unary, transition, live, *_alpha_beta(unary, transition, live))
 
 
-def viterbi_decode(unary, transition, start=None, stop=None):
-    """Exact argmax paths (B, n) int64 and their scores (B,) for a chain batch.
+def viterbi_decode(unary, transition, start=None, stop=None, lengths=None):
+    """Exact argmax paths (B, N) int64 and their scores (B,) for a chain batch.
 
-    Arguments as for :func:`forward_backward`. Ties break toward the
-    lowest label id (argmax takes the first maximum), keeping decodes
-    deterministic across platforms.
+    Arguments as for :func:`forward_backward`; a path repeats its last
+    label past its length. Ties break toward the lowest label id (argmax
+    takes the first maximum), keeping decodes deterministic across
+    platforms.
     """
-    unary, transition = _chain(unary, transition, start, stop)
-    b, n, _ = unary.shape
+    unary, transition, live = _chain(unary, transition, start, stop, lengths)
+    b, n, k = unary.shape
     back = np.zeros(unary.shape, dtype=np.int64)
     score = unary[:, 0]
     for t in range(1, n):
         cand = score[:, :, None] + transition  # (B, from, to)
-        back[:, t] = np.argmax(cand, axis=1)
-        score = np.take_along_axis(cand, back[:, t, None, :], axis=1)[:, 0] + unary[:, t]
+        best = np.argmax(cand, axis=1)
+        step = np.take_along_axis(cand, best[:, None, :], axis=1)[:, 0] + unary[:, t]
+        back[:, t] = np.where(live[:, t, None], best, np.arange(k))
+        score = np.where(live[:, t, None], step, score)
     rows = np.arange(b)
     paths = np.empty((b, n), dtype=np.int64)
     paths[:, -1] = np.argmax(score, axis=1)
@@ -169,17 +181,18 @@ def viterbi_decode(unary, transition, start=None, stop=None):
 # ---------------------------------------------------------------------------
 
 
-def chain_log_partition(unary, transition, start=None, stop=None):
+def chain_log_partition(unary, transition, start=None, stop=None, lengths=None):
     """Differentiable logZ (B,) of a chain batch, one tape record.
 
-    unary: tensor (B, n, Y); transition: tensor (Y, Y); start/stop:
-    optional tensors (Y,). The backward is the gradient of logZ: node
-    marginals for the unaries and boundaries, summed edge marginals for
-    the transition.
+    unary: tensor (B, N, Y); transition: tensor (Y, Y); start/stop:
+    optional tensors (Y,); lengths as for :func:`forward_backward`. The
+    backward is the gradient of logZ: node marginals for the unaries and
+    boundaries, summed edge marginals for the transition.
     """
     marg = forward_backward(
-        unary.data, transition.data, *(None if v is None else v.data for v in (start, stop))
+        unary.data, transition.data, *(None if v is None else v.data for v in (start, stop)), lengths
     )
+    last = -1 if lengths is None else np.asarray(lengths) - 1
 
     def bwd(g):
         if unary.requires_grad:
@@ -189,49 +202,52 @@ def chain_log_partition(unary, transition, start=None, stop=None):
         if start is not None and start.requires_grad:
             start.accumulate_grad(g @ marg.node[:, 0])
         if stop is not None and stop.requires_grad:
-            stop.accumulate_grad(g @ marg.node[:, -1])
+            stop.accumulate_grad(g @ marg.node[np.arange(g.size), last])
 
     inputs = tuple(v for v in (unary, transition, start, stop) if v is not None)
     return ag.record("chain_log_partition", inputs, marg.logZ, bwd)
 
 
-def chain_gold_score(unary, transition, gold, start=None, stop=None):
-    """Differentiable score of the gold paths; gold is an int array (B, n)."""
+def chain_gold_score(unary, transition, gold, start=None, stop=None, lengths=None):
+    """Differentiable score of the gold paths (B,); gold (B, N) ints, ignored past each length."""
     gold = np.asarray(gold, dtype=np.int64)
     b, n, k = unary.shape
     if gold.shape != (b, n):
         raise ValueError(f"gold shape {gold.shape} does not match unary {unary.shape}")
-    if gold.min() < 0 or gold.max() >= k:
+    lengths, live = _live(lengths, b, n)
+    if gold[live].min() < 0 or gold[live].max() >= k:
         raise IndexError(f"gold label out of range [0, {k})")
-    score = ag.reduce_sum(ag.pick(unary, gold), axis=1)
-    if n > 1:
-        score = ag.add(score, ag.reduce_sum(ag.gather_pairs(transition, gold[:, :-1], gold[:, 1:]), axis=1))
+    gold = np.where(live, gold, 0)
+    score = ag.reduce_sum(ag.mul(ag.pick(unary, gold), live), axis=1)
+    pairs = ag.gather_pairs(transition, gold[:, :-1], gold[:, 1:])
+    score = ag.add(score, ag.reduce_sum(ag.mul(pairs, live[:, 1:]), axis=1))
     if start is not None:
         score = ag.add(score, ag.gather(start, gold[:, 0]))
     if stop is not None:
-        score = ag.add(score, ag.gather(stop, gold[:, -1]))
+        score = ag.add(score, ag.gather(stop, gold[np.arange(b), lengths - 1]))
     return score
 
 
-def chain_marginals(unary, transition):
-    """Differentiable node marginals (B, n, Y) of a chain batch, one tape record.
+def chain_marginals(unary, transition, lengths=None):
+    """Differentiable node marginals (B, N, Y) of a chain batch, one tape record.
 
     The node marginals are the gradient of logZ, so their backward is the
     Hessian-vector product of logZ with the output gradient g: du[t, y] =
     Cov(1[y_t = y], G) with G = sum_t g[t, y_t]. One forward-mode pass over
     the alpha/beta tables gives the conditional expectations of G's left
     part (da) and right part (db) given y_t; see Kim et al. 2017,
-    "Structured Attention Networks".
+    "Structured Attention Networks". Conditionals across a chain's end are 0.
     """
-    u, trans = _chain(unary.data, transition.data, None, None)
-    alpha, beta, logz = _alpha_beta(u, trans)
-    marg = _marginals(u, trans, alpha, beta, logz)
+    u, trans, live = _chain(unary.data, transition.data, None, None, lengths)
+    alpha, beta, logz = _alpha_beta(u, trans, live)
+    marg = _marginals(u, trans, live, alpha, beta, logz)
 
     def bwd(g):
         n = g.shape[1]
+        edge_live = live[:, 1:, None, None]
         # left[b, t-1, a, c] = p(y_{t-1} = a | y_t = c); right[b, t, c, d] = p(y_{t+1} = d | y_t = c)
-        left = np.exp(alpha[:, :-1, :, None] + trans + (u[:, 1:] - alpha[:, 1:])[:, :, None, :])
-        right = np.exp(trans + (u[:, 1:] + beta[:, 1:])[:, :, None, :] - beta[:, :-1, :, None])
+        left = _masked_exp(alpha[:, :-1, :, None] + trans + (u[:, 1:] - alpha[:, 1:])[:, :, None, :], edge_live)
+        right = _masked_exp(trans + (u[:, 1:] + beta[:, 1:])[:, :, None, :] - beta[:, :-1, :, None], edge_live)
         da = g.copy()
         for t in range(1, n):
             da[:, t] += np.einsum("bac,ba->bc", left[:, t - 1], da[:, t - 1])
@@ -253,37 +269,34 @@ def chain_marginals(unary, transition):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SelectionAttention:
     """Binary-chain selection over positions and its expectation context.
 
     ``gamma[b, i]`` is the marginal probability that position i is
     selected; ``context[b] = sum_i gamma[b, i] * finals[b, i]``. Fields are
-    tensors while a tape is live; ``.data`` gives the numpy view.
+    tensors; ``.data`` gives the numpy view.
     """
 
-    def __init__(self, unary, pairwise, gamma, context):
-        self.unary = unary
-        self.pairwise = pairwise
-        self.gamma = gamma
-        self.context = context
+    gamma: ag.Tensor
+    context: ag.Tensor
 
 
-def selection_attention(finals, params):
+def selection_attention(finals, params, lengths=None):
     """Soft selection over utterance positions via a 2-state chain.
 
-    finals: tensor (B, n, d). params: name -> tensor mapping holding
+    finals: tensor (B, N, d). params: name -> tensor mapping holding
     ``sel.w`` (d, a), ``sel.b`` (a,), ``sel.v`` (a, 1) and ``sel.trans``
-    (2, 2). The not-selected state scores 0 at every position.
+    (2, 2). The not-selected state scores 0 at every position, and gamma
+    is 0 past each of the optional ``lengths`` (B,).
     """
     b, n, d = finals.shape
     hidden = ag.tanh(ag.add(ag.matmul(finals, params["sel.w"]), params["sel.b"]))
     score_sel = ag.matmul(hidden, params["sel.v"])  # (B, n, 1)
     unary = ag.concat([ag.Tensor(np.zeros((b, n, 1))), score_sel], axis=2)
-    gamma = ag.select(chain_marginals(unary, params["sel.trans"]), 1, axis=2)  # (B, n)
+    gamma = ag.select(chain_marginals(unary, params["sel.trans"], lengths), 1, axis=2)  # (B, n)
     context = ag.reduce_sum(ag.mul(ag.reshape(gamma, (b, n, 1)), finals), axis=1)
-    return SelectionAttention(
-        unary=unary, pairwise=params["sel.trans"], gamma=gamma, context=context
-    )
+    return SelectionAttention(gamma=gamma, context=context)
 
 
 # ---------------------------------------------------------------------------

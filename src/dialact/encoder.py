@@ -1,6 +1,6 @@
 """Hierarchical utterance encoding with memory attention.
 
-Pipeline per conversation batch (equal utterance counts):
+Pipeline per conversation batch (any utterance counts):
 
 1. token features: word row + char-CNN over characters + POS/NER rows,
    concatenated;
@@ -12,8 +12,10 @@ Pipeline per conversation batch (equal utterance counts):
 
 Token rows are packed: the tokens of every utterance are laid end to end,
 conversation by conversation and utterance by utterance, with a separate
-array of per-utterance lengths. No padded token row exists, so nothing
-padded reaches dropout or the recurrences.
+array of per-utterance lengths; utterance rows likewise, with
+``utt_counts`` per conversation. No padded row reaches dropout or the
+recurrences. The memory layer gets a padded (B, N, d) block, laid out by
+one gather, and masks padded keys.
 
 A token's word id and characters depend only on its surface, so a batch
 stores them once per type row (one distinct surface, in order of first
@@ -66,7 +68,7 @@ def split_filter_counts(total, widths=CHAR_WIDTHS):
 
 @dataclass
 class BatchArrays:
-    """Integer id arrays for one bucket of equal-length conversations.
+    """Integer id arrays for a batch of conversations of any lengths.
 
     Token arrays are packed: row m is one real token, utterances laid end
     to end in (conversation, utterance, token) order; ``lengths`` gives the
@@ -77,7 +79,8 @@ class BatchArrays:
     """
 
     conv_ids: list
-    lengths: np.ndarray  # (B*n,) tokens per utterance
+    utt_counts: np.ndarray  # (B,) utterances per conversation
+    lengths: np.ndarray  # (S,) tokens per utterance, S = utt_counts.sum()
     types: np.ndarray  # (M,) type row of each token
     word: np.ndarray  # (U,) word id of each type
     char: np.ndarray  # (U, L), PAD after each type's characters
@@ -88,20 +91,13 @@ class BatchArrays:
     def size(self):
         return len(self.conv_ids)
 
-    @property
-    def n_utts(self):
-        return self.lengths.size // self.size
-
 
 def prepare_batch(conversations, vocab, min_char_len=4):
-    """Map conversations with equal utterance counts onto packed id arrays.
+    """Map conversations onto packed id arrays.
 
     L, the width of ``char``, is the longest surface in the batch but at
     least ``min_char_len``.
     """
-    lengths = {len(c) for c in conversations}
-    if len(lengths) != 1:
-        raise ValueError(f"batch mixes conversation lengths {sorted(lengths)}")
     utterances = [u for c in conversations for u in c.utterances]
     tokens = [tok for u in utterances for tok in u.tokens]
     type_rows = {}
@@ -112,6 +108,7 @@ def prepare_batch(conversations, vocab, min_char_len=4):
         char[row, : len(surface)] = [vocab.char_id(ch) for ch in surface]
     return BatchArrays(
         conv_ids=[c.id for c in conversations],
+        utt_counts=np.array([len(c) for c in conversations], dtype=np.int64),
         lengths=np.array([len(u.tokens) for u in utterances], dtype=np.int64),
         types=np.array(types, dtype=np.int64),
         word=np.array([vocab.word_id(surface) for surface in type_rows], dtype=np.int64),
@@ -356,35 +353,44 @@ def encode_utterances(embedded, lengths, params):
     return ag.concat([h_fwd, h_bwd], axis=1)
 
 
-def encode_context(us, params):
-    """Contextual keys h_j = tanh(Wf fwd_j + Wb bwd_j + b) over (B, n, d).
+def encode_context(rows, utt_counts, params):
+    """Contextual keys h_j = tanh(Wf fwd_j + Wb bwd_j + b) over packed utterance rows.
 
-    fwd/bwd are the ``ctx_fwd``/``ctx_bwd`` GRU states; Wf, Wb and b are
-    ``ctx.w_fwd``, ``ctx.w_bwd`` and ``ctx.b``.
+    ``rows`` (S, d) and the result hold each conversation's ``utt_counts``
+    rows end to end. fwd/bwd are the ``ctx_fwd``/``ctx_bwd`` GRU states;
+    Wf, Wb and b are ``ctx.w_fwd``, ``ctx.w_bwd`` and ``ctx.b``.
     """
-    b, n, d = us.shape
-    rows = ag.reshape(us, (b * n, d))
-    lengths = np.full(b, n)
-    fwd = ag.matmul(gru_sequence(params, "ctx_fwd", rows, lengths, collect=True), params["ctx.w_fwd"])
+    fwd = ag.matmul(gru_sequence(params, "ctx_fwd", rows, utt_counts, collect=True), params["ctx.w_fwd"])
     bwd = ag.matmul(
-        gru_sequence(params, "ctx_bwd", rows, lengths, reverse=True, collect=True),
+        gru_sequence(params, "ctx_bwd", rows, utt_counts, reverse=True, collect=True),
         params["ctx.w_bwd"],
     )
-    return ag.reshape(ag.tanh(ag.add(ag.add(fwd, bwd), params["ctx.b"])), (b, n, -1))
+    return ag.tanh(ag.add(ag.add(fwd, bwd), params["ctx.b"]))
 
 
-def memory_layer(us, hs, hops=1):
+def pad_rows(rows, utt_counts):
+    """Packed rows (S, d) as a (B, N, d) block by one gather; padding reads an appended zero row."""
+    pos = np.arange(utt_counts.max())
+    starts = np.cumsum(utt_counts) - utt_counts
+    index = np.where(pos < utt_counts[:, None], starts[:, None] + pos, rows.shape[0])
+    return ag.gather(ag.concat([rows, np.zeros((1, rows.shape[1]))], axis=0), index)
+
+
+def memory_layer(us, hs, hops=1, utt_counts=None):
     """Attention over the utterance memory plus residual hop stacking.
 
-    us, hs: (B, n, d). Returns (attention (B, n, n) from the last hop,
-    last hop outputs o (B, n, d), finals (B, n, d)). Scores are query
+    us, hs: (B, N, d). Returns (attention (B, N, N) from the last hop,
+    last hop outputs o (B, N, d), finals (B, N, d)). Scores are query
     utterance against contextual key; values are the current-hop memory.
+    Keys past a conversation's ``utt_counts`` entry get no attention.
     """
+    bias = 0.0
+    if utt_counts is not None:
+        bias = np.where(np.arange(us.shape[1]) < utt_counts[:, None], 0.0, -np.inf)[:, None, :]
     cur = us
     attention = out = None
     for _ in range(hops):
-        scores = ag.matmul(cur, ag.transpose_last(hs))
-        attention = ag.softmax(scores, axis=2)
+        attention = ag.softmax(ag.add(ag.matmul(cur, ag.transpose_last(hs)), bias), axis=2)
         out = ag.matmul(attention, cur)
         cur = ag.add(out, cur)
     return attention, out, cur
@@ -392,11 +398,11 @@ def memory_layer(us, hs, hops=1):
 
 @dataclass
 class EncodedConversations:
-    """Batched encoder outputs; all fields (B, n, ...) tensors."""
+    """Batched encoder outputs; all fields (B, N, ...) tensors, padded past each count."""
 
     original: ag.Tensor  # u_j as fed to the memory layer
     contextual: ag.Tensor  # h_j
-    attention: ag.Tensor  # (B, n, n), rows sum to 1
+    attention: ag.Tensor  # (B, N, N), rows sum to 1
     memory_out: ag.Tensor  # o_j of the last hop
     final: ag.Tensor  # u1_j = o_j + u_j
 
@@ -405,11 +411,12 @@ def encode_batch(batch, params, cfg, train=False, rng=None):
     """Full hierarchy over one prepared batch; see the module docstring."""
     rate = cfg.dropout if train else 0.0
     e = embed_tokens(batch, params, train=train, rng=rng, dropout_rate=rate)
-    us_flat = encode_utterances(e, batch.lengths, params)
-    us = ag.reshape(us_flat, (batch.size, batch.n_utts, 2 * cfg.d_u))
-    us = ag.dropout(us, rate, rng, train)
-    hs = encode_context(us, params)
-    attention, out, finals = memory_layer(us, hs, hops=cfg.hops)
+    rows = ag.dropout(encode_utterances(e, batch.lengths, params), rate, rng, train)
+    # Recorded before the context GRUs read ``rows``: the backward adds the two GRUs'
+    # gradients first and the memory's last, the rounding of an unpadded (B, n, d) input.
+    us = pad_rows(rows, batch.utt_counts)
+    hs = pad_rows(encode_context(rows, batch.utt_counts, params), batch.utt_counts)
+    attention, out, finals = memory_layer(us, hs, hops=cfg.hops, utt_counts=batch.utt_counts)
     return EncodedConversations(
         original=us, contextual=hs, attention=attention, memory_out=out, final=finals
     )

@@ -1,8 +1,10 @@
 """The full network: encoder, selection attention, and label chain.
 
 Owns the parameter registry, the loss graph for a batch of conversations,
-decoding, and checkpoint round-trips. Conversations of mixed lengths are
-grouped internally; each equal-length group runs as one batched graph.
+decoding, and checkpoint round-trips. A batch of any conversation lengths
+runs as one graph, the chains taking one length per conversation.
+``decode`` sorts conversations by length and runs chunks of at most
+``cfg.max_batch``, so a long conversation pads only its length neighbours.
 
 There is one parameter namespace, the checkpoint names (``emb.word``,
 ``utt_fwd.w_r``, ``sel.trans``, ``crf.start`` ...). Every layer takes a
@@ -28,7 +30,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import autograd as ag
-from . import crf, encoder
+from . import crf, encoder, evaluate
 from .corpus import PAD_ID, TranscriptError, Vocab
 
 META_VERSION = 1
@@ -110,25 +112,24 @@ class DialogueActModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward_group(self, batch, params, train=False, rng=None):
-        """Run one equal-length batch through to chain potentials.
+    def forward(self, batch, params, train=False, rng=None):
+        """Run one prepared batch through to chain potentials.
 
         ``params`` maps checkpoint names to tensors (see the module
-        docstring). Returns (unary (B, n, Y) tensor, transition tensor,
+        docstring). Returns (unary (B, N, Y) tensor, transition tensor,
         selection, encoded) where selection holds the gamma/context tensors.
         """
         enc = encoder.encode_batch(batch, params, self.cfg, train=train, rng=rng)
         rate = self.cfg.dropout if train else 0.0
         finals = ag.dropout(enc.final, rate, rng, train)
-        selection = crf.selection_attention(finals, params)
+        selection = crf.selection_attention(finals, params, batch.utt_counts)
         unary, trans = crf.compute_potentials(finals, selection.context, params)
         return unary, trans, selection, enc
 
     def loss(self, conversations, train=True, rng=None):
         """Negative log-likelihood of the gold act sequences plus L2.
 
-        All conversations must be fully labeled. Mixed lengths are fine;
-        each length group contributes one batched chain NLL term.
+        All conversations must be fully labeled; their lengths may differ.
         """
         if not conversations:
             raise ValueError("loss needs at least one conversation")
@@ -139,17 +140,16 @@ class DialogueActModel:
             raise ValueError("training-mode loss needs an rng for dropout")
         params = self.registry.params
         start, stop = params.get("crf.start"), params.get("crf.stop")
-        nll_terms = []
-        for group in group_by_length(conversations):
-            gold_ids = [[self.vocab.act_id(u.act) for u in conv.utterances] for conv in group]
-            batch = encoder.prepare_batch(group, self.vocab)
-            unary, trans, _, _ = self.forward_group(batch, params, train=train, rng=rng)
-            logz = crf.chain_log_partition(unary, trans, start=start, stop=stop)
-            gold = crf.chain_gold_score(unary, trans, gold_ids, start=start, stop=stop)
-            nll_terms.append(ag.reduce_sum(ag.sub(logz, gold)))
-        nll = nll_terms[0]
-        for term in nll_terms[1:]:
-            nll = ag.add(nll, term)
+        batch = encoder.prepare_batch(conversations, self.vocab)
+        lengths = batch.utt_counts
+        gold_ids = np.zeros((len(conversations), lengths.max()), dtype=np.int64)
+        gold_ids[np.arange(lengths.max()) < lengths[:, None]] = [
+            self.vocab.act_id(a) for c in conversations for a in c.acts
+        ]
+        unary, trans, _, _ = self.forward(batch, params, train=train, rng=rng)
+        logz = crf.chain_log_partition(unary, trans, start=start, stop=stop, lengths=lengths)
+        gold = crf.chain_gold_score(unary, trans, gold_ids, start=start, stop=stop, lengths=lengths)
+        nll = ag.reduce_sum(ag.sub(logz, gold))
         if self.cfg.l2 > 0.0:
             nll = ag.add(nll, ag.l2_penalty(list(params.values()), self.cfg.l2))
         return nll
@@ -167,46 +167,45 @@ class DialogueActModel:
         return dict(weights)
 
     def chain_scores(self, conversations, weights=None):
-        """Numpy chain scores of one equal-length group (no tape, no dropout).
+        """Numpy chain scores of one batch (no tape, no dropout).
 
         ``weights`` maps checkpoint names to arrays (e.g. ``registry.ema``);
         by default the current weights are used. Either way the forward runs
         on grad-free tensors over those arrays, so it records nothing on any
-        live tape. Returns ((unary (B, n, Y), transition, start, stop),
-        selection, encoded).
+        live tape. Returns ((unary (B, N, Y), transition, start, stop,
+        lengths (B,)), selection, encoded): scores are the engine's arguments.
         """
-        lengths = {len(c) for c in conversations}
-        if len(lengths) != 1:
-            raise ValueError("chain scores need equal-length conversations")
         weights = self._snapshot(weights)
         params = {name: ag.Tensor(value) for name, value in weights.items()}
         batch = encoder.prepare_batch(conversations, self.vocab)
-        unary, trans, selection, enc = self.forward_group(batch, params)
+        unary, trans, selection, enc = self.forward(batch, params)
         start, stop = weights.get("crf.start"), weights.get("crf.stop")
-        return (unary.data, trans.data, start, stop), selection, enc
+        return (unary.data, trans.data, start, stop, batch.utt_counts), selection, enc
 
     def potential_tables(self, conversations):
-        """Per-conversation PotentialTables sharing one transition table."""
-        (unary, trans, start, stop), selection, enc = self.chain_scores(conversations)
-        tables = [crf.PotentialTable(u, trans, start, stop) for u in unary]
+        """Per-conversation PotentialTables, cropped to each length, sharing one transition table."""
+        (unary, trans, start, stop, lengths), selection, enc = self.chain_scores(conversations)
+        tables = [crf.PotentialTable(u[:n], trans, start, stop) for u, n in zip(unary, lengths)]
         return tables, selection, enc
 
     def decode(self, conversations, weights=None):
         """Viterbi act names per conversation, in input order.
 
         Gold acts are ignored, so acts unseen in training are fine. Each
-        length group is one batched Viterbi call; every group reads the
-        same snapshot of ``weights`` (default: the current weights).
+        chunk of at most ``cfg.max_batch`` conversations, in stable length
+        order, is one batched Viterbi call; every chunk reads the same
+        snapshot of ``weights`` (default: the current weights).
         """
         weights = self._snapshot(weights)
-        order = {id(c): i for i, c in enumerate(conversations)}
+        order = sorted(range(len(conversations)), key=lambda i: len(conversations[i]))
         results = [None] * len(conversations)
         names = self.vocab.act_names
-        for group in group_by_length(conversations):
-            scores, _, _ = self.chain_scores(group, weights)
+        for lo in range(0, len(order), self.cfg.max_batch):
+            chunk = order[lo : lo + self.cfg.max_batch]
+            scores, _, _ = self.chain_scores([conversations[i] for i in chunk], weights)
             paths, _ = crf.viterbi_decode(*scores)
-            for conv, path in zip(group, paths):
-                results[order[id(conv)]] = [names[y] for y in path]
+            for i, path, n in zip(chunk, paths, scores[-1]):
+                results[i] = [names[y] for y in path[:n]]
         return results
 
     def conversation_detail(self, conv):
@@ -226,12 +225,7 @@ class DialogueActModel:
 
     def accuracy(self, conversations, weights=None):
         """Utterance-level decode accuracy against gold acts, under ``weights``."""
-        correct = total = 0
-        for conv, pred in zip(conversations, self.decode(conversations, weights)):
-            for utt, p in zip(conv.utterances, pred):
-                correct += int(utt.act == p)
-                total += 1
-        return correct / total if total else 0.0
+        return evaluate.accuracy(self.decode(conversations, weights), [c.acts for c in conversations])
 
     # -- persistence --------------------------------------------------------
 
@@ -270,10 +264,3 @@ class DialogueActModel:
 def meta_path(checkpoint_path):
     return f"{checkpoint_path}.meta.json"
 
-
-def group_by_length(conversations):
-    """Stable grouping by utterance count, in order of first appearance."""
-    groups = {}
-    for conv in conversations:
-        groups.setdefault(len(conv), []).append(conv)
-    return list(groups.values())

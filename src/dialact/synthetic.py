@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crf
-from .corpus import Conversation, TranscriptError, Token, Utterance
+from .corpus import Conversation, TranscriptError, Token, Utterance, read_key_values
+from .evaluate import accuracy
 
 LOG_ZERO = -1e30  # finite stand-in for log(0) inside potential tables
 
@@ -167,13 +168,7 @@ class GeneratorModel:
 
     def decode_accuracy(self, conversations):
         """Fraction of utterances the true model itself decodes correctly."""
-        correct = total = 0
-        for conv in conversations:
-            pred = self.viterbi_acts(conv)
-            for p, utt in zip(pred, conv.utterances):
-                correct += int(p == utt.act)
-                total += 1
-        return correct / total
+        return accuracy([self.viterbi_acts(c) for c in conversations], [c.acts for c in conversations])
 
     def to_json_obj(self):
         return {
@@ -312,18 +307,7 @@ def default_spec(
 
 def parse_spec_file(path):
     """Flat key-value spec; see the module docstring for the grammar."""
-    raw = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise TranscriptError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in raw:
-                raise TranscriptError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    raw = {key: value for key, (_, value) in read_key_values(path).items()}
 
     def take_int(key, default=None):
         if key in raw:

@@ -7,15 +7,17 @@ Every parameter also carries an exponential-moving-average shadow; the
 shadows, not the raw weights, are what validation and the saved
 checkpoint use.
 
-Batches contain only conversations with the same number of utterances
-(so the chain layer never pads), at most ``max_batch`` each, reshuffled
-every epoch from the run seed. Training stops when validation accuracy
-has not improved for ``patience`` epochs, or at ``max_epochs``. A
-non-finite batch loss raises ``FloatingPointError`` naming the epoch.
+Batches contain only conversations with the same number of utterances,
+at most ``max_batch`` each, reshuffled every epoch from the run seed; the
+model takes any lengths, so this is only a batching policy. Training
+stops when validation accuracy has not improved for ``patience`` epochs,
+or at ``max_epochs``. A non-finite batch loss raises
+``FloatingPointError`` naming the epoch.
 
 Config files are flat ``key = value`` text; keys must be TrainConfig
-field names, unknown keys are an error. History records are one JSON
-object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds",
+field names, given once; an unknown or repeated key, or a bad value (a
+bool is true/false/yes/no/1/0), is an error naming the line. History
+records are one JSON object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds",
 "utt_per_s", "clip_frac"}. ``seconds`` is the epoch's wall time,
 validation included; ``utt_per_s`` is the training utterances of the
 epoch over it, and ``clip_frac`` the share of the epoch's steps whose
@@ -32,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autograd as ag
-from .corpus import TranscriptError, build_vocab, load_pretrained_embeddings
+from .corpus import TranscriptError, build_vocab, load_pretrained_embeddings, read_key_values
 from .model import DialogueActModel
 
 
@@ -67,8 +69,8 @@ class TrainConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
-        if self.l2 < 0.0:
-            raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be nonnegative and finite, got {self.l2}")
         if self.d != 2 * self.d_u:
             raise ValueError(f"d={self.d} must equal 2*d_u={2 * self.d_u}")
         if not 0.0 < self.lr < math.inf:
@@ -80,24 +82,22 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-_CASTS = {"int": int, "float": float, "bool": lambda v: v.strip().lower() in ("1", "true", "yes")}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_CASTS = {"int": int, "float": float, "bool": lambda v: _BOOLS[v.lower()]}
 
 
 def parse_config_file(path):
     """Flat key-value overrides onto TrainConfig defaults."""
-    overrides = {}
     field_types = {f.name: str(f.type) for f in fields(TrainConfig)}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise TranscriptError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in field_types:
-                raise TranscriptError(f"{path}:{lineno}: unknown config key {key!r}")
+    overrides = {}
+    for key, (lineno, value) in read_key_values(path).items():
+        if key not in field_types:
+            raise TranscriptError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
             overrides[key] = _CASTS[field_types[key]](value)
+        except (KeyError, ValueError):
+            kind = field_types[key]
+            raise TranscriptError(f"{path}:{lineno}: {key} = {value!r} is not a valid {kind}") from None
     return TrainConfig(**overrides)
 
 

@@ -1,0 +1,44 @@
+"""Helpers shared by several test files."""
+
+import numpy as np
+
+from dialact import autograd as ag
+from dialact.corpus import Conversation, Token, Utterance
+
+
+def sigmoid(x):
+    """Logistic sigmoid as a tape op; the reference for the fused GRU gates."""
+    x = ag._as_tensor(x)
+    # Stable piecewise form; avoids exp overflow for large |x|.
+    d = x.data
+    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * out_data * (1.0 - out_data))
+
+    return ag.record("sigmoid", (x,), out_data, bwd)
+
+
+def same_char_width(conversations):
+    """Copies whose token surfaces are padded with "_" to one width.
+
+    The char CNN pools over every column of a batch's character array, PAD
+    columns included, so a token's features depend on the longest surface
+    in its batch. With one width, every batch has the same columns.
+    """
+    width = max(len(t.surface) for c in conversations for u in c.utterances for t in u.tokens)
+    return [
+        Conversation(
+            id=c.id,
+            utterances=tuple(
+                Utterance(
+                    tokens=tuple(Token(t.surface.ljust(width, "_"), t.pos, t.ner) for t in u.tokens),
+                    speaker=u.speaker,
+                    act=u.act,
+                )
+                for u in c.utterances
+            ),
+        )
+        for c in conversations
+    ]

@@ -321,3 +321,27 @@ def test_any_overwritten_checkpoint_byte_exits_zero_or_two(tiny, capsys, data):
     err = capsys.readouterr().err
     assert code in (0, 2)
     assert err.count("\n") == (code == 2), err
+
+
+NON_STRING_SCALARS = {
+    "id": ('{"id":["c"],"utterances":[{"tokens":["a"],"act":"a"}]}', ":1: 'id' must be a string"),
+    "act": ('{"id":"c","utterances":[{"tokens":["a"],"act":5}]}', "utterance 0: 'act' must be a string or null"),
+    "speaker": ('{"id":"c","utterances":[{"tokens":["a"],"act":"a","speaker":1}]}',
+                "utterance 0: 'speaker' must be a string"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_STRING_SCALARS))
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_transcript_with_a_non_string_scalar_exits_two_in_one_line(tmp_path, capsys, command, field):
+    ckpt, _ = tiny_checkpoint(tmp_path)
+    line, message = NON_STRING_SCALARS[field]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    if command == "train":
+        argv = ["--train", str(bad), "--valid", str(bad), "--checkpoint", str(tmp_path / "new.ckpt")]
+    else:
+        argv = ["--checkpoint", str(ckpt), "--test", str(bad), "--out", str(tmp_path / "out")]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad.jsonl" in err and message in err

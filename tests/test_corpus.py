@@ -107,6 +107,10 @@ BAD_FIELD_LINES = {
     "list token": ('{"id":"c","utterances":[{"tokens":[["a"]]}]}', "token 0 must be a non-empty string"),
     "number token": ('{"id":"c","utterances":[{"tokens":[3]}]}', "token 0 must be a non-empty string, got 3"),
     "empty token": ('{"id":"c","utterances":[{"tokens":[""]}]}', "token 0 must be a non-empty string"),
+    "act list": ('{"id":"c","utterances":[{"tokens":["a"],"act":["greet"]}]}', "'act' must be a string or null, got ['greet']"),
+    "act number": ('{"id":"c","utterances":[{"tokens":["a"],"act":5}]}', "'act' must be a string or null, got 5"),
+    "speaker object": ('{"id":"c","utterances":[{"tokens":["a"],"speaker":{"n":1}}]}', "'speaker' must be a string, got {'n': 1}"),
+    "speaker null": ('{"id":"c","utterances":[{"tokens":["a"],"speaker":null}]}', "'speaker' must be a string, got None"),
 }
 
 
@@ -119,6 +123,23 @@ def test_parse_rejects_wrong_json_types_naming_utterance(tmp_path, case):
         parse_jsonl(path)
     assert ":2: conversation 'c', utterance 0: " in str(err.value)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("conv_id", ['["x"]', "7", "null"])
+def test_parse_rejects_a_non_string_id(tmp_path, conv_id):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, ['{"id":"ok","utterances":[{"tokens":["x"]}]}',
+                       '{"id":%s,"utterances":[{"tokens":["x"]}]}' % conv_id])
+    with pytest.raises(TranscriptError, match=r":2: 'id' must be a string, got "):
+        parse_jsonl(path)
+
+
+def test_parse_keeps_absent_or_null_act_unlabeled_and_absent_speaker_empty(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    write_lines(path, ['{"id":"c","utterances":[{"tokens":["a"]},{"tokens":["b"],"act":null,"speaker":"B"}]}'])
+    (conv,) = parse_jsonl(path)
+    assert [u.act for u in conv.utterances] == [None, None]
+    assert [u.speaker for u in conv.utterances] == ["", "B"]
 
 
 @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])

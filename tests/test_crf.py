@@ -23,6 +23,7 @@ from dialact.crf import (
 from dialact.model import DialogueActModel
 from dialact.synthetic import default_spec, generate_synthetic
 from dialact.train import TrainConfig, adagrad_step
+from helpers import same_char_width
 
 
 def random_pot(rng, n, k, boundary=False):
@@ -375,6 +376,165 @@ def test_fused_chain_ops_pass_grad_check(n):
         assert report.passed, report.summary()
 
 
+# ---------------------------------------------------------------------------
+# chains of mixed lengths in one batch
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mixed_chain_batches(draw):
+    """(unary (B, N, Y), transition, start, stop, lengths): chains 1..6 long, noise past each end."""
+    b = draw(st.integers(1, 4))
+    lengths = np.array(draw(st.lists(st.integers(1, 6), min_size=b, max_size=b)))
+    k = draw(st.integers(2, 4))
+    boundary = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unary = rng.normal(0.0, 2.0, (b, lengths.max(), k))
+    pad = np.arange(lengths.max()) >= lengths[:, None]
+    unary[pad] = rng.uniform(-50.0, 50.0, (pad.sum(), k))
+    start = rng.normal(0.0, 2.0, k) if boundary else None
+    stop = rng.normal(0.0, 2.0, k) if boundary else None
+    return unary, rng.normal(0.0, 2.0, (k, k)), start, stop, lengths
+
+
+def cropped(chain, b):
+    unary, trans, start, stop, lengths = chain
+    return PotentialTable(unary=unary[b, : lengths[b]], transition=trans, start=start, stop=stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_chain_batches())
+def test_mixed_length_engine_matches_enumeration_per_chain(chain):
+    lengths = chain[-1]
+    marg = forward_backward(*chain)
+    paths, scores = viterbi_decode(*chain)
+    for b, n in enumerate(lengths):
+        logz_ref, node_ref, edge_ref, path_ref, score_ref = oracles.enumerate_chain(cropped(chain, b))
+        assert abs(marg.logZ[b] - logz_ref) < 1e-9
+        assert np.abs(marg.node[b, :n] - node_ref).max() < 1e-9
+        if n > 1:
+            assert np.abs(marg.edge[b, : n - 1] - edge_ref).max() < 1e-9
+        assert not marg.node[b, n:].any() and not marg.edge[b, n - 1 :].any()
+        assert paths[b, :n].tolist() == path_ref
+        assert abs(scores[b] - score_ref) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_chain_batches(), st.integers(0, 2**32 - 1))
+def test_mixed_length_marginals_backward_is_enumeration_covariance(chain, seed):
+    unary, trans, _, _, lengths = chain
+    k = unary.shape[2]
+    g = np.random.default_rng(seed).normal(size=unary.shape)
+    ut = ag.Tensor(unary, requires_grad=True)
+    tt = ag.Tensor(trans, requires_grad=True)
+    with ag.Tape() as tape:
+        out = ag.reduce_sum(ag.mul(chain_marginals(ut, tt, lengths), g))
+    tape.backward(out)
+    trans_ref = np.zeros((k, k))
+    for row, n in enumerate(lengths):
+        seqs = np.array(list(itertools.product(range(k), repeat=n)))
+        steps = np.arange(n)
+        scores = unary[row, steps, seqs].sum(axis=1) + trans[seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
+        p = np.exp(scores - scores.max())
+        p /= p.sum()
+        big_g = g[row, steps, seqs].sum(axis=1)
+        centred = p * (big_g - p @ big_g)
+        unary_ref = np.zeros((n, k))
+        np.add.at(unary_ref, (np.broadcast_to(steps, seqs.shape), seqs), centred[:, None])
+        np.add.at(trans_ref, (seqs[:, :-1], seqs[:, 1:]), centred[:, None])
+        assert np.abs(ut.grad[row, :n] - unary_ref).max() < 1e-9
+        assert not ut.grad[row, n:].any()
+    assert np.abs(tt.grad - trans_ref).max() < 1e-9
+
+
+def chain_outputs(chain, g, gold):
+    """Every engine output and every tape-op gradient of one mixed batch."""
+    unary, trans, start, stop, lengths = chain
+    tensors = [ag.Tensor(a, requires_grad=True) for a in (unary, trans, start, stop) if a is not None]
+    ut, tt, *bounds = tensors
+    st_, sp = bounds if bounds else (None, None)
+    with ag.Tape() as tape:
+        logz = chain_log_partition(ut, tt, st_, sp, lengths)
+        gold_score = chain_gold_score(ut, tt, gold, st_, sp, lengths)
+        node = chain_marginals(ut, tt, lengths)
+        loss = ag.add(ag.reduce_sum(ag.sub(logz, gold_score)), ag.reduce_sum(ag.mul(node, g)))
+    tape.backward(loss)
+    marg = forward_backward(*chain)
+    return [
+        marg.logZ, marg.node, marg.edge, *viterbi_decode(*chain), logz.data, gold_score.data,
+        node.data, *(t.grad for t in tensors),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_chain_batches(), st.integers(0, 2**32 - 1))
+def test_padded_unary_values_change_no_output_or_gradient(chain, seed):
+    unary, trans, start, stop, lengths = chain
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=unary.shape)
+    gold = rng.integers(0, unary.shape[2], size=unary.shape[:2])
+    noisy = unary.copy()
+    pad = np.arange(unary.shape[1]) >= lengths[:, None]
+    noisy[pad] = rng.uniform(-50.0, 50.0, (pad.sum(), unary.shape[2]))
+    for got, want in zip(
+        chain_outputs((noisy, trans, start, stop, lengths), g, gold), chain_outputs(chain, g, gold)
+    ):
+        assert np.array_equal(got, want)
+
+
+def test_mixed_length_marginals_backward_stays_finite_at_large_scores():
+    rng = np.random.default_rng(47)
+    unary = rng.normal(0.0, 400.0, (2, 5, 3))  # alpha gaps far beyond exp's range
+    trans = rng.normal(0.0, 400.0, (3, 3))
+    lengths = np.array([5, 2])
+    ut = ag.Tensor(unary, requires_grad=True)
+    tt = ag.Tensor(trans, requires_grad=True)
+    with ag.Tape() as tape:
+        out = ag.reduce_sum(ag.mul(chain_marginals(ut, tt, lengths), rng.normal(size=unary.shape)))
+    tape.backward(out)
+    assert np.isfinite(ut.grad).all() and np.isfinite(tt.grad).all()
+    assert not ut.grad[1, 2:].any()
+
+
+def test_fused_chain_ops_pass_grad_check_on_mixed_lengths():
+    rng = np.random.default_rng(45)
+    lengths = np.array([4, 1, 3, 2])
+    reg = ag.ParamRegistry()
+    unary = reg.add("unary", rng.normal(size=(4, 4, 3)))
+    trans = reg.add("trans", rng.normal(size=(3, 3)))
+    start = reg.add("start", rng.normal(size=3))
+    stop = reg.add("stop", rng.normal(size=3))
+    weights = rng.normal(size=(4, 4, 3))
+    gold = rng.integers(0, 3, size=(4, 4))
+    for closure in (
+        lambda: ag.reduce_sum(chain_log_partition(unary, trans, start, stop, lengths)),
+        lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans, lengths), weights)),
+        lambda: ag.reduce_sum(chain_gold_score(unary, trans, gold, start, stop, lengths)),
+    ):
+        report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+        assert report.passed, report.summary()
+
+
+def test_gold_score_of_mixed_lengths_sums_each_chain_to_its_end():
+    rng = np.random.default_rng(46)
+    unary = rng.normal(size=(2, 4, 3))
+    trans, start, stop = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
+    gold = rng.integers(0, 3, size=(2, 4))
+    lengths = np.array([4, 2])
+    score = chain_gold_score(*(ag.Tensor(a) for a in (unary, trans)), gold,
+                             ag.Tensor(start), ag.Tensor(stop), lengths)
+    for b, n in enumerate(lengths):
+        y = gold[b, :n]
+        ref = unary[b, np.arange(n), y].sum() + trans[y[:-1], y[1:]].sum() + start[y[0]] + stop[y[-1]]
+        assert score.data[b] == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("lengths", [[0, 2], [3, 2], [2], [2.0, 1.0]])
+def test_engine_rejects_bad_lengths(lengths):
+    with pytest.raises(ValueError, match="lengths"):
+        forward_backward(np.zeros((2, 2, 3)), np.zeros((3, 3)), lengths=np.array(lengths))
+
+
 def test_each_fused_chain_op_is_one_record():
     rng = np.random.default_rng(44)
     unary = ag.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
@@ -501,8 +661,8 @@ def test_potential_tables_share_one_transition():
                       emit_dim=4, boundary_potentials=True)
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(21))
     tables, _, _ = model.potential_tables(convs[:2])
-    (unary, trans, start, stop), _, _ = model.chain_scores(convs[:2])
-    assert len(tables) == 2
+    (unary, trans, start, stop, lengths), _, _ = model.chain_scores(convs[:2])
+    assert len(tables) == 2 and lengths.tolist() == [3, 3]
     assert np.array_equal(tables[1].unary, unary[1])
     assert tables[0].transition is tables[1].transition
     assert np.array_equal(tables[0].transition, model.registry["crf.trans"].data)
@@ -514,3 +674,21 @@ def test_potential_tables_share_one_transition():
     assert not np.array_equal(model.registry["crf.trans"].data, before)
     assert np.array_equal(tables[0].transition, before)
     assert np.array_equal(tables[0].start, start) and np.array_equal(tables[1].stop, stop)
+
+
+def test_potential_tables_are_cropped_to_each_length():
+    convs, _ = generate_synthetic(
+        default_spec(num_acts=3, num_conversations=6, min_len=2, max_len=5, seed=22)
+    )
+    convs = same_char_width(convs)
+    cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4,
+                      emit_dim=4, boundary_potentials=True)
+    model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(22))
+    assert len({len(c) for c in convs}) > 1
+    tables, selection, _ = model.potential_tables(convs)
+    for b, (conv, table) in enumerate(zip(convs, tables)):
+        (alone,), alone_sel, _ = model.potential_tables([conv])
+        assert table.unary.shape[0] == len(conv)
+        assert np.abs(table.unary - alone.unary).max() <= 1e-12
+        assert np.abs(selection.gamma.data[b, : len(conv)] - alone_sel.gamma.data[0]).max() <= 1e-12
+        assert not selection.gamma.data[b, len(conv) :].any()

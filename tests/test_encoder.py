@@ -21,6 +21,7 @@ from dialact.encoder import (
 )
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
+from helpers import sigmoid
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -248,8 +249,8 @@ def reference_gru_step(params, prefix, x, h):
     def p(key):
         return params[f"{prefix}.{key}"]
 
-    r = ag.sigmoid(ag.add(ag.add(ag.matmul(x, p("w_r")), ag.matmul(h, p("u_r"))), p("b_r")))
-    z = ag.sigmoid(ag.add(ag.add(ag.matmul(x, p("w_z")), ag.matmul(h, p("u_z"))), p("b_z")))
+    r = sigmoid(ag.add(ag.add(ag.matmul(x, p("w_r")), ag.matmul(h, p("u_r"))), p("b_r")))
+    z = sigmoid(ag.add(ag.add(ag.matmul(x, p("w_z")), ag.matmul(h, p("u_z"))), p("b_z")))
     cand = ag.tanh(ag.add(ag.add(ag.matmul(x, p("w_h")), ag.matmul(ag.mul(r, h), p("u_h"))), p("b_h")))
     return ag.add(ag.mul(z, h), ag.mul(ag.sub(1.0, z), cand))
 
@@ -415,7 +416,7 @@ def context_setup(seed, d=6, hidden=3):
 
 def context_of(us, params):
     """Contextual keys (n, d) of one conversation (n, d), as a batch of one."""
-    return encode_context(ag.Tensor(us[None]), params).data[0]
+    return encode_context(ag.Tensor(us), [len(us)], params).data
 
 
 def test_context_single_utterance():
@@ -537,10 +538,71 @@ def test_whole_encoder_gradients_pass_grad_check():
     assert report.passed, report.summary()
 
 
-def test_prepare_batch_rejects_mixed_lengths():
-    model, convs, vocab = toy_model()
+def test_prepare_batch_packs_mixed_lengths():
+    _, convs, vocab = toy_model()
     other = Conversation(
         id="short", utterances=(Utterance(tokens=(Token("hello"),), speaker="A", act="x"),)
     )
-    with pytest.raises(ValueError, match="lengths"):
-        prepare_batch(convs + [other], vocab)
+    batch = prepare_batch(convs + [other], vocab)
+    assert batch.conv_ids == ["t", "short"]
+    assert batch.utt_counts.tolist() == [2, 1]
+    assert batch.lengths.tolist() == [3, 1, 1]
+    assert batch.types.tolist() == [0, 1, 2, 3, 0]  # "hello" keeps its type row
+
+
+def test_pad_rows_lays_out_each_conversation_then_zeros():
+    rows = ag.Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+    with ag.Tape() as tape:
+        block = encoder.pad_rows(rows, np.array([2, 3, 1]))
+        loss = ag.reduce_sum(ag.mul(block, block))
+    assert block.shape == (3, 3, 2)
+    assert np.array_equal(block.data[0, :2], rows.data[:2])
+    assert np.array_equal(block.data[1], rows.data[2:5])
+    assert np.array_equal(block.data[2, 0], rows.data[5])
+    assert not block.data[0, 2:].any() and not block.data[2, 1:].any()
+    tape.backward(loss)
+    assert np.array_equal(rows.grad, 2.0 * rows.data)  # each row read exactly once
+
+
+def test_memory_masks_keys_past_each_count():
+    rng = np.random.default_rng(20)
+    counts = np.array([3, 1, 2])
+    u = rng.normal(size=(3, 3, 4))
+    h = rng.normal(size=(3, 3, 4))
+    attn, out, finals = memory_layer(ag.Tensor(u), ag.Tensor(h), hops=2, utt_counts=counts)
+    for b, n in enumerate(counts):
+        alone = memory_layer(ag.Tensor(u[None, b, :n]), ag.Tensor(h[None, b, :n]), hops=2)
+        assert not attn.data[b, :, n:].any()  # padded keys get exactly 0
+        for got, want in zip((attn.data[b, :n, :n], out.data[b, :n], finals.data[b, :n]), alone):
+            assert np.abs(got - want.data[0]).max() <= 1e-12
+
+
+def test_encode_batch_of_mixed_lengths_matches_each_conversation_alone():
+    spec_rng = np.random.default_rng(21)
+    words = ["alpha", "be", "c", "delta", "echo"]
+
+    def conv(cid, n):
+        utts = tuple(
+            Utterance(
+                tokens=tuple(Token(words[i]) for i in spec_rng.integers(0, 5, spec_rng.integers(1, 4))),
+                speaker="A",
+                act="x",
+            )
+            for _ in range(n)
+        )
+        return Conversation(id=cid, utterances=utts)
+
+    convs = [conv("a", 3), conv("b", 1), conv("c", 4), conv("d", 2)]
+    vocab = build_vocab(convs)
+    model = DialogueActModel(vocab, TOY_CFG, rng=np.random.default_rng(22))
+    params = model.registry.params
+    mixed = encoder.encode_batch(prepare_batch(convs, vocab), params, model.cfg)
+    assert mixed.final.shape == (4, 4, TOY_CFG.d)
+    for b, c in enumerate(convs):
+        n = len(c)
+        alone = encoder.encode_batch(prepare_batch([c], vocab), params, model.cfg)
+        for field in ("original", "contextual", "memory_out", "final"):
+            got, want = getattr(mixed, field).data[b, :n], getattr(alone, field).data[0]
+            assert np.abs(got - want).max() <= 1e-12, field
+        assert np.abs(mixed.attention.data[b, :n, :n] - alone.attention.data[0]).max() <= 1e-12
+        assert not mixed.original.data[b, n:].any()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dialact import synthetic
-from dialact.corpus import write_jsonl
+from dialact.corpus import TranscriptError, write_jsonl
 from dialact.synthetic import (
     GeneratorModel,
     SyntheticSpec,
@@ -160,6 +160,13 @@ def test_parse_spec_file_defaults_and_errors(tmp_path):
     bad.write_text("num_acts = 2\nbogus_key = 1\n", encoding="utf-8")
     with pytest.raises(Exception, match="bogus_key|missing"):
         parse_spec_file(bad)
+
+
+def test_parse_spec_file_rejects_a_repeated_key_naming_the_line(tmp_path):
+    path = tmp_path / "spec.cfg"
+    path.write_text("num_acts = 2\n\nnum_acts = 3\n", encoding="utf-8")
+    with pytest.raises(TranscriptError, match=r"spec\.cfg:3: duplicate key 'num_acts'"):
+        parse_spec_file(path)
 
 
 def test_unknown_phrase_gets_log_zero_emission():

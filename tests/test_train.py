@@ -21,6 +21,7 @@ from dialact.train import (
     train_loop,
     write_history,
 )
+from helpers import same_char_width
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -70,6 +71,8 @@ INVALID_CONFIGS = [
     ("patience", "0"),
     ("max_batch", "0"),
     ("max_epochs", "0"),
+    ("l2", "nan"),
+    ("l2", "inf"),
 ]
 
 
@@ -93,6 +96,37 @@ def test_invalid_config_rejected_when_parsed(key, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert key in err and err.count("\n") == 1
     assert not ckpt.exists()
+
+
+CONFIG_LINE_ERRORS = [
+    ("boundary_potentials = ture\n", ":1: boundary_potentials = 'ture' is not a valid bool"),
+    ("lr = 0.1\n# comment\nlr = 0.2\n", ":3: duplicate key 'lr'"),
+    ("max_batch = 4.5\n", ":1: max_batch = '4.5' is not a valid int"),
+]
+
+
+@pytest.mark.parametrize("text,message", CONFIG_LINE_ERRORS)
+def test_config_file_line_errors_exit_two_naming_the_line(text, message, tmp_path, capsys):
+    data = tmp_path / "convs.jsonl"
+    write_jsonl(data, [two_label_conv()])
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    code = cli.run(
+        ["train", "--train", str(data), "--valid", str(data), "--checkpoint", str(ckpt),
+         "--config", str(cfg), "--quiet"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg{message}" in err and err.count("\n") == 1
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("text,value", [("yes", True), ("TRUE", True), ("0", False), ("no", False)])
+def test_config_bool_accepts_true_false_yes_no_one_zero(text, value, tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text(f"boundary_potentials = {text}\n", encoding="utf-8")
+    assert parse_config_file(path).boundary_potentials is value
 
 
 def test_parse_config_file(tmp_path):
@@ -365,6 +399,47 @@ def small_corpus(seed=7, n=24):
     )
     convs, _ = synthetic.generate_synthetic(spec)
     return convs
+
+
+def test_mixed_batch_loss_and_gradients_equal_the_sum_over_length_groups():
+    convs = same_char_width(small_corpus(seed=9, n=12))
+    assert len({len(c) for c in convs}) > 1
+    cfg = TrainConfig(**{**TOY_CFG.__dict__, "l2": 0.0, "boundary_potentials": True})
+    model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(3))
+
+    def loss_and_grads(batches):
+        model.registry.zero_grads()
+        total = 0.0
+        for batch in batches:
+            with ag.Tape() as tape:
+                loss = model.loss(batch, train=False)
+            tape.backward(loss)
+            total += float(loss.data)
+        return total, {name: model.registry[name].grad for name in model.registry.names()}
+
+    groups = {}
+    for conv in convs:
+        groups.setdefault(len(conv), []).append(conv)
+    mixed, mixed_grads = loss_and_grads([convs])
+    grouped, grouped_grads = loss_and_grads(list(groups.values()))
+    assert abs(mixed - grouped) <= 1e-12 * abs(grouped)
+    # Relative to the largest gradient entry: memory attention is a softmax
+    # over keys, nearly blind to a shift of every key, so ``ctx.b``'s own
+    # gradient cancels to ~1e-13 here; every other tensor agrees to ~1e-15
+    # of its own largest entry.
+    scale = max(np.abs(g).max() for g in grouped_grads.values())
+    for name, want in grouped_grads.items():
+        assert np.abs(mixed_grads[name] - want).max() <= 1e-12 * scale, name
+
+
+def test_decode_keeps_input_order_across_sorted_chunks():
+    convs = small_corpus(seed=10, n=14)
+    cfg = TrainConfig(**{**TOY_CFG.__dict__, "max_batch": 4})
+    model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(4))
+    alone = [model.decode([conv])[0] for conv in convs]
+    assert [len(path) for path in alone] == [len(conv) for conv in convs]
+    assert model.decode(convs) == alone
+    assert model.decode(convs[::-1]) == alone[::-1]
 
 
 def test_train_loop_validates_inputs():
