@@ -244,6 +244,19 @@ class Vocab:
 
     @staticmethod
     def from_json_obj(obj):
+        """Inverse of ``to_json_obj``; a bad structure raises ``ValueError`` naming the key."""
+        if not isinstance(obj, dict) or set(obj) != set(_RESERVED):
+            raise ValueError(f"vocab must be an object with the keys {list(_RESERVED)}")
+        for key, reserved in _RESERVED.items():
+            symbols = obj[key]
+            if not (
+                isinstance(symbols, list)
+                and symbols
+                and all(isinstance(sym, str) for sym in symbols)
+                and len(set(symbols)) == len(symbols)
+                and symbols[: len(reserved)] == list(reserved)
+            ):
+                raise ValueError(f"vocab {key!r} must be a non-empty list of distinct strings, first {reserved}")
         return Vocab(
             word_index={s: i for i, s in enumerate(obj["words"])},
             char_index={s: i for i, s in enumerate(obj["chars"])},
@@ -251,6 +264,12 @@ class Vocab:
             ner_index={s: i for i, s in enumerate(obj["ner"])},
             act_index={s: i for i, s in enumerate(obj["acts"])},
         )
+
+
+# each vocabulary list of a sidecar, with the symbols its first ids are reserved for
+_RESERVED = {
+    "words": (PAD, UNK), "chars": (PAD, UNK), "pos": (PAD, UNK, ABSENT), "ner": (PAD, UNK, ABSENT), "acts": (),
+}
 
 
 def _symbols(index):

@@ -21,9 +21,14 @@ A token's word id and characters depend only on its surface, so a batch
 stores them once per type row (one distinct surface, in order of first
 occurrence) and ``types`` maps each packed token row to its type row.
 ``embed_tokens`` runs the word lookup and ``char_cnn``, one fused tape
-op, over the type rows, expands them to tokens with one gather and adds
-the per-token POS/NER rows; table gradients are summed by
-``ag.scatter_add``.
+op, over the type rows, expands them to feature rows with one gather and
+adds the POS/NER rows; table gradients are summed by ``ag.scatter_add``.
+In training, dropout masks every token's row separately, so there is one
+feature row per token. Where no mask is drawn (inference, or a dropout
+of 0), a token's features depend only on its (type, POS, NER) triple, so
+there is one row per distinct triple and an ``index`` from tokens to
+rows: the word BiGRU projects each distinct row once and reads the
+projections by that index.
 
 Both BiGRUs run through ``gru_sequence``, one tape record per direction
 with a hand-written backward through time. It projects every input row
@@ -119,16 +124,8 @@ def prepare_batch(conversations, vocab, min_char_len=4):
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization
+# recurrences
 # ---------------------------------------------------------------------------
-
-
-def init_gru(registry, prefix, input_dim, hidden_dim, rng, scale=0.08):
-    """Reset/update/candidate gates; weights uniform(+-scale), biases zero."""
-    for gate in GRU_GATES:
-        registry.add(f"{prefix}.w_{gate}", rng.uniform(-scale, scale, (input_dim, hidden_dim)))
-        registry.add(f"{prefix}.u_{gate}", rng.uniform(-scale, scale, (hidden_dim, hidden_dim)))
-        registry.add(f"{prefix}.b_{gate}", np.zeros(hidden_dim))
 
 
 def gru_step(params, x, h):
@@ -180,7 +177,7 @@ class PackedSchedule:
         )
 
 
-def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False):
+def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False, index=None):
     """GRU over packed rows, recorded as one tape op.
 
     ``xs`` (M, E) is a tensor holding the sequences end to end, in order, with
@@ -189,11 +186,21 @@ def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False):
     sequence (from its last row when ``reverse``) and never sees another
     sequence's rows. Returns the final states (S, H), or with ``collect``
     the state after every row, (M, H) in packed order.
+
+    With ``index`` (M,), packed row m is ``xs[index[m]]``: ``xs`` holds
+    distinct rows only, each projected once, and the backward sums the
+    gradients of the packed rows that share one.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    if xs.ndim != 2 or xs.shape[0] != lengths.sum():
+    if xs.ndim != 2 or (index is None and xs.shape[0] != lengths.sum()):
         raise ag.ShapeError(f"gru_sequence needs (sum(lengths), E) rows, got {xs.shape} for {lengths}")
+    if index is not None:
+        if index.shape != (lengths.sum(),):
+            raise ag.ShapeError(f"gru_sequence index needs sum(lengths) rows, got {index.shape} for {lengths}")
+        if index.size and (index.min() < 0 or index.max() >= xs.shape[0]):
+            raise ag.ShapeError(f"gru_sequence index must lie in [0, {xs.shape[0]}), the rows of xs")
     sched = PackedSchedule.build(lengths, reverse)
+    rows = sched.perm if index is None else index[sched.perm]
     own = {f"{kind}_{g}": params[f"{prefix}.{kind}_{g}"] for g in GRU_GATES for kind in "wub"}
     w = np.concatenate([own[f"w_{g}"].data for g in GRU_GATES], axis=1)
     step_params = {
@@ -202,10 +209,10 @@ def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False):
     }
     bias = np.concatenate([own[f"b_{g}"].data for g in GRU_GATES])
     hid = step_params["u_h"].shape[0]
-    a = (xs.data @ w + bias)[sched.perm]
-    rows = a.shape[0]
-    h_prev, states, cand = np.empty((rows, hid)), np.empty((rows, hid)), np.empty((rows, hid))
-    rz = np.empty((rows, 2 * hid))
+    a = (xs.data @ w + bias)[rows]
+    steps = a.shape[0]
+    h_prev, states, cand = np.empty((steps, hid)), np.empty((steps, hid)), np.empty((steps, hid))
+    rz = np.empty((steps, 2 * hid))
     h = np.zeros((sched.running[0], hid))
     for lo, k in zip(sched.offsets, sched.running):
         hi = lo + k
@@ -243,10 +250,13 @@ def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False):
             da_rz *= gates * (1.0 - gates)
             carry[:k] = dh * z + drh * gates[:, :hid] + da_rz @ u_rz_t
         d_rz = h_prev.T @ da[:, : 2 * hid]
-        da_packed = np.empty_like(da)
-        da_packed[sched.perm] = da
-        d_w = xs.data.T @ da_packed
-        d_b = da_packed.sum(axis=0)
+        if index is None:
+            da_rows = np.empty_like(da)
+            da_rows[rows] = da
+        else:
+            da_rows = ag.scatter_add(rows, da, xs.shape[0])
+        d_w = xs.data.T @ da_rows
+        d_b = da_rows.sum(axis=0)
         grads = {"u_r": d_rz[:, :hid], "u_z": d_rz[:, hid:]}
         grads["u_h"] = (rz[:, :hid] * h_prev).T @ da[:, 2 * hid :]
         for i, gate in enumerate(GRU_GATES):
@@ -256,7 +266,7 @@ def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False):
             if own[name].requires_grad:
                 own[name].accumulate_grad(grad)
         if xs.requires_grad:
-            xs.accumulate_grad(da_packed @ w.T)
+            xs.accumulate_grad(da_rows @ w.T)
 
     return ag.record("gru", (xs, *own.values()), out_data, bwd)
 
@@ -328,28 +338,35 @@ def char_cnn(char_ids, params):
 
 
 def embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0):
-    """Token feature tensor (M, E), one row per real token in packed order.
+    """Token features (R, E) and ``index`` (M,), the row of each token; None when R = M.
 
     The word row and the char-CNN features are built once per type row and
-    copied to the tokens of that type by one gather; POS/NER rows and
-    dropout are per token.
+    copied to the feature rows by one gather; POS/NER rows are added per
+    feature row. When dropout draws a mask, every token gets its own row,
+    in packed order, and ``index`` is None. Otherwise a row's features depend
+    only on its (type, POS, NER) triple, so there is one row per distinct
+    triple, in key order, and ``index`` maps each token to it.
     """
+    types, pos, ner, index = batch.types, batch.pos, batch.ner, None
+    if not train or dropout_rate == 0.0:  # as in ag.dropout: no mask is drawn
+        key = (types * params["emb.pos"].shape[0] + pos) * params["emb.ner"].shape[0] + ner
+        _, first, index = np.unique(key, return_index=True, return_inverse=True)
+        types, pos, ner = types[first], pos[first], ner[first]
     per_type = ag.concat([ag.gather(params["emb.word"], batch.word), char_cnn(batch.char, params)], axis=1)
     e = ag.concat(
-        [
-            ag.gather(per_type, batch.types),
-            ag.gather(params["emb.pos"], batch.pos),
-            ag.gather(params["emb.ner"], batch.ner),
-        ],
+        [ag.gather(per_type, types), ag.gather(params["emb.pos"], pos), ag.gather(params["emb.ner"], ner)],
         axis=1,
     )
-    return ag.dropout(e, dropout_rate, rng, train)
+    return ag.dropout(e, dropout_rate, rng, train), index
 
 
-def encode_utterances(embedded, lengths, params):
-    """Utterance vectors (S, 2*hidden) from the ``utt_fwd``/``utt_bwd`` GRUs' final states."""
-    h_fwd = gru_sequence(params, "utt_fwd", embedded, lengths)
-    h_bwd = gru_sequence(params, "utt_bwd", embedded, lengths, reverse=True)
+def encode_utterances(embedded, lengths, params, index=None):
+    """Utterance vectors (S, 2*hidden) from the ``utt_fwd``/``utt_bwd`` GRUs' final states.
+
+    ``embedded`` and ``index`` are as ``embed_tokens`` returns them.
+    """
+    h_fwd = gru_sequence(params, "utt_fwd", embedded, lengths, index=index)
+    h_bwd = gru_sequence(params, "utt_bwd", embedded, lengths, reverse=True, index=index)
     return ag.concat([h_fwd, h_bwd], axis=1)
 
 
@@ -410,8 +427,8 @@ class EncodedConversations:
 def encode_batch(batch, params, cfg, train=False, rng=None):
     """Full hierarchy over one prepared batch; see the module docstring."""
     rate = cfg.dropout if train else 0.0
-    e = embed_tokens(batch, params, train=train, rng=rng, dropout_rate=rate)
-    rows = ag.dropout(encode_utterances(e, batch.lengths, params), rate, rng, train)
+    e, index = embed_tokens(batch, params, train=train, rng=rng, dropout_rate=rate)
+    rows = ag.dropout(encode_utterances(e, batch.lengths, params, index), rate, rng, train)
     # Recorded before the context GRUs read ``rows``: the backward adds the two GRUs'
     # gradients first and the memory's last, the rounding of an unpadded (B, n, d) input.
     us = pad_rows(rows, batch.utt_counts)

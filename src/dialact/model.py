@@ -25,7 +25,7 @@ tensors.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -40,75 +40,22 @@ class DialogueActModel:
     """Hierarchical encoder + selection attention + label chain."""
 
     def __init__(self, vocab, cfg, rng=None, word_embeddings=None):
-        if cfg.d != 2 * cfg.d_u:
-            raise ValueError(f"utterance dim d={cfg.d} must equal 2*d_u={2 * cfg.d_u}")
         self.vocab = vocab
         self.cfg = cfg
-        self.n_acts = len(vocab.act_index)
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.registry = ag.ParamRegistry()
-        self._init_params(rng, word_embeddings)
-
-    # -- parameters ---------------------------------------------------------
-
-    def _init_params(self, rng, word_embeddings):
-        reg, cfg = self.registry, self.cfg
-        scale = 0.08
-
-        def uniform(shape):
-            return rng.uniform(-scale, scale, shape)
-
-        if word_embeddings is not None:
-            word = np.array(word_embeddings, dtype=np.float64)
-            if word.shape != (len(self.vocab.word_index), cfg.word_dim):
-                raise ValueError(
-                    f"word embedding shape {word.shape} does not match vocab/config "
-                    f"({len(self.vocab.word_index)}, {cfg.word_dim})"
-                )
-        else:
-            word = rng.uniform(-0.05, 0.05, (len(self.vocab.word_index), cfg.word_dim))
-        word[PAD_ID] = 0.0
-        reg.add("emb.word", word, frozen_rows=[PAD_ID])
-
-        char = rng.uniform(-0.05, 0.05, (len(self.vocab.char_index), cfg.d_c))
-        char[PAD_ID] = 0.0
-        reg.add("emb.char", char, frozen_rows=[PAD_ID])
-        for name, index, dim in (
-            ("emb.pos", self.vocab.pos_index, cfg.d_p),
-            ("emb.ner", self.vocab.ner_index, cfg.d_n),
-        ):
-            table = rng.uniform(-0.05, 0.05, (len(index), dim))
-            table[PAD_ID] = 0.0
-            reg.add(name, table, frozen_rows=[PAD_ID])
-
-        counts = encoder.split_filter_counts(cfg.char_out)
-        for width, count in zip(encoder.CHAR_WIDTHS, counts):
-            reg.add(f"cnn.w{width}", uniform((width * cfg.d_c, count)))
-            reg.add(f"cnn.b{width}", np.zeros(count))
-
-        token_dim = cfg.word_dim + cfg.char_out + cfg.d_p + cfg.d_n
-        encoder.init_gru(reg, "utt_fwd", token_dim, cfg.d_u, rng, scale)
-        encoder.init_gru(reg, "utt_bwd", token_dim, cfg.d_u, rng, scale)
-        encoder.init_gru(reg, "ctx_fwd", cfg.d, cfg.d_u, rng, scale)
-        encoder.init_gru(reg, "ctx_bwd", cfg.d, cfg.d_u, rng, scale)
-        reg.add("ctx.w_fwd", uniform((cfg.d_u, cfg.d)))
-        reg.add("ctx.w_bwd", uniform((cfg.d_u, cfg.d)))
-        reg.add("ctx.b", np.zeros(cfg.d))
-
-        reg.add("sel.w", uniform((cfg.d, cfg.attn_dim)))
-        reg.add("sel.b", np.zeros(cfg.attn_dim))
-        reg.add("sel.v", uniform((cfg.attn_dim, 1)))
-        reg.add("sel.trans", np.zeros((2, 2)))
-
-        reg.add("crf.act_emb", uniform((self.n_acts, cfg.d)))
-        reg.add("crf.emit_wu", uniform((cfg.d, cfg.emit_dim)))
-        reg.add("crf.emit_wc", uniform((cfg.d, cfg.emit_dim)))
-        reg.add("crf.emit_b", np.zeros(cfg.emit_dim))
-        reg.add("crf.emit_wout", uniform((cfg.emit_dim, self.n_acts)))
-        reg.add("crf.trans", np.zeros((self.n_acts, self.n_acts)))
-        if cfg.boundary_potentials:
-            reg.add("crf.start", np.zeros(self.n_acts))
-            reg.add("crf.stop", np.zeros(self.n_acts))
+        for name, shape, scale in parameter_table(vocab, cfg):
+            if name == "emb.word" and word_embeddings is not None:
+                value = np.array(word_embeddings, dtype=np.float64)
+                if value.shape != shape:
+                    raise ValueError(f"word embedding shape {value.shape} does not match vocab/config {shape}")
+            else:
+                value = rng.uniform(-scale, scale, shape) if scale else np.zeros(shape)
+            frozen = None
+            if name.startswith("emb."):
+                value[PAD_ID] = 0.0
+                frozen = [PAD_ID]
+            self.registry.add(name, value, frozen_rows=frozen)
 
     # -- forward ------------------------------------------------------------
 
@@ -242,23 +189,81 @@ class DialogueActModel:
 
     @classmethod
     def load(cls, path):
+        """Rebuild a saved model; a sidecar or tensor file that does not fit raises ``ValueError``.
+
+        The sidecar's structure and config are checked first, and the
+        tensor names and shapes against what they describe, so nothing is
+        allocated for a config the tensors do not back.
+        """
         from .train import TrainConfig  # lazy: train builds on this module
 
-        with open(meta_path(path), encoding="utf-8") as f:
-            meta = json.load(f)
-        if meta.get("version") != META_VERSION:
-            raise ValueError(f"unsupported checkpoint meta version {meta.get('version')!r}")
-        vocab = Vocab.from_json_obj(meta["vocab"])
-        cfg = TrainConfig(**meta["config"])
+        sidecar = meta_path(path)
+        with open(sidecar, encoding="utf-8") as f:
+            text = f.read()
+        try:
+            meta = json.loads(text)
+            if not isinstance(meta, dict) or meta.get("version") != META_VERSION:
+                raise ValueError(f"expected an object with version {META_VERSION}")
+            config = meta.get("config")
+            if not isinstance(config, dict):
+                raise ValueError("'config' must be an object")
+            unknown = sorted(set(config) - {f.name for f in fields(TrainConfig)})
+            if unknown:
+                raise ValueError(f"unknown config key {unknown[0]!r}")
+            cfg = TrainConfig(**config)
+            vocab = Vocab.from_json_obj(meta.get("vocab"))
+        except ValueError as e:
+            raise ValueError(f"checkpoint sidecar {sidecar}: {e}") from None
         state = ag.load_checkpoint(path)
+        expected = {name: shape for name, shape, _ in parameter_table(vocab, cfg)}
+        shapes = {name: value.shape for name, value in state.items()}
+        unmatched = sorted({name for name, _ in expected.items() ^ shapes.items()})
+        if unmatched:
+            raise ValueError(
+                f"checkpoint {path} does not match its sidecar: tensors {unmatched[:5]} differ in name or shape"
+            )
         model = cls(vocab, cfg)
-        missing = set(model.registry.names()) ^ set(state)
-        if missing:
-            raise ValueError(f"checkpoint/vocab mismatch: unmatched tensors {sorted(missing)}")
         model.registry.load_state_dict(state)
         for name in model.registry.names():
             model.registry.ema[name] = model.registry[name].data.copy()
         return model
+
+
+def parameter_table(vocab, cfg):
+    """(checkpoint name, shape, init scale) of every parameter, in creation order.
+
+    A parameter draws uniform(-scale, scale), or zeros at scale 0; the
+    ``emb.*`` tables also get a zero, pinned PAD row.
+    """
+    n_acts, d, hid, emb, weight = len(vocab.act_index), cfg.d, cfg.d_u, 0.05, 0.08
+    table = [
+        ("emb.word", (len(vocab.word_index), cfg.word_dim), emb),
+        ("emb.char", (len(vocab.char_index), cfg.d_c), emb),
+        ("emb.pos", (len(vocab.pos_index), cfg.d_p), emb),
+        ("emb.ner", (len(vocab.ner_index), cfg.d_n), emb),
+    ]
+    for width, count in zip(encoder.CHAR_WIDTHS, encoder.split_filter_counts(cfg.char_out)):
+        table += [(f"cnn.w{width}", (width * cfg.d_c, count), weight), (f"cnn.b{width}", (count,), 0.0)]
+    token_dim = cfg.word_dim + cfg.char_out + cfg.d_p + cfg.d_n
+    for prefix, input_dim in (("utt_fwd", token_dim), ("utt_bwd", token_dim), ("ctx_fwd", d), ("ctx_bwd", d)):
+        for gate in encoder.GRU_GATES:
+            table += [
+                (f"{prefix}.w_{gate}", (input_dim, hid), weight),
+                (f"{prefix}.u_{gate}", (hid, hid), weight),
+                (f"{prefix}.b_{gate}", (hid,), 0.0),
+            ]
+    table += [
+        ("ctx.w_fwd", (hid, d), weight), ("ctx.w_bwd", (hid, d), weight), ("ctx.b", (d,), 0.0),
+        ("sel.w", (d, cfg.attn_dim), weight), ("sel.b", (cfg.attn_dim,), 0.0),
+        ("sel.v", (cfg.attn_dim, 1), weight), ("sel.trans", (2, 2), 0.0),
+        ("crf.act_emb", (n_acts, d), weight),
+        ("crf.emit_wu", (d, cfg.emit_dim), weight), ("crf.emit_wc", (d, cfg.emit_dim), weight),
+        ("crf.emit_b", (cfg.emit_dim,), 0.0), ("crf.emit_wout", (cfg.emit_dim, n_acts), weight),
+        ("crf.trans", (n_acts, n_acts), 0.0),
+    ]
+    if cfg.boundary_potentials:
+        table += [("crf.start", (n_acts,), 0.0), ("crf.stop", (n_acts,), 0.0)]
+    return table
 
 
 def meta_path(checkpoint_path):

@@ -18,16 +18,19 @@ Config files are flat ``key = value`` text; keys must be TrainConfig
 field names, given once; an unknown or repeated key, or a bad value (a
 bool is true/false/yes/no/1/0), is an error naming the line. History
 records are one JSON object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds",
-"utt_per_s", "clip_frac"}. ``seconds`` is the epoch's wall time,
+"utt_per_s", "clip_frac", "grad_norm", "grad_norm_max"}. ``seconds`` is the epoch's wall time,
 validation included; ``utt_per_s`` is the training utterances of the
 epoch over it, and ``clip_frac`` the share of the epoch's steps whose
-gradients were scaled down by the global-norm clip.
+gradients were scaled down by the global-norm clip. ``grad_norm`` and
+``grad_norm_max`` are the median and the largest global gradient norm of
+the epoch's steps, taken before the clip.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -65,6 +68,10 @@ class TrainConfig:
     min_count: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), str(f.type)
+            if not isinstance(value, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.ema_decay < 1.0:
@@ -77,9 +84,19 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not math.isfinite(self.clip_norm):
             raise ValueError(f"clip_norm must be finite (<= 0 disables clipping), got {self.clip_norm}")
-        for name in ("hops", "patience", "max_batch", "max_epochs"):
+        for name in _AT_LEAST_ONE:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+_FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real}
+# every dimension, since a zero width breaks a layer, and the counts
+_AT_LEAST_ONE = (
+    "hops", "patience", "max_batch", "max_epochs", "min_count",
+    "d", "d_u", "d_p", "d_n", "d_c", "word_dim", "char_out", "attn_dim", "emit_dim",
+)
 
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -117,23 +134,25 @@ def adagrad_step(registry, lr):
 
 
 def clip_gradients(registry, max_norm):
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    if max_norm <= 0:
-        return 1.0
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    Returns (the scale applied, the global norm before the clip); a
+    ``max_norm`` <= 0 disables the clip but not the norm.
+    """
     total = 0.0
     for name in registry.names():
         g = registry.params[name].grad
         if g is not None:
             total += float((g * g).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm:
+    norm = float(np.sqrt(total))
+    if 0 < max_norm < norm:
         scale = max_norm / norm
         for name in registry.names():
             g = registry.params[name].grad
             if g is not None:
                 g *= scale
-        return scale
-    return 1.0
+        return scale, norm
+    return 1.0, norm
 
 
 def ema_update(registry, decay):
@@ -189,7 +208,7 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
         t0 = time.perf_counter()
         epoch_loss = 0.0
         batches = make_batches(train_convs, cfg.max_batch, rng)
-        clipped = 0
+        clipped, norms = 0, []
         for batch in batches:
             model.registry.zero_grads()
             with ag.Tape() as tape:
@@ -202,8 +221,9 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
                 raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
             tape.backward(loss)
             model.registry.mask_frozen_grads()
-            if clip_gradients(model.registry, cfg.clip_norm) < 1.0:
-                clipped += 1
+            scale, norm = clip_gradients(model.registry, cfg.clip_norm)
+            clipped += scale < 1.0
+            norms.append(norm)
             adagrad_step(model.registry, cfg.lr)
             ema_update(model.registry, cfg.ema_decay)
             epoch_loss += float(loss.data)
@@ -216,6 +236,8 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
             "seconds": seconds,
             "utt_per_s": train_utts / seconds,
             "clip_frac": clipped / len(batches),
+            "grad_norm": float(np.median(norms)),
+            "grad_norm_max": max(norms),
         }
         history.append(record)
         if log is not None:

@@ -4,6 +4,15 @@ import numpy as np
 
 from dialact import autograd as ag
 from dialact.corpus import Conversation, Token, Utterance
+from dialact.encoder import GRU_GATES
+
+
+def init_gru(registry, prefix, input_dim, hidden_dim, rng, scale=0.08):
+    """A GRU's ``{prefix}.w_*``/``u_*`` weights, uniform(+-scale), and zero ``b_*`` biases."""
+    for gate in GRU_GATES:
+        registry.add(f"{prefix}.w_{gate}", rng.uniform(-scale, scale, (input_dim, hidden_dim)))
+        registry.add(f"{prefix}.u_{gate}", rng.uniform(-scale, scale, (hidden_dim, hidden_dim)))
+        registry.add(f"{prefix}.b_{gate}", np.zeros(hidden_dim))
 
 
 def sigmoid(x):

@@ -322,6 +322,23 @@ def test_grad_check_flags_corrupted_tanh_rule(monkeypatch):
     assert "tanh_w" in report.summary()
 
 
+@pytest.mark.parametrize("slope_error", [1.0, 1.001])
+def test_grad_check_retries_an_element_whose_steps_straddle_a_kink(slope_error):
+    # max(w, 0): the first two elements sit within eps of the kink at 0, where
+    # a central difference at eps averages the two slopes (0.75 and 0.35)
+    reg = ag.ParamRegistry()
+    w = reg.add("w", np.array([5e-5, -3e-5, 0.7]))
+
+    def closure():
+        def bwd(g):
+            w.accumulate_grad(slope_error * g * (w.data > 0))
+
+        return ag.reduce_sum(ag.record("relu", (w,), np.maximum(w.data, 0.0), bwd))
+
+    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+    assert report.passed == (slope_error == 1.0), report.summary()
+
+
 def test_grad_check_rejects_nondeterministic_closure():
     reg = ag.ParamRegistry()
     w = reg.add("w", np.array([1.0]))

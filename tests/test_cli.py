@@ -345,3 +345,66 @@ def test_transcript_with_a_non_string_scalar_exits_two_in_one_line(tmp_path, cap
     assert run_cli(command, *argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bad.jsonl" in err and message in err
+
+
+def write_sidecar_edit(directory, path, value):
+    """A copy of the tiny checkpoint whose sidecar has ``value`` at key ``path``."""
+    meta = json.loads((directory / "tiny.ckpt.meta.json").read_text(encoding="utf-8"))
+    *parents, last = path
+    node = meta
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    ckpt = directory / "edited.ckpt"
+    ckpt.write_bytes((directory / "tiny.ckpt").read_bytes())
+    (directory / "edited.ckpt.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    return ckpt
+
+
+SIDECAR_EDITS = {
+    "unknown-config-key": (("config", "learning_rate"), 0.1, "unknown config key 'learning_rate'"),
+    "lr-string": (("config", "lr"), "abc", "lr must be of type float"),
+    "vocab-string": (("vocab",), "x", "vocab must be an object"),
+    "config-list": (("config",), [], "'config' must be an object"),
+    "acts-int": (("vocab", "acts"), 5, "vocab 'acts' must be a non-empty list"),
+    "extra-vocab-key": (("vocab", "act_index"), 5, "vocab must be an object with the keys"),
+    "repeated-word": (("vocab", "words"), ["<pad>", "<unk>", "hi", "hi"], "vocab 'words' must be"),
+    "negative-dim": (("config", "d_c"), -3, "d_c must be >= 1"),
+    "negative-seed": (("config", "seed"), -1, "seed must be >= 0"),
+    "wider-dim": (("config", "word_dim"), 10**12, "does not match its sidecar"),
+    "version": (("version",), 2, "expected an object with version 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_EDITS))
+def test_bad_sidecar_exits_two_naming_file_and_key(tiny, capsys, case):
+    directory, _, test_path = tiny
+    path, value, message = SIDECAR_EDITS[case]
+    ckpt = write_sidecar_edit(directory, path, value)
+    code = run_cli("eval", "--checkpoint", str(ckpt), "--test", str(test_path), "--out", str(directory / "r.json"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "edited.ckpt" in err and message in err, err
+
+
+# Integers stay small: ``hops`` is a loop count, and a sidecar asking for a
+# billion hops is slow, not invalid.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_sidecar_field_replaced_by_json_exits_zero_or_two(tiny, capsys, data):
+    directory, _, test_path = tiny
+    meta = json.loads((directory / "tiny.ckpt.meta.json").read_text(encoding="utf-8"))
+    paths = [(key,) for key in meta] + [(part, key) for part in ("config", "vocab") for key in meta[part]]
+    path = data.draw(st.sampled_from(paths), label="field")
+    ckpt = write_sidecar_edit(directory, path, data.draw(JSON_VALUES, label="value"))
+    code = run_cli("eval", "--checkpoint", str(ckpt), "--test", str(test_path), "--out", str(directory / "r.json"))
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2), err

@@ -14,14 +14,13 @@ from dialact.encoder import (
     encode_context,
     encode_utterances,
     gru_sequence,
-    init_gru,
     memory_layer,
     prepare_batch,
     split_filter_counts,
 )
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
-from helpers import sigmoid
+from helpers import init_gru, sigmoid
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -57,7 +56,9 @@ def test_split_filter_counts():
 def embed_one(token, vocab, params):
     """Feature row of a single token, through the batched path."""
     conv = Conversation(id="one", utterances=(Utterance(tokens=(token,), speaker="A"),))
-    return embed_tokens(prepare_batch([conv], vocab), params)
+    e, index = embed_tokens(prepare_batch([conv], vocab), params)
+    assert index.tolist() == [0]
+    return e
 
 
 def test_embed_token_dimension_arithmetic():
@@ -222,7 +223,7 @@ def test_type_level_embedding_matches_per_token_reference(seed, pool, long_word,
 
     weights = rng.normal(size=(batch.types.size, TOY_CFG.word_dim + TOY_CFG.char_out + TOY_CFG.d_p + TOY_CFG.d_n))
     ref_e, ref_grads = run(lambda: reference_embed(batch, vocab, params, convs))
-    out_e, grads = run(lambda: embed_tokens(batch, params))
+    out_e, grads = run(lambda: ag.gather(*embed_tokens(batch, params)))  # rows read at each token
     assert np.array_equal(out_e, ref_e)
     for name in names:
         scale = max(np.abs(ref_grads[name]).max(), 1e-300)
@@ -383,18 +384,72 @@ def test_fused_gru_matches_primitive_reference(seed, b, t_len, e, hidden, revers
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("collect", [False, True])
 def test_fused_gru_passes_grad_check(reverse, collect):
+    check_fused_gru_gradients(reverse, collect, index=None)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("collect", [False, True])
+def test_indexed_gru_passes_grad_check(reverse, collect):
+    # 11 packed rows read 4 distinct rows, out of order and repeated
+    check_fused_gru_gradients(reverse, collect, index=np.array([2, 0, 2, 3, 1, 1, 0, 3, 2, 0, 1]))
+
+
+def check_fused_gru_gradients(reverse, collect, index):
     rng = np.random.default_rng(21)
     lengths = [3, 1, 4, 1, 2]  # includes length-1 rows
     reg = random_gru(rng, 3, 2)
-    x = reg.add("x", rng.normal(size=(sum(lengths), 3)))
+    x = reg.add("x", rng.normal(size=(sum(lengths) if index is None else index.max() + 1, 3)))
     weights = rng.normal(size=(sum(lengths) if collect else len(lengths), 2))
 
     def closure():
-        out = gru_sequence(reg.params, "g", x, lengths, reverse=reverse, collect=collect)
+        out = gru_sequence(reg.params, "g", x, lengths, reverse=reverse, collect=collect, index=index)
         return ag.reduce_sum(ag.mul(out, weights))
 
     report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4, max_per_tensor=20, seed=2)
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("collect", [False, True])
+def test_indexed_gru_matches_gathered_rows(reverse, collect):
+    """Forward bit-for-bit; gradients to 1e-12 of each tensor's largest entry."""
+    rng = np.random.default_rng(8)
+    lengths = [2, 5, 1, 3]
+    reg = random_gru(rng, 3, 2)
+    x = reg.add("x", rng.normal(size=(5, 3)))
+    index = rng.integers(0, 5, size=sum(lengths))
+    weights = rng.normal(size=(sum(lengths) if collect else len(lengths), 2))
+
+    def run(build):
+        reg.zero_grads()
+        with ag.Tape() as tape:
+            out = build()
+            loss = ag.reduce_sum(ag.mul(out, weights))
+        tape.backward(loss)
+        return out.data, {name: reg[name].grad.copy() for name in reg.names()}
+
+    ref_out, ref_grads = run(
+        lambda: gru_sequence(reg.params, "g", ag.gather(x, index), lengths, reverse=reverse, collect=collect)
+    )
+    out, grads = run(
+        lambda: gru_sequence(reg.params, "g", x, lengths, reverse=reverse, collect=collect, index=index)
+    )
+    assert np.array_equal(out, ref_out)
+    for name in reg.names():
+        scale = max(np.abs(ref_grads[name]).max(), 1e-300)
+        assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_gru_sequence_rejects_bad_index():
+    params = gru_pair(0, 2, 2)
+    x = ag.Tensor(np.zeros((3, 2)))
+    with pytest.raises(ag.ShapeError, match="index"):
+        gru_sequence(params, "utt_fwd", x, [2, 2], index=np.array([0, 1, 2]))  # 3 entries for 4 rows
+    with pytest.raises(ag.ShapeError, match="index"):
+        gru_sequence(params, "utt_fwd", x, [2, 2], index=np.array([[0, 1, 2, 0]]))  # not 1-d
+    for bad in (3, -1):
+        with pytest.raises(ag.ShapeError, match="index"):
+            gru_sequence(params, "utt_fwd", x, [2, 2], index=np.array([0, 1, bad, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +591,84 @@ def test_whole_encoder_gradients_pass_grad_check():
 
     report = ag.grad_check(closure, model.registry, eps=1e-4, tol=1e-4, max_per_tensor=8, seed=1)
     assert report.passed, report.summary()
+
+
+def repeated_surface_model():
+    """A toy model and two conversations whose surfaces repeat.
+
+    "ok" occurs untagged and once tagged NN/PER: one type row, two feature rows.
+    """
+
+    def utt(words, act="x", tags=(None, None)):
+        return Utterance(tokens=tuple(Token(w, *tags) for w in words), speaker="A", act=act)
+
+    convs = [
+        Conversation(id="a", utterances=(utt(["hello", "ok", "ok"]), utt(["ok", "there"], "y"), utt(["hello"] * 3))),
+        Conversation(id="b", utterances=(utt(["ok", "friend"], tags=("NN", "PER")), utt(["there", "ok"], "y"))),
+    ]
+    vocab = build_vocab(convs)
+    return DialogueActModel(vocab, TOY_CFG, rng=np.random.default_rng(3)), convs, vocab
+
+
+def use_per_token_reference(monkeypatch):
+    """Make ``embed_tokens`` return one row per token and no index, as with a dropout mask."""
+    rows_per_triple = encoder.embed_tokens
+
+    def per_token(batch, params, **kwargs):
+        e, index = rows_per_triple(batch, params, **kwargs)
+        return ag.gather(e, index), None
+
+    monkeypatch.setattr(encoder, "embed_tokens", per_token)
+
+
+def test_embed_tokens_one_row_per_triple_unless_masked():
+    model, convs, vocab = repeated_surface_model()
+    params = model.registry.params
+    batch = prepare_batch(convs, vocab)
+    e, index = embed_tokens(batch, params)
+    triples = set(zip(batch.types.tolist(), batch.pos.tolist(), batch.ner.tolist()))
+    assert e.shape[0] == len(triples) == index.max() + 1 < index.size
+    surfaces = [t.surface for c in convs for u in c.utterances for t in u.tokens]
+    plain, tagged = surfaces.index("ok"), 8  # conversation "b" starts at token 8
+    assert surfaces[tagged] == "ok" and batch.types[plain] == batch.types[tagged]
+    assert index[plain] != index[tagged]
+    assert not np.array_equal(e.data[index[plain]], e.data[index[tagged]])
+    # a dropout of 0 draws no mask either; an active mask keeps one row per token
+    assert np.array_equal(embed_tokens(batch, params, train=True, dropout_rate=0.0)[1], index)
+    masked, none = embed_tokens(batch, params, train=True, rng=np.random.default_rng(0), dropout_rate=0.5)
+    assert none is None and masked.shape[0] == index.size
+
+
+def test_inference_matches_per_token_reference_exactly(monkeypatch):
+    model, convs, _ = repeated_surface_model()
+    (unary, *_), selection, enc = model.chain_scores(convs)
+    use_per_token_reference(monkeypatch)
+    (ref_unary, *_), ref_selection, ref_enc = model.chain_scores(convs)
+    assert np.array_equal(unary, ref_unary)
+    assert np.array_equal(selection.gamma.data, ref_selection.gamma.data)
+    assert np.array_equal(enc.attention.data, ref_enc.attention.data)
+
+
+def test_eval_loss_gradients_match_per_token_reference(monkeypatch):
+    """Every parameter gradient to 1e-12 of the tensor's largest entry."""
+    model, convs, _ = repeated_surface_model()
+    params = model.registry.params
+
+    def gradients():
+        model.registry.zero_grads()
+        with ag.Tape() as tape:
+            loss = model.loss(convs, train=False)
+        tape.backward(loss)
+        return loss.data, {name: t.grad for name, t in params.items() if t.grad is not None}
+
+    loss, grads = gradients()
+    use_per_token_reference(monkeypatch)
+    ref_loss, ref_grads = gradients()
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys() == params.keys()
+    for name, ref in ref_grads.items():
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
 
 
 def test_prepare_batch_packs_mixed_lengths():

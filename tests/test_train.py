@@ -9,6 +9,7 @@ import pytest
 
 from dialact import autograd as ag
 from dialact import cli, synthetic
+from dialact import train as train_module
 from dialact.corpus import Conversation, Token, TranscriptError, Utterance, build_vocab, write_jsonl
 from dialact.model import DialogueActModel
 from dialact.train import (
@@ -73,7 +74,24 @@ INVALID_CONFIGS = [
     ("max_epochs", "0"),
     ("l2", "nan"),
     ("l2", "inf"),
+    ("d_c", "-3"),
+    ("d_p", "0"),
+    ("word_dim", "0"),
+    ("char_out", "0"),
+    ("attn_dim", "-1"),
+    ("emit_dim", "0"),
+    ("seed", "-1"),
+    ("min_count", "0"),
 ]
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("lr", "abc"), ("d", 64.0), ("seed", True), ("boundary_potentials", 1), ("dropout", None), ("hops", [1])],
+)
+def test_config_field_types_checked(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be of type"):
+        TrainConfig(**{key: value})
 
 
 @pytest.mark.parametrize("key,text", INVALID_CONFIGS)
@@ -290,7 +308,7 @@ def test_adagrad_rejects_inf_when_clipping_is_off():
     # and inf / sqrt(inf) would write NaN into the weights
     reg, p = one_param_registry(0.5)
     p.grad = np.array([np.inf])
-    assert clip_gradients(reg, max_norm=0.0) == 1.0
+    assert clip_gradients(reg, max_norm=0.0) == (1.0, np.inf)
     with pytest.raises(FloatingPointError, match="non-finite gradient in parameter 'w'"):
         adagrad_step(reg, lr=0.01)
     assert p.data[0] == 0.5
@@ -305,7 +323,7 @@ def test_first_gradient_is_a_private_copy():
         loss = ag.reduce_sum(ag.add(a, b))
     tape.backward(loss)
     assert not np.shares_memory(a.grad, b.grad)
-    assert clip_gradients(reg, max_norm=1.0) == pytest.approx(0.5)  # norm was 2
+    assert clip_gradients(reg, max_norm=1.0) == pytest.approx((0.5, 2.0))  # (scale, norm before)
     assert np.array_equal(a.grad, [0.5, 0.5])
     assert np.array_equal(b.grad, [0.5, 0.5])
 
@@ -316,11 +334,12 @@ def test_clip_gradients_global_norm():
     b = reg.add("b", np.zeros(1))
     a.grad = np.array([3.0, 0.0, 0.0])
     b.grad = np.array([4.0])
-    clip_gradients(reg, max_norm=2.5)  # norm was 5
+    assert clip_gradients(reg, max_norm=2.5) == (0.5, 5.0)
     assert np.abs(np.array([*a.grad, *b.grad]) - [1.5, 0, 0, 2.0]).max() < 1e-12
     before = a.grad.copy()
-    clip_gradients(reg, max_norm=0.0)  # disabled
+    assert clip_gradients(reg, max_norm=0.0) == pytest.approx((1.0, 2.5))  # disabled; norm still taken
     assert np.array_equal(a.grad, before)
+    assert clip_gradients(reg, max_norm=2.5) == pytest.approx((1.0, 2.5))  # at the bound: no scaling
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +490,9 @@ def test_train_loop_deterministic_and_history_schema(tmp_path):
     for name, value in runs[0][1].items():
         assert np.array_equal(value, runs[1][1][name])
     for record in h1:
-        assert set(record) == {"epoch", "train_loss", "val_accuracy", "seconds", "utt_per_s", "clip_frac"}
+        assert set(record) == {
+            "epoch", "train_loss", "val_accuracy", "seconds", "utt_per_s", "clip_frac", "grad_norm", "grad_norm_max"
+        }
     path = tmp_path / "history.jsonl"
     write_history(path, h1)
     import json
@@ -481,17 +502,30 @@ def test_train_loop_deterministic_and_history_schema(tmp_path):
 
 
 @pytest.mark.parametrize("clip_norm, clipped", [(0.0, False), (1e-6, True), (1e6, False)])
-def test_history_reports_throughput_and_clip_fraction(clip_norm, clipped):
+def test_history_reports_throughput_and_clip_fraction(clip_norm, clipped, monkeypatch):
     convs = small_corpus()
     cfg = TrainConfig(**{**TOY_CFG.__dict__, "max_epochs": 2, "max_batch": 4, "clip_norm": clip_norm})
+    norms = []
+
+    def recording_clip(registry, max_norm):
+        scale, norm = clip_gradients(registry, max_norm)
+        norms.append(norm)
+        return scale, norm
+
+    monkeypatch.setattr(train_module, "clip_gradients", recording_clip)
     lines = []
     _, _, history = train_loop(convs[:18], convs[18:], cfg, log=lines.append)
     train_utts = sum(len(c) for c in convs[:18])
-    for record, line in zip(history, lines):
+    steps = len(norms) // len(history)  # every epoch makes the same number of batches
+    assert steps * len(history) == len(norms)
+    for i, (record, line) in enumerate(zip(history, lines)):
         assert record["utt_per_s"] == pytest.approx(train_utts / record["seconds"], rel=1e-12)
         assert f"{record['utt_per_s']:.0f} utt/s" in line
         # 18 conversations of lengths 3-5 make at least 3 batches of at most 4
         assert record["clip_frac"] == (1.0 if clipped else 0.0)
+        epoch = norms[i * steps : (i + 1) * steps]
+        assert record["grad_norm"] == np.median(epoch) and record["grad_norm_max"] == max(epoch)
+        assert 0.0 < record["grad_norm"] <= record["grad_norm_max"]
     assert json.loads(json.dumps(history)) == history
 
 
