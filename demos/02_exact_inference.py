@@ -42,8 +42,8 @@ for t in range(n):
 
 print("\ngold-sequence probabilities sum to one:")
 seqs = np.array(list(itertools.product(range(k), repeat=n)))
-gold = crf.chain_gold_score(ag.Tensor(np.repeat(pot.unary[None], len(seqs), axis=0)), ag.Tensor(pot.transition), seqs)
-print(f"  sum over all sequences = {np.exp(gold.data - logz).sum():.12f}")
+nll = crf.chain_nll(ag.Tensor(np.repeat(pot.unary[None], len(seqs), axis=0)), ag.Tensor(pot.transition), seqs)
+print(f"  sum over all sequences = {np.exp(-nll.data).sum():.12f}")
 
 shift = 2.0
 both = np.stack([pot.unary, pot.unary + shift])  # two chains in one batch

@@ -4,9 +4,10 @@ Two demonstrations:
 
 1. the recorded-operation tape differentiates arbitrary compositions of
    the primitive ops, validated by central finite differences;
-2. the gradient of the log-partition is the node and edge marginals,
-   checked here against brute-force enumeration -- the identity that
-   makes exact maximum-likelihood training of the chain layer work.
+2. the gradient of the chain's negative log-likelihood is the node and
+   edge marginals minus the gold path's indicators, checked here against
+   brute-force enumeration -- the identity that makes exact
+   maximum-likelihood training of the chain layer work.
 """
 
 import numpy as np
@@ -42,18 +43,21 @@ print("max abs diff:", np.abs(w.grad - numeric).max())
 rng = np.random.default_rng(1)
 unary = rng.normal(size=(1, 6, 3))
 trans = rng.normal(size=(3, 3))
+gold = np.array([[0, 0, 1, 2, 2, 1]])
 ut = ag.Tensor(unary, requires_grad=True)
 tt = ag.Tensor(trans, requires_grad=True)
 with ag.Tape() as tape:
-    logz = ag.reduce_sum(crf.chain_log_partition(ut, tt))
-tape.backward(logz)
+    nll = ag.reduce_sum(crf.chain_nll(ut, tt, gold))
+tape.backward(nll)
 
 _, node, edge, _, _ = oracles.enumerate_chain(crf.PotentialTable(unary=unary[0], transition=trans))
-print("\nd logZ / d unary vs node marginals by enumeration:")
-print("  max abs diff:", np.abs(ut.grad[0] - node).max())
-print("d logZ / d transition vs summed edge marginals by enumeration:")
-print("  max abs diff:", np.abs(tt.grad - edge.sum(axis=0)).max())
-print("\nso the gradient of (logZ - gold score) is exactly")
+counts = np.zeros((3, 3))
+np.add.at(counts, (gold[0, :-1], gold[0, 1:]), 1.0)
+print("\nd NLL / d unary vs node marginals - one-hot(gold) by enumeration:")
+print("  max abs diff:", np.abs(ut.grad[0] - (node - np.eye(3)[gold[0]])).max())
+print("d NLL / d transition vs summed edge marginals - gold transition counts:")
+print("  max abs diff:", np.abs(tt.grad - (edge.sum(axis=0) - counts)).max())
+print("\nso the gradient of NLL = logZ - gold score is exactly")
 print("(expected feature counts - observed feature counts): the classic")
-print("exponential-family training signal. chain_log_partition is one tape")
-print("record whose backward hands out the forward-backward marginals.")
+print("exponential-family training signal. chain_nll is one tape record")
+print("whose backward hands out the forward-backward marginals minus the gold path.")

@@ -40,13 +40,10 @@ __all__ = [
     "grad_check",
     "matmul",
     "add",
-    "sub",
     "mul",
     "concat",
     "tanh",
     "gather",
-    "pick",
-    "gather_pairs",
     "scatter_add",
     "dropout",
     "softmax",
@@ -221,22 +218,6 @@ def add(a, b):
     return record("add", (a, b), out_data, bwd)
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out_data = a.data - b.data
-    except ValueError as e:
-        raise ShapeError(f"sub shapes do not broadcast: {a.shape} - {b.shape}") from e
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
-
-    return record("sub", (a, b), out_data, bwd)
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -310,41 +291,6 @@ def gather(table, indices):
             table.accumulate_grad(scatter_add(idx, g, table.shape[0]))
 
     return record("gather", (table,), out_data, bwd)
-
-
-def pick(x, indices):
-    """Pick one entry along the last axis: out[...] = x[..., indices[...]]."""
-    x = _as_tensor(x)
-    idx = np.asarray(indices)
-    if idx.shape != x.shape[:-1]:
-        raise ShapeError(f"pick index shape {idx.shape} must match {x.shape[:-1]}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[-1]):
-        raise IndexError(f"pick index out of range for last axis of size {x.shape[-1]}")
-    out_data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            # one target per position along the picked axis, so no collisions
-            np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
-            x.accumulate_grad(gx)
-
-    return record("pick", (x,), out_data, bwd)
-
-
-def gather_pairs(m, rows, cols):
-    """out[...] = m[rows[...], cols[...]] for a 2-d table ``m``."""
-    m = _as_tensor(m)
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    out_data = m.data[rows, cols]
-
-    def bwd(g):
-        if m.requires_grad:
-            flat = rows * m.shape[1] + cols
-            m.accumulate_grad(scatter_add(flat, g, m.data.size).reshape(m.shape))
-
-    return record("gather_pairs", (m,), out_data, bwd)
 
 
 def dropout(x, rate, rng, train):

@@ -127,6 +127,8 @@ def parse_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise TranscriptError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+            except RecursionError:
+                raise TranscriptError(f"{path}:{lineno}: JSON nested too deeply") from None
             if not isinstance(obj, dict):
                 raise TranscriptError(f"{path}:{lineno}: a conversation must be an object")
             try:
@@ -326,8 +328,9 @@ def load_pretrained_embeddings(path, vocab, dim, rng=None):
     """Word matrix (|V_w| x dim): file rows where available, else uniform.
 
     Out-of-file words (UNK included) draw from uniform(-0.05, 0.05) using
-    ``rng``; the PAD row is all zeros. A non-finite value in a loaded row
-    raises ``TranscriptError`` naming the line and the word.
+    ``rng``; the PAD row is all zeros. A row of the wrong width, or a
+    non-numeric or non-finite value in a loaded row, raises
+    ``TranscriptError`` naming the file, the line and the word.
     """
     if rng is None:
         rng = np.random.default_rng(42)
@@ -340,14 +343,16 @@ def load_pretrained_embeddings(path, vocab, dim, rng=None):
             if not parts:
                 continue
             word, values = parts[0], parts[1:]
+            where = f"{path}:{lineno}: embedding row for {word!r}"
             if len(values) != dim:
-                raise TranscriptError(
-                    f"embedding row for {word!r} has {len(values)} values, expected {dim}"
-                )
+                raise TranscriptError(f"{where} has {len(values)} values, expected {dim}")
             idx = vocab.word_index.get(word)
             if idx is not None and idx != PAD_ID:
-                row = np.array([float(v) for v in values])
+                try:
+                    row = np.array([float(v) for v in values])
+                except ValueError as e:
+                    raise TranscriptError(f"{where}: {e}") from None
                 if not np.isfinite(row).all():
-                    raise TranscriptError(f"{path}:{lineno}: embedding row for {word!r} is not finite")
+                    raise TranscriptError(f"{where} is not finite")
                 matrix[idx] = row
     return matrix

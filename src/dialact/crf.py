@@ -12,8 +12,10 @@ Decoding, the attention export, the oracle suites and the synthetic
 reference decoder call the engine directly. Training reaches it through
 two tape ops, one record each:
 
-* ``chain_log_partition``: logZ per chain. Its backward is the gradient
-  of logZ, i.e. the node, edge and boundary marginals.
+* ``chain_nll``: logZ minus the gold path's score per chain, the label
+  chain's loss. Its backward is expected minus observed counts: the node,
+  edge and boundary marginals minus the gold path's indicators (Lafferty
+  et al. 2001).
 * ``chain_marginals``: node marginals, for the selection layer. Its
   backward is the exact Hessian-vector product of logZ, one forward-mode
   pass over the same alpha/beta tables in O(n Y^2).
@@ -181,51 +183,51 @@ def viterbi_decode(unary, transition, start=None, stop=None, lengths=None):
 # ---------------------------------------------------------------------------
 
 
-def chain_log_partition(unary, transition, start=None, stop=None, lengths=None):
-    """Differentiable logZ (B,) of a chain batch, one tape record.
+def chain_nll(unary, transition, gold, start=None, stop=None, lengths=None):
+    """Differentiable negative log-likelihood logZ - score(gold) (B,) of a chain batch, one tape record.
 
-    unary: tensor (B, N, Y); transition: tensor (Y, Y); start/stop:
-    optional tensors (Y,); lengths as for :func:`forward_backward`. The
-    backward is the gradient of logZ: node marginals for the unaries and
-    boundaries, summed edge marginals for the transition.
+    unary: tensor (B, N, Y); transition: tensor (Y, Y); gold: (B, N) ints,
+    ignored past each length; start/stop: optional tensors (Y,); lengths as
+    for :func:`forward_backward`. The backward is expected minus observed
+    counts: node, summed edge and boundary marginals minus the gold path's
+    indicators.
     """
     marg = forward_backward(
         unary.data, transition.data, *(None if v is None else v.data for v in (start, stop)), lengths
     )
-    last = -1 if lengths is None else np.asarray(lengths) - 1
-
-    def bwd(g):
-        if unary.requires_grad:
-            unary.accumulate_grad(g[:, None, None] * marg.node)
-        if transition.requires_grad:
-            transition.accumulate_grad(np.tensordot(g, marg.edge.sum(axis=1), axes=1))
-        if start is not None and start.requires_grad:
-            start.accumulate_grad(g @ marg.node[:, 0])
-        if stop is not None and stop.requires_grad:
-            stop.accumulate_grad(g @ marg.node[np.arange(g.size), last])
-
-    inputs = tuple(v for v in (unary, transition, start, stop) if v is not None)
-    return ag.record("chain_log_partition", inputs, marg.logZ, bwd)
-
-
-def chain_gold_score(unary, transition, gold, start=None, stop=None, lengths=None):
-    """Differentiable score of the gold paths (B,); gold (B, N) ints, ignored past each length."""
-    gold = np.asarray(gold, dtype=np.int64)
     b, n, k = unary.shape
+    gold = np.asarray(gold, dtype=np.int64)
     if gold.shape != (b, n):
         raise ValueError(f"gold shape {gold.shape} does not match unary {unary.shape}")
     lengths, live = _live(lengths, b, n)
     if gold[live].min() < 0 or gold[live].max() >= k:
         raise IndexError(f"gold label out of range [0, {k})")
     gold = np.where(live, gold, 0)
-    score = ag.reduce_sum(ag.mul(ag.pick(unary, gold), live), axis=1)
-    pairs = ag.gather_pairs(transition, gold[:, :-1], gold[:, 1:])
-    score = ag.add(score, ag.reduce_sum(ag.mul(pairs, live[:, 1:]), axis=1))
-    if start is not None:
-        score = ag.add(score, ag.gather(start, gold[:, 0]))
-    if stop is not None:
-        score = ag.add(score, ag.gather(stop, gold[np.arange(b), lengths - 1]))
-    return score
+    rows, last = np.arange(b), lengths - 1
+    score = (np.take_along_axis(unary.data, gold[..., None], axis=2)[..., 0] * live).sum(axis=1)
+    score = score + (transition.data[gold[:, :-1], gold[:, 1:]] * live[:, 1:]).sum(axis=1)
+    ends = ((start, marg.node[:, 0], gold[:, 0]), (stop, marg.node[rows, last], gold[rows, last]))
+    for vec, _, labels in ends:
+        if vec is not None:
+            score = score + vec.data[labels]
+
+    def bwd(g):
+        if unary.requires_grad:
+            grad = g[:, None, None] * marg.node
+            at, t = np.nonzero(live)
+            grad[at, t, gold[at, t]] -= g[at]
+            unary.accumulate_grad(grad)
+        if transition.requires_grad:
+            pairs = gold[:, :-1] * k + gold[:, 1:]
+            transition.accumulate_grad(ag.scatter_add(pairs, -g[:, None] * live[:, 1:], k * k).reshape(k, k))
+            transition.accumulate_grad(np.tensordot(g, marg.edge.sum(axis=1), axes=1))
+        for vec, node, labels in ends:
+            if vec is not None and vec.requires_grad:
+                vec.accumulate_grad(ag.scatter_add(labels, -g, k))
+                vec.accumulate_grad(g @ node)
+
+    inputs = tuple(v for v in (unary, transition, start, stop) if v is not None)
+    return ag.record("chain_nll", inputs, marg.logZ - score, bwd)
 
 
 def chain_marginals(unary, transition, lengths=None):

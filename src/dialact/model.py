@@ -39,16 +39,22 @@ META_VERSION = 1
 class DialogueActModel:
     """Hierarchical encoder + selection attention + label chain."""
 
-    def __init__(self, vocab, cfg, rng=None, word_embeddings=None):
+    def __init__(self, vocab, cfg, rng=None, weights=None):
+        """Build every parameter; ``weights`` maps names to initial arrays.
+
+        The other parameters draw from ``rng`` in :func:`parameter_table`
+        order. Either way the ``emb.*`` tables get a zero, pinned PAD row.
+        """
         self.vocab = vocab
         self.cfg = cfg
+        weights = weights or {}
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.registry = ag.ParamRegistry()
         for name, shape, scale in parameter_table(vocab, cfg):
-            if name == "emb.word" and word_embeddings is not None:
-                value = np.array(word_embeddings, dtype=np.float64)
+            if name in weights:
+                value = np.array(weights[name], dtype=np.float64)
                 if value.shape != shape:
-                    raise ValueError(f"word embedding shape {value.shape} does not match vocab/config {shape}")
+                    raise ValueError(f"{name} shape {value.shape} does not match vocab/config {shape}")
             else:
                 value = rng.uniform(-scale, scale, shape) if scale else np.zeros(shape)
             frozen = None
@@ -94,9 +100,7 @@ class DialogueActModel:
             self.vocab.act_id(a) for c in conversations for a in c.acts
         ]
         unary, trans, _, _ = self.forward(batch, params, train=train, rng=rng)
-        logz = crf.chain_log_partition(unary, trans, start=start, stop=stop, lengths=lengths)
-        gold = crf.chain_gold_score(unary, trans, gold_ids, start=start, stop=stop, lengths=lengths)
-        nll = ag.reduce_sum(ag.sub(logz, gold))
+        nll = ag.reduce_sum(crf.chain_nll(unary, trans, gold_ids, start=start, stop=stop, lengths=lengths))
         if self.cfg.l2 > 0.0:
             nll = ag.add(nll, ag.l2_penalty(list(params.values()), self.cfg.l2))
         return nll
@@ -212,6 +216,8 @@ class DialogueActModel:
                 raise ValueError(f"unknown config key {unknown[0]!r}")
             cfg = TrainConfig(**config)
             vocab = Vocab.from_json_obj(meta.get("vocab"))
+        except RecursionError:
+            raise ValueError(f"checkpoint sidecar {sidecar}: JSON nested too deeply") from None
         except ValueError as e:
             raise ValueError(f"checkpoint sidecar {sidecar}: {e}") from None
         state = ag.load_checkpoint(path)
@@ -222,11 +228,7 @@ class DialogueActModel:
             raise ValueError(
                 f"checkpoint {path} does not match its sidecar: tensors {unmatched[:5]} differ in name or shape"
             )
-        model = cls(vocab, cfg)
-        model.registry.load_state_dict(state)
-        for name in model.registry.names():
-            model.registry.ema[name] = model.registry[name].data.copy()
-        return model
+        return cls(vocab, cfg, weights=state)
 
 
 def parameter_table(vocab, cfg):

@@ -89,9 +89,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.hops > MAX_HOPS:
+            raise ValueError(f"hops must be <= {MAX_HOPS}, got {self.hops}")
 
 
 _FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real}
+# memory hops are a loop count in every forward; 16 keeps a decode within ~1.5x of one hop
+MAX_HOPS = 16
 # every dimension, since a zero width breaks a layer, and the counts
 _AT_LEAST_ONE = (
     "hops", "patience", "max_batch", "max_epochs", "min_count",
@@ -194,10 +198,10 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
 
     vocab = build_vocab(train_convs, min_count=cfg.min_count)
     rng = np.random.default_rng(cfg.seed)
-    word_matrix = None
+    weights = {}
     if embeddings_path is not None:
-        word_matrix = load_pretrained_embeddings(embeddings_path, vocab, cfg.word_dim, rng=rng)
-    model = DialogueActModel(vocab, cfg, rng=rng, word_embeddings=word_matrix)
+        weights["emb.word"] = load_pretrained_embeddings(embeddings_path, vocab, cfg.word_dim, rng=rng)
+    model = DialogueActModel(vocab, cfg, rng=rng, weights=weights)
 
     train_utts = sum(len(conv) for conv in train_convs)
     history = []

@@ -29,6 +29,34 @@ def sigmoid(x):
     return ag.record("sigmoid", (x,), out_data, bwd)
 
 
+def sub(a, b):
+    """a - b as a tape op; the reference GRU's 1 - z."""
+    a, b = ag._as_tensor(a), ag._as_tensor(b)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(ag._unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(ag._unbroadcast(-g, b.shape))
+
+    return ag.record("sub", (a, b), a.data - b.data, bwd)
+
+
+def pick(x, indices):
+    """out[...] = x[..., indices[...]] as a tape op; the reference char CNN's max over time."""
+    idx = np.asarray(indices)
+    out_data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
+
+    def bwd(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            # one target per position along the picked axis, so no collisions
+            np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
+            x.accumulate_grad(gx)
+
+    return ag.record("pick", (x,), out_data, bwd)
+
+
 def same_char_width(conversations):
     """Copies whose token surfaces are padded with "_" to one width.
 

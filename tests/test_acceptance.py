@@ -70,20 +70,23 @@ def test_criterion_3_gradient_suite():
     worst = max(err for _, err, _ in check.entries)
     n_tensors = len(check.entries)
 
-    # the exponential-family identity: d logZ / d unary equals node marginals
+    # the exponential-family identity: d NLL / d unary equals node marginals
+    # minus the gold path's one-hot indicators
     rng = np.random.default_rng(321)
     unary = rng.normal(size=(2, 6, 4))
     trans = rng.normal(size=(4, 4))
+    gold = rng.integers(0, 4, size=(2, 6))
     ut = ag.Tensor(unary, requires_grad=True)
     tt = ag.Tensor(trans, requires_grad=True)
     with ag.Tape() as tape:
-        logz = ag.reduce_sum(crf.chain_log_partition(ut, tt))
-    tape.backward(logz)
+        nll = ag.reduce_sum(crf.chain_nll(ut, tt, gold))
+    tape.backward(nll)
     identity_err = max(
         float(
             np.abs(
                 ut.grad[b]
                 - oracles.enumerate_chain(crf.PotentialTable(unary=unary[b], transition=trans))[1]
+                + np.eye(4)[gold[b]]
             ).max()
         )
         for b in range(2)
@@ -94,7 +97,7 @@ def test_criterion_3_gradient_suite():
         3,
         ok,
         f"finite differences over {n_tensors} parameter tensors: worst rel err "
-        f"{worst:.2e} (tol 1e-4); dlogZ/dunary vs marginals {identity_err:.2e} "
+        f"{worst:.2e} (tol 1e-4); dNLL/dunary vs marginals - one-hot(gold) {identity_err:.2e} "
         f"(tol 1e-8); {elapsed:.1f}s (< 2min)",
     )
 

@@ -203,7 +203,6 @@ PRIMITIVE_CASES = {
     "matmul3d": lambda p: ag.matmul(ag.reshape(ag.concat([p, p], axis=0), (2, 3, 3)),
                                     ag.Tensor(np.arange(6.0).reshape(3, 2) / 7.0)),
     "add_broadcast": lambda p: ag.add(ag.reshape(p, (3, 3, 1)), ag.Tensor(np.arange(4.0))),
-    "sub_broadcast": lambda p: ag.sub(ag.Tensor(np.ones(3)), p),
     "mul_broadcast": lambda p: ag.mul(p, ag.Tensor(np.arange(3.0))),
     "concat": lambda p: ag.concat([p, ag.mul(p, 2.0)], axis=1),
     "tanh": ag.tanh,
@@ -214,8 +213,6 @@ PRIMITIVE_CASES = {
     "transpose_last": ag.transpose_last,
     "select": lambda p: ag.select(p, 1, axis=0),
     "gather": lambda p: ag.gather(p, np.array([[0, 2], [2, 2]])),
-    "pick": lambda p: ag.pick(p, np.array([0, 2, 1])),
-    "gather_pairs": lambda p: ag.gather_pairs(p, np.array([0, 2, 2]), np.array([1, 1, 2])),
     # convolution and max-over-time pooling are one fused record, encoder.char_cnn:
     # "conv1d" takes the gradient into the char table through the window
     # convolutions, "max_over_time" into a filter bank through the argmax routing

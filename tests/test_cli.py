@@ -347,6 +347,22 @@ def test_transcript_with_a_non_string_scalar_exits_two_in_one_line(tmp_path, cap
     assert err.count("\n") == 1 and "bad.jsonl" in err and message in err
 
 
+def test_deeply_nested_json_exits_two_in_one_line(tiny, tmp_path, capsys):
+    directory, _, test_path = tiny
+    nested = "[" * 200_000
+    bad = tmp_path / "nested.jsonl"
+    bad.write_text(nested + "\n", encoding="utf-8")
+    assert run_cli("train", "--train", str(bad), "--valid", str(bad), "--checkpoint", str(tmp_path / "m.ckpt")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nested.jsonl:1: JSON nested too deeply" in err, err
+    ckpt = tmp_path / "deep.ckpt"
+    ckpt.write_bytes((directory / "tiny.ckpt").read_bytes())
+    (tmp_path / "deep.ckpt.meta.json").write_text(nested, encoding="utf-8")
+    assert run_cli("predict", "--checkpoint", str(ckpt), "--test", str(test_path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "deep.ckpt.meta.json: JSON nested too deeply" in err, err
+
+
 def write_sidecar_edit(directory, path, value):
     """A copy of the tiny checkpoint whose sidecar has ``value`` at key ``path``."""
     meta = json.loads((directory / "tiny.ckpt.meta.json").read_text(encoding="utf-8"))
@@ -371,6 +387,7 @@ SIDECAR_EDITS = {
     "repeated-word": (("vocab", "words"), ["<pad>", "<unk>", "hi", "hi"], "vocab 'words' must be"),
     "negative-dim": (("config", "d_c"), -3, "d_c must be >= 1"),
     "negative-seed": (("config", "seed"), -1, "seed must be >= 0"),
+    "billion-hops": (("config", "hops"), 10**9, "hops must be <= 16"),
     "wider-dim": (("config", "word_dim"), 10**12, "does not match its sidecar"),
     "version": (("version",), 2, "expected an object with version 1"),
 }
@@ -387,8 +404,8 @@ def test_bad_sidecar_exits_two_naming_file_and_key(tiny, capsys, case):
     assert err.count("\n") == 1 and "edited.ckpt" in err and message in err, err
 
 
-# Integers stay small: ``hops`` is a loop count, and a sidecar asking for a
-# billion hops is slow, not invalid.
+# Integers stay in the range of real configs; a ``hops`` above 16 is
+# rejected (the "billion-hops" edit above), so no drawn value runs for long.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),

@@ -322,7 +322,15 @@ def test_embeddings_dimension_mismatch_names_word(tmp_path):
     vocab = build_vocab([make_conv(["hello"], ["x"])])
     path = tmp_path / "vecs.txt"
     path.write_text("hello 0.1 0.2 0.3\n", encoding="utf-8")
-    with pytest.raises(TranscriptError, match="hello"):
+    with pytest.raises(TranscriptError, match=r"vecs\.txt:1: embedding row for 'hello' has 3 values, expected 2"):
+        load_pretrained_embeddings(path, vocab, dim=2)
+
+
+def test_embeddings_non_numeric_value_names_line_and_word(tmp_path):
+    vocab = build_vocab([make_conv(["hello world"], ["x"])])
+    path = tmp_path / "vecs.txt"
+    path.write_text("world 0.5 0.5\nhello 0.1 abc\n", encoding="utf-8")
+    with pytest.raises(TranscriptError, match=r"vecs\.txt:2: embedding row for 'hello': .*'abc'"):
         load_pretrained_embeddings(path, vocab, dim=2)
 
 

@@ -12,9 +12,8 @@ from dialact import oracles
 from dialact.corpus import build_vocab
 from dialact.crf import (
     PotentialTable,
-    chain_gold_score,
-    chain_log_partition,
     chain_marginals,
+    chain_nll,
     compute_potentials,
     forward_backward,
     selection_attention,
@@ -45,9 +44,9 @@ def viterbi(pot):
 
 
 def sequence_log_prob(pot, labels):
-    """log p(labels) = gold score - logZ; the score comes from the tape op."""
-    score = chain_gold_score(ag.Tensor(pot.unary[None]), ag.Tensor(pot.transition), [labels])
-    return float(score.data[0]) - log_partition(pot)
+    """log p(labels) = gold score - logZ, the negated tape op."""
+    bounds = (None if v is None else ag.Tensor(v) for v in (pot.start, pot.stop))
+    return -float(chain_nll(ag.Tensor(pot.unary[None]), ag.Tensor(pot.transition), [labels], *bounds).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +238,12 @@ def test_tape_log_partition_equals_numpy():
     rng = np.random.default_rng(10)
     unary = rng.normal(size=(3, 5, 4))
     trans = rng.normal(size=(4, 4))
-    logz = chain_log_partition(ag.Tensor(unary), ag.Tensor(trans))
+    gold = rng.integers(0, 4, size=(3, 5))
+    nll = chain_nll(ag.Tensor(unary), ag.Tensor(trans), gold)
     for b in range(3):
         ref, *_ = oracles.enumerate_chain(PotentialTable(unary=unary[b], transition=trans))
-        assert logz.data[b] == pytest.approx(ref, abs=1e-10)
+        score = unary[b, np.arange(5), gold[b]].sum() + trans[gold[b, :-1], gold[b, 1:]].sum()
+        assert nll.data[b] == pytest.approx(ref - score, abs=1e-10)
 
 
 def test_log_partition_gradient_is_node_marginals():
@@ -251,14 +252,17 @@ def test_log_partition_gradient_is_node_marginals():
     trans = rng.normal(size=(3, 3))
     ut = ag.Tensor(unary, requires_grad=True)
     tt = ag.Tensor(trans, requires_grad=True)
+    gold = rng.integers(0, 3, size=(2, 6))
     with ag.Tape() as tape:
-        logz = ag.reduce_sum(chain_log_partition(ut, tt))
-    tape.backward(logz)
+        nll = ag.reduce_sum(chain_nll(ut, tt, gold))
+    tape.backward(nll)
+    # d nll = d logZ minus the gold path's indicators, and d logZ is the marginals
     edge_total = np.zeros((3, 3))
     for b in range(2):
         _, node, edge, *_ = oracles.enumerate_chain(PotentialTable(unary=unary[b], transition=trans))
-        assert np.abs(ut.grad[b] - node).max() < 1e-8
+        assert np.abs(ut.grad[b] - (node - np.eye(3)[gold[b]])).max() < 1e-8
         edge_total += edge.sum(axis=0)
+        np.add.at(edge_total, (gold[b, :-1], gold[b, 1:]), -1.0)
     assert np.abs(tt.grad - edge_total).max() < 1e-8
 
 
@@ -267,10 +271,11 @@ def test_gold_score_matches_sequence_score():
     unary = rng.normal(size=(2, 4, 3))
     trans = rng.normal(size=(3, 3))
     gold = rng.integers(0, 3, size=(2, 4))
-    score = chain_gold_score(ag.Tensor(unary), ag.Tensor(trans), gold)
+    nll = chain_nll(ag.Tensor(unary), ag.Tensor(trans), gold)
+    logz = forward_backward(unary, trans).logZ
     for b in range(2):
         ref = unary[b, np.arange(4), gold[b]].sum() + trans[gold[b, :-1], gold[b, 1:]].sum()
-        assert score.data[b] == pytest.approx(ref, abs=1e-12)
+        assert logz[b] - nll.data[b] == pytest.approx(ref, abs=1e-12)
 
 
 def test_chain_marginals_match_forward_backward():
@@ -368,8 +373,9 @@ def test_fused_chain_ops_pass_grad_check(n):
     start = reg.add("start", rng.normal(size=3))
     stop = reg.add("stop", rng.normal(size=3))
     weights = rng.normal(size=(3, n, 3))
+    gold, scale = rng.integers(0, 3, size=(3, n)), rng.normal(size=3)
     for closure in (
-        lambda: ag.reduce_sum(chain_log_partition(unary, trans, start=start, stop=stop)),
+        lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold, start=start, stop=stop), scale)),
         lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans), weights)),
     ):
         report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
@@ -454,15 +460,14 @@ def chain_outputs(chain, g, gold):
     ut, tt, *bounds = tensors
     st_, sp = bounds if bounds else (None, None)
     with ag.Tape() as tape:
-        logz = chain_log_partition(ut, tt, st_, sp, lengths)
-        gold_score = chain_gold_score(ut, tt, gold, st_, sp, lengths)
+        nll = chain_nll(ut, tt, gold, st_, sp, lengths)
         node = chain_marginals(ut, tt, lengths)
-        loss = ag.add(ag.reduce_sum(ag.sub(logz, gold_score)), ag.reduce_sum(ag.mul(node, g)))
+        loss = ag.add(ag.reduce_sum(nll), ag.reduce_sum(ag.mul(node, g)))
     tape.backward(loss)
     marg = forward_backward(*chain)
     return [
-        marg.logZ, marg.node, marg.edge, *viterbi_decode(*chain), logz.data, gold_score.data,
-        node.data, *(t.grad for t in tensors),
+        marg.logZ, marg.node, marg.edge, *viterbi_decode(*chain), nll.data, node.data,
+        *(t.grad for t in tensors),
     ]
 
 
@@ -506,10 +511,10 @@ def test_fused_chain_ops_pass_grad_check_on_mixed_lengths():
     stop = reg.add("stop", rng.normal(size=3))
     weights = rng.normal(size=(4, 4, 3))
     gold = rng.integers(0, 3, size=(4, 4))
+    scale = rng.normal(size=4)
     for closure in (
-        lambda: ag.reduce_sum(chain_log_partition(unary, trans, start, stop, lengths)),
+        lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold, start, stop, lengths), scale)),
         lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans, lengths), weights)),
-        lambda: ag.reduce_sum(chain_gold_score(unary, trans, gold, start, stop, lengths)),
     ):
         report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
         assert report.passed, report.summary()
@@ -521,12 +526,13 @@ def test_gold_score_of_mixed_lengths_sums_each_chain_to_its_end():
     trans, start, stop = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
     gold = rng.integers(0, 3, size=(2, 4))
     lengths = np.array([4, 2])
-    score = chain_gold_score(*(ag.Tensor(a) for a in (unary, trans)), gold,
-                             ag.Tensor(start), ag.Tensor(stop), lengths)
+    gold[1, 2:] = [99, -1]  # past the chain's end: never read
+    nll = chain_nll(*(ag.Tensor(a) for a in (unary, trans)), gold, ag.Tensor(start), ag.Tensor(stop), lengths)
+    logz = forward_backward(unary, trans, start, stop, lengths).logZ
     for b, n in enumerate(lengths):
         y = gold[b, :n]
         ref = unary[b, np.arange(n), y].sum() + trans[y[:-1], y[1:]].sum() + start[y[0]] + stop[y[-1]]
-        assert score.data[b] == pytest.approx(ref, abs=1e-12)
+        assert logz[b] - nll.data[b] == pytest.approx(ref, abs=1e-12)
 
 
 @pytest.mark.parametrize("lengths", [[0, 2], [3, 2], [2], [2.0, 1.0]])
@@ -539,10 +545,11 @@ def test_each_fused_chain_op_is_one_record():
     rng = np.random.default_rng(44)
     unary = ag.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     trans = ag.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    start, stop = (ag.Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2))
     with ag.Tape() as tape:
-        chain_log_partition(unary, trans)
+        chain_nll(unary, trans, rng.integers(0, 3, size=(2, 4)), start, stop)
         chain_marginals(unary, trans)
-    assert [r.op for r in tape.records] == ["chain_log_partition", "chain_marginals"]
+    assert [r.op for r in tape.records] == ["chain_nll", "chain_marginals"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dialact.encoder import (
 )
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
-from helpers import init_gru, sigmoid
+from helpers import init_gru, pick, sigmoid, sub
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -163,7 +163,7 @@ def reference_embed(batch, vocab, params, convs):
             ]
             conv = ag.add(ag.matmul(ag.concat(windows, axis=0), params[f"cnn.w{width}"]), params[f"cnn.b{width}"])
             arg = conv.data.argmax(axis=0)
-            pooled.append(ag.pick(ag.transpose_last(conv), arg))
+            pooled.append(pick(ag.transpose_last(conv), arg))
         features = [
             ag.gather(params["emb.word"], np.array([vocab.word_id(tok.surface)])),
             ag.reshape(ag.concat(pooled, axis=0), (1, -1)),
@@ -253,7 +253,7 @@ def reference_gru_step(params, prefix, x, h):
     r = sigmoid(ag.add(ag.add(ag.matmul(x, p("w_r")), ag.matmul(h, p("u_r"))), p("b_r")))
     z = sigmoid(ag.add(ag.add(ag.matmul(x, p("w_z")), ag.matmul(h, p("u_z"))), p("b_z")))
     cand = ag.tanh(ag.add(ag.add(ag.matmul(x, p("w_h")), ag.matmul(ag.mul(r, h), p("u_h"))), p("b_h")))
-    return ag.add(ag.mul(z, h), ag.mul(ag.sub(1.0, z), cand))
+    return ag.add(ag.mul(z, h), ag.mul(sub(1.0, z), cand))
 
 
 def reference_gru(params, prefix, xs, mask, hidden_dim, reverse=False):

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dialact import autograd as ag
 from dialact import cli, synthetic
@@ -65,6 +67,7 @@ def test_config_validation():
 
 INVALID_CONFIGS = [
     ("hops", "0"),
+    ("hops", "17"),
     ("lr", "0"),
     ("lr", "-0.05"),
     ("clip_norm", "nan"),
@@ -684,3 +687,21 @@ def test_cli_train_rejects_non_finite_embeddings_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"nan.txt:1: embedding row for {word!r} is not finite" in err
     assert not ckpt.exists()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_embeddings_line_replaced_by_text_exits_zero_or_two(tmp_path, capsys, data):
+    convs = small_corpus(n=4)
+    words = sorted({tok.surface for conv in convs for u in conv.utterances for tok in u.tokens})[:5]
+    lines = [f"{w} {' '.join(['0.01'] * 6)}" for w in words]
+    # free text, or fields mixing a known word with numbers and non-numbers
+    fields = st.sampled_from([words[0], "0.5", "-1e3", "1e200", "nan", "abc", "", "\t"])
+    text = st.text() | st.lists(fields, max_size=9).map(" ".join)
+    lines[data.draw(st.integers(0, len(lines) - 1), label="line")] = data.draw(text, label="text")
+    path = tmp_path / "vecs.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _ = cli_train_with_embeddings(tmp_path, convs, path)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2), err
