@@ -13,6 +13,7 @@ import numpy as np
 
 from dialact import baselines, evaluate, synthetic
 from dialact.corpus import build_vocab
+from dialact.model import DialogueActModel
 from dialact.train import TrainConfig, train_loop
 
 spec = synthetic.default_spec(
@@ -29,8 +30,8 @@ logistic_acc = baselines.logistic_baseline(train_c, test_c, vocab, word_matrix)
 bayes_acc = generator.decode_accuracy(test_c)
 
 cfg = TrainConfig(d=32, d_u=16, lr=0.05, ema_decay=0.9, max_epochs=20, patience=4, seed=5)
-model, best_state, history = train_loop(train_c, valid_c, cfg, log=print)
-model.registry.load_state_dict(best_state)
+trained, best_state, history = train_loop(train_c, valid_c, cfg, log=print)
+model = DialogueActModel(trained.vocab, cfg, weights=best_state)  # the best EMA shadows as weights
 
 report, preds = evaluate.evaluate_model(model, test_c)
 print(f"\ntest accuracy        {report.accuracy:.3f}")

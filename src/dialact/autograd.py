@@ -454,16 +454,6 @@ class ParamRegistry:
     def state_dict(self):
         return {name: t.data.copy() for name, t in self.params.items()}
 
-    def load_state_dict(self, state):
-        for name, value in state.items():
-            if name not in self.params:
-                raise KeyError(f"unknown parameter in state: {name!r}")
-            if self.params[name].shape != value.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: have {self.params[name].shape}, got {value.shape}"
-                )
-            self.params[name].data = value.astype(np.float64).copy()
-
 
 # ---------------------------------------------------------------------------
 # gradient checking

@@ -12,7 +12,10 @@ Subcommands wire the library end to end:
     dialact oracle-check [--trials N] [--max-n N] [--max-labels N] [--seed N]
 
 Exit codes: 0 success, 1 usage error, 2 validation or oracle failure.
-A single --seed drives every source of randomness in a subcommand.
+A numpy overflow, division by zero or invalid value (say, from an ``lr``
+or ``l2`` too large to train with) is a validation failure too, reported
+in one line. A single --seed drives every source of randomness in a
+subcommand.
 """
 
 from __future__ import annotations
@@ -203,7 +206,8 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except (
         TranscriptError, ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError
     ) as e:

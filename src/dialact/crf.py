@@ -3,19 +3,20 @@
 One engine does all chain inference. ``forward_backward`` (logZ, node and
 edge marginals) and ``viterbi_decode`` (argmax paths) run on a batch of
 chains: unary scores (B, N, Y) as numpy arrays, one shared (Y, Y)
-transition table, optional start/stop vectors added at each chain's first
-and last positions, and optional ``lengths`` (B,), N by default. Scores
-past a chain's length are padding and never read: at step t a ``live =
+transition table and optional ``lengths`` (B,), N by default. Scores past
+a chain's length are padding and never read: at step t a ``live =
 t < lengths`` mask carries alpha and the Viterbi score forward, keeps beta
-0 and makes backpointers the identity, and marginals there are 0.
+0 and makes backpointers the identity, and marginals there are 0. Scores
+for a chain's first and last labels are unary scores at its first and
+last positions; ``compute_potentials`` adds them there.
 Decoding, the attention export, the oracle suites and the synthetic
 reference decoder call the engine directly. Training reaches it through
 two tape ops, one record each:
 
 * ``chain_nll``: logZ minus the gold path's score per chain, the label
-  chain's loss. Its backward is expected minus observed counts: the node,
-  edge and boundary marginals minus the gold path's indicators (Lafferty
-  et al. 2001).
+  chain's loss. Its backward is expected minus observed counts: the node
+  and edge marginals minus the gold path's indicators (Lafferty et al.
+  2001).
 * ``chain_marginals``: node marginals, for the selection layer. Its
   backward is the exact Hessian-vector product of logZ, one forward-mode
   pass over the same alpha/beta tables in O(n Y^2).
@@ -39,44 +40,31 @@ def _logsumexp(a, axis):
     return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 
-def _checked(unary, transition, start, stop, ndim):
+def _checked(unary, transition, ndim):
     """float64 views of chain scores after shape and finiteness checks."""
-    unary, transition, start, stop = (
-        None if a is None else np.asarray(a, dtype=np.float64)
-        for a in (unary, transition, start, stop)
-    )
+    unary, transition = np.asarray(unary, dtype=np.float64), np.asarray(transition, dtype=np.float64)
     if unary.ndim != ndim or unary.shape[-2] < 1:
         layout = "(n, Y)" if ndim == 2 else "(B, n, Y)"
         raise ValueError(f"unary must be {layout} with n >= 1, got {unary.shape}")
     n_labels = unary.shape[-1]
     if transition.shape != (n_labels, n_labels):
         raise ValueError(f"transition shape {transition.shape} does not match {n_labels} labels")
-    for name, vec in (("start", start), ("stop", stop)):
-        if vec is not None and vec.shape != (n_labels,):
-            raise ValueError(f"{name} must have shape ({n_labels},), got {vec.shape}")
-    for arr in (unary, transition, start, stop):
-        if arr is not None and not np.isfinite(arr).all():
-            raise ValueError("potentials must be finite")
-    return unary, transition, start, stop
+    if not (np.isfinite(unary).all() and np.isfinite(transition).all()):
+        raise ValueError("potentials must be finite")
+    return unary, transition
 
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Chain scores of one conversation: unary (n x Y), transition (Y x Y).
-
-    Optional start/stop vectors add boundary scores at the first and last
-    positions. All entries must be finite.
-    """
+    """Chain scores of one conversation: unary (n x Y), transition (Y x Y), all finite."""
 
     unary: np.ndarray
     transition: np.ndarray
-    start: np.ndarray | None = None
-    stop: np.ndarray | None = None
 
     def __post_init__(self):
-        checked = _checked(self.unary, self.transition, self.start, self.stop, ndim=2)
-        for name, value in zip(("unary", "transition", "start", "stop"), checked):
-            object.__setattr__(self, name, value)
+        unary, transition = _checked(self.unary, self.transition, ndim=2)
+        object.__setattr__(self, "unary", unary)
+        object.__setattr__(self, "transition", transition)
 
 
 @dataclass(frozen=True)
@@ -101,17 +89,12 @@ def _live(lengths, b, n):
     return lengths, np.arange(n) < lengths[:, None]
 
 
-def _chain(unary, transition, start, stop, lengths):
-    """Checked (B, N, Y) unaries with boundaries folded in (padding zeroed), transition, live mask."""
-    unary, transition, start, stop = _checked(unary, transition, start, stop, ndim=3)
-    b, n, _ = unary.shape
-    lengths, live = _live(lengths, b, n)
-    if start is not None or stop is not None or not live.all():
+def _chain(unary, transition, lengths):
+    """Checked (B, N, Y) unaries (padding zeroed), transition and live mask."""
+    unary, transition = _checked(unary, transition, ndim=3)
+    _, live = _live(lengths, *unary.shape[:2])
+    if not live.all():
         unary = np.where(live[..., None], unary, 0.0)
-        if start is not None:
-            unary[:, 0] += start
-        if stop is not None:
-            unary[np.arange(b), lengths - 1] += stop
     return unary, transition, live
 
 
@@ -142,17 +125,17 @@ def _marginals(unary, transition, live, alpha, beta, logz):
     return MarginalSet(node=node, edge=edge, logZ=logz)
 
 
-def forward_backward(unary, transition, start=None, stop=None, lengths=None):
+def forward_backward(unary, transition, lengths=None):
     """Node and edge marginals plus logZ of each chain in a batch.
 
-    unary (B, N, Y), transition (Y, Y), start/stop (Y,) or None; all
-    finite numpy arrays; lengths (B,) in [1, N]. Returns a :class:`MarginalSet`.
+    unary (B, N, Y) and transition (Y, Y), finite numpy arrays; lengths
+    (B,) in [1, N]. Returns a :class:`MarginalSet`.
     """
-    unary, transition, live = _chain(unary, transition, start, stop, lengths)
+    unary, transition, live = _chain(unary, transition, lengths)
     return _marginals(unary, transition, live, *_alpha_beta(unary, transition, live))
 
 
-def viterbi_decode(unary, transition, start=None, stop=None, lengths=None):
+def viterbi_decode(unary, transition, lengths=None):
     """Exact argmax paths (B, N) int64 and their scores (B,) for a chain batch.
 
     Arguments as for :func:`forward_backward`; a path repeats its last
@@ -160,7 +143,7 @@ def viterbi_decode(unary, transition, start=None, stop=None, lengths=None):
     takes the first maximum), keeping decodes deterministic across
     platforms.
     """
-    unary, transition, live = _chain(unary, transition, start, stop, lengths)
+    unary, transition, live = _chain(unary, transition, lengths)
     b, n, k = unary.shape
     back = np.zeros(unary.shape, dtype=np.int64)
     score = unary[:, 0]
@@ -183,33 +166,25 @@ def viterbi_decode(unary, transition, start=None, stop=None, lengths=None):
 # ---------------------------------------------------------------------------
 
 
-def chain_nll(unary, transition, gold, start=None, stop=None, lengths=None):
+def chain_nll(unary, transition, gold, lengths=None):
     """Differentiable negative log-likelihood logZ - score(gold) (B,) of a chain batch, one tape record.
 
     unary: tensor (B, N, Y); transition: tensor (Y, Y); gold: (B, N) ints,
-    ignored past each length; start/stop: optional tensors (Y,); lengths as
-    for :func:`forward_backward`. The backward is expected minus observed
-    counts: node, summed edge and boundary marginals minus the gold path's
-    indicators.
+    ignored past each length; lengths as for :func:`forward_backward`. The
+    backward is expected minus observed counts: node and summed edge
+    marginals minus the gold path's indicators.
     """
-    marg = forward_backward(
-        unary.data, transition.data, *(None if v is None else v.data for v in (start, stop)), lengths
-    )
+    marg = forward_backward(unary.data, transition.data, lengths)
     b, n, k = unary.shape
     gold = np.asarray(gold, dtype=np.int64)
     if gold.shape != (b, n):
         raise ValueError(f"gold shape {gold.shape} does not match unary {unary.shape}")
-    lengths, live = _live(lengths, b, n)
+    _, live = _live(lengths, b, n)
     if gold[live].min() < 0 or gold[live].max() >= k:
         raise IndexError(f"gold label out of range [0, {k})")
     gold = np.where(live, gold, 0)
-    rows, last = np.arange(b), lengths - 1
     score = (np.take_along_axis(unary.data, gold[..., None], axis=2)[..., 0] * live).sum(axis=1)
     score = score + (transition.data[gold[:, :-1], gold[:, 1:]] * live[:, 1:]).sum(axis=1)
-    ends = ((start, marg.node[:, 0], gold[:, 0]), (stop, marg.node[rows, last], gold[rows, last]))
-    for vec, _, labels in ends:
-        if vec is not None:
-            score = score + vec.data[labels]
 
     def bwd(g):
         if unary.requires_grad:
@@ -221,13 +196,8 @@ def chain_nll(unary, transition, gold, start=None, stop=None, lengths=None):
             pairs = gold[:, :-1] * k + gold[:, 1:]
             transition.accumulate_grad(ag.scatter_add(pairs, -g[:, None] * live[:, 1:], k * k).reshape(k, k))
             transition.accumulate_grad(np.tensordot(g, marg.edge.sum(axis=1), axes=1))
-        for vec, node, labels in ends:
-            if vec is not None and vec.requires_grad:
-                vec.accumulate_grad(ag.scatter_add(labels, -g, k))
-                vec.accumulate_grad(g @ node)
 
-    inputs = tuple(v for v in (unary, transition, start, stop) if v is not None)
-    return ag.record("chain_nll", inputs, marg.logZ - score, bwd)
+    return ag.record("chain_nll", (unary, transition), marg.logZ - score, bwd)
 
 
 def chain_marginals(unary, transition, lengths=None):
@@ -240,7 +210,7 @@ def chain_marginals(unary, transition, lengths=None):
     part (da) and right part (db) given y_t; see Kim et al. 2017,
     "Structured Attention Networks". Conditionals across a chain's end are 0.
     """
-    u, trans, live = _chain(unary.data, transition.data, None, None, lengths)
+    u, trans, live = _chain(unary.data, transition.data, lengths)
     alpha, beta, logz = _alpha_beta(u, trans, live)
     marg = _marginals(u, trans, live, alpha, beta, logz)
 
@@ -306,7 +276,7 @@ def selection_attention(finals, params, lengths=None):
 # ---------------------------------------------------------------------------
 
 
-def compute_potentials(finals, context, params):
+def compute_potentials(finals, context, params, lengths):
     """Unary and transition scores for the label chain, on the tape.
 
     unary[b, i, y] combines an act-embedding dot product with a one-hidden-
@@ -317,9 +287,10 @@ def compute_potentials(finals, context, params):
 
     params: name -> tensor mapping holding ``crf.act_emb`` (Y, d),
     ``crf.emit_wu`` (d, h), ``crf.emit_wc`` (d, h), ``crf.emit_b`` (h,),
-    ``crf.emit_wout`` (h, Y) and ``crf.trans`` (Y, Y). The optional
-    boundary vectors ``crf.start``/``crf.stop`` are read by the caller.
-    Returns (unary (B, n, Y), transition).
+    ``crf.emit_wout`` (h, Y) and ``crf.trans`` (Y, Y). When ``params``
+    also holds the boundary vectors ``crf.start``/``crf.stop`` (Y,), they
+    are added to each chain's first and last rows, as given by ``lengths``
+    (B,). Returns (unary (B, n, Y), transition).
     """
     b, n, d = finals.shape
     act_dot = ag.matmul(finals, ag.transpose_last(params["crf.act_emb"]))
@@ -328,4 +299,10 @@ def compute_potentials(finals, context, params):
         ag.add(ag.add(ag.matmul(finals, params["crf.emit_wu"]), ctx_part), params["crf.emit_b"])
     )
     unary = ag.add(act_dot, ag.matmul(hidden, params["crf.emit_wout"]))
+    lengths, _ = _live(lengths, b, n)
+    position = np.arange(n)[:, None]
+    for name, at in (("crf.start", np.zeros(b, dtype=np.int64)), ("crf.stop", lengths - 1)):
+        if name in params:
+            mask = (position == at[:, None, None]).astype(np.float64)  # (B, n, 1), 1 at each chain's row
+            unary = ag.add(unary, ag.mul(mask, params[name]))
     return unary, params["crf.trans"]

@@ -83,7 +83,6 @@ class BatchArrays:
     first occurrence, and ``types[m]`` is token m's type row.
     """
 
-    conv_ids: list
     utt_counts: np.ndarray  # (B,) utterances per conversation
     lengths: np.ndarray  # (S,) tokens per utterance, S = utt_counts.sum()
     types: np.ndarray  # (M,) type row of each token
@@ -91,10 +90,6 @@ class BatchArrays:
     char: np.ndarray  # (U, L), PAD after each type's characters
     pos: np.ndarray  # (M,)
     ner: np.ndarray  # (M,)
-
-    @property
-    def size(self):
-        return len(self.conv_ids)
 
 
 def prepare_batch(conversations, vocab, min_char_len=4):
@@ -112,7 +107,6 @@ def prepare_batch(conversations, vocab, min_char_len=4):
     for row, surface in enumerate(type_rows):
         char[row, : len(surface)] = [vocab.char_id(ch) for ch in surface]
     return BatchArrays(
-        conv_ids=[c.id for c in conversations],
         utt_counts=np.array([len(c) for c in conversations], dtype=np.int64),
         lengths=np.array([len(u.tokens) for u in utterances], dtype=np.int64),
         types=np.array(types, dtype=np.int64),

@@ -76,7 +76,7 @@ class DialogueActModel:
         rate = self.cfg.dropout if train else 0.0
         finals = ag.dropout(enc.final, rate, rng, train)
         selection = crf.selection_attention(finals, params, batch.utt_counts)
-        unary, trans = crf.compute_potentials(finals, selection.context, params)
+        unary, trans = crf.compute_potentials(finals, selection.context, params, batch.utt_counts)
         return unary, trans, selection, enc
 
     def loss(self, conversations, train=True, rng=None):
@@ -92,7 +92,6 @@ class DialogueActModel:
         if train and rng is None:
             raise ValueError("training-mode loss needs an rng for dropout")
         params = self.registry.params
-        start, stop = params.get("crf.start"), params.get("crf.stop")
         batch = encoder.prepare_batch(conversations, self.vocab)
         lengths = batch.utt_counts
         gold_ids = np.zeros((len(conversations), lengths.max()), dtype=np.int64)
@@ -100,7 +99,7 @@ class DialogueActModel:
             self.vocab.act_id(a) for c in conversations for a in c.acts
         ]
         unary, trans, _, _ = self.forward(batch, params, train=train, rng=rng)
-        nll = ag.reduce_sum(crf.chain_nll(unary, trans, gold_ids, start=start, stop=stop, lengths=lengths))
+        nll = ag.reduce_sum(crf.chain_nll(unary, trans, gold_ids, lengths))
         if self.cfg.l2 > 0.0:
             nll = ag.add(nll, ag.l2_penalty(list(params.values()), self.cfg.l2))
         return nll
@@ -123,20 +122,20 @@ class DialogueActModel:
         ``weights`` maps checkpoint names to arrays (e.g. ``registry.ema``);
         by default the current weights are used. Either way the forward runs
         on grad-free tensors over those arrays, so it records nothing on any
-        live tape. Returns ((unary (B, N, Y), transition, start, stop,
-        lengths (B,)), selection, encoded): scores are the engine's arguments.
+        live tape. Returns ((unary (B, N, Y), transition, lengths (B,)),
+        selection, encoded): scores are the engine's arguments, and unary
+        includes any ``crf.start``/``crf.stop`` boundary scores.
         """
         weights = self._snapshot(weights)
         params = {name: ag.Tensor(value) for name, value in weights.items()}
         batch = encoder.prepare_batch(conversations, self.vocab)
         unary, trans, selection, enc = self.forward(batch, params)
-        start, stop = weights.get("crf.start"), weights.get("crf.stop")
-        return (unary.data, trans.data, start, stop, batch.utt_counts), selection, enc
+        return (unary.data, trans.data, batch.utt_counts), selection, enc
 
     def potential_tables(self, conversations):
         """Per-conversation PotentialTables, cropped to each length, sharing one transition table."""
-        (unary, trans, start, stop, lengths), selection, enc = self.chain_scores(conversations)
-        tables = [crf.PotentialTable(u[:n], trans, start, stop) for u, n in zip(unary, lengths)]
+        (unary, trans, lengths), selection, enc = self.chain_scores(conversations)
+        tables = [crf.PotentialTable(u[:n], trans) for u, n in zip(unary, lengths)]
         return tables, selection, enc
 
     def decode(self, conversations, weights=None):

@@ -30,10 +30,6 @@ def enumerate_chain(pot):
     for i, seq in enumerate(seqs):
         s = sum(pot.unary[t, y] for t, y in enumerate(seq))
         s += sum(pot.transition[seq[t], seq[t + 1]] for t in range(n - 1))
-        if pot.start is not None:
-            s += pot.start[seq[0]]
-        if pot.stop is not None:
-            s += pot.stop[seq[-1]]
         scores[i] = s
     m = scores.max()
     logz = m + np.log(np.exp(scores - m).sum())
@@ -71,14 +67,10 @@ def enumerate_selection_gamma(unary, pairwise):
     return gamma
 
 
-def random_potentials(rng, n, n_labels, scale=2.0, with_boundary=False):
-    start = rng.normal(0.0, scale, size=n_labels) if with_boundary else None
-    stop = rng.normal(0.0, scale, size=n_labels) if with_boundary else None
+def random_potentials(rng, n, n_labels, scale=2.0):
     return crf.PotentialTable(
         unary=rng.normal(0.0, scale, size=(n, n_labels)),
         transition=rng.normal(0.0, scale, size=(n_labels, n_labels)),
-        start=start,
-        stop=stop,
     )
 
 
@@ -113,10 +105,10 @@ def chain_oracle_suite(trials=200, max_n=6, max_labels=4, seed=0, tol=1e-9):
     for trial in range(trials):
         n = int(rng.integers(1, max_n + 1))
         k = int(rng.integers(2, max_labels + 1))
-        pot = random_potentials(rng, n, k, with_boundary=bool(rng.integers(0, 2)))
+        pot = random_potentials(rng, n, k)
         logz_ref, node_ref, edge_ref, path_ref, score_ref = enumerate_chain(pot)
 
-        chain = (pot.unary[None], pot.transition, pot.start, pot.stop)
+        chain = (pot.unary[None], pot.transition)
         marg = crf.forward_backward(*chain)
         err = abs(marg.logZ[0] - logz_ref)
         err = max(err, float(np.abs(marg.node[0] - node_ref).max()))

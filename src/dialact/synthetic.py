@@ -150,7 +150,7 @@ class GeneratorModel:
         object.__setattr__(self, "emission_log_probs", logs)
 
     def potentials_for(self, conv):
-        """Chain potentials whose Viterbi path is the MAP act sequence."""
+        """Chain potentials whose Viterbi path is the MAP act sequence; row 0 holds log p(first act)."""
         k = len(self.act_names)
         unary = np.empty((len(conv), k))
         for t, utt in enumerate(conv.utterances):
@@ -159,11 +159,12 @@ class GeneratorModel:
         with np.errstate(divide="ignore"):
             log_trans = np.where(self.transition > 0, np.log(np.maximum(self.transition, 1e-300)), LOG_ZERO)
             log_init = np.where(self.initial > 0, np.log(np.maximum(self.initial, 1e-300)), LOG_ZERO)
-        return crf.PotentialTable(unary=unary, transition=log_trans, start=log_init)
+        unary[0] += log_init
+        return crf.PotentialTable(unary=unary, transition=log_trans)
 
     def viterbi_acts(self, conv):
         pot = self.potentials_for(conv)
-        paths, _ = crf.viterbi_decode(pot.unary[None], pot.transition, pot.start, pot.stop)
+        paths, _ = crf.viterbi_decode(pot.unary[None], pot.transition)
         return [self.act_names[y] for y in paths[0]]
 
     def decode_accuracy(self, conversations):

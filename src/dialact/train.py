@@ -192,9 +192,10 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
         raise TranscriptError("training corpus is empty")
     if not valid_convs:
         raise TranscriptError("validation corpus is empty")
-    for conv in train_convs:
-        if not conv.fully_labeled():
-            raise TranscriptError(f"training conversation {conv.id!r} has unlabeled utterances")
+    for split, convs in (("training", train_convs), ("validation", valid_convs)):
+        for conv in convs:
+            if not conv.fully_labeled():
+                raise TranscriptError(f"{split} conversation {conv.id!r} has unlabeled utterances")
 
     vocab = build_vocab(train_convs, min_count=cfg.min_count)
     rng = np.random.default_rng(cfg.seed)

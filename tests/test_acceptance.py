@@ -121,8 +121,7 @@ def test_criterion_4_synthetic_end_to_end():
 
     cfg = TrainConfig(d=64, d_u=32, lr=0.05, ema_decay=0.9, max_epochs=30, patience=5, seed=11)
     model, best_state, history = train_loop(train_c, valid_c, cfg)
-    model.registry.load_state_dict(best_state)
-    model_acc = model.accuracy(test_c)
+    model_acc = model.accuracy(test_c, weights=best_state)
     elapsed = time.perf_counter() - t0
 
     beats_majority = model_acc >= majority_acc + 0.20

@@ -1,6 +1,7 @@
 """End-to-end command flows, determinism, exit codes, format closure."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -425,3 +426,92 @@ def test_any_sidecar_field_replaced_by_json_exits_zero_or_two(tiny, capsys, data
     err = capsys.readouterr().err
     assert code in (0, 2)
     assert err.count("\n") == (code == 2), err
+
+
+def test_train_with_unlabeled_validation_exits_two_in_one_line(tmp_path, capsys):
+    labeled = tmp_path / "train.jsonl"
+    labeled.write_text('{"id":"t","utterances":[{"tokens":["hi"],"act":"a"},{"tokens":["ok"],"act":"b"}]}\n',
+                       encoding="utf-8")
+    unlabeled = tmp_path / "valid.jsonl"
+    unlabeled.write_text('{"id":"v","utterances":[{"tokens":["hi"]},{"tokens":["ok"]}]}\n', encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    code = run_cli("train", "--train", str(labeled), "--valid", str(unlabeled), "--checkpoint", str(ckpt), "--quiet")
+    err = capsys.readouterr().err
+    assert code == 2 and not ckpt.exists()
+    assert err.count("\n") == 1 and "validation conversation 'v' has unlabeled utterances" in err, err
+
+
+TINY_TRAIN_CFG = (
+    "d = 2\nd_u = 1\nd_c = 1\nd_p = 1\nd_n = 1\nword_dim = 1\nchar_out = 3\nattn_dim = 1\nemit_dim = 1\nmax_epochs = 1\n"
+)
+TRANSCRIPT = {"id": "c", "utterances": [
+    {"speaker": "A", "tokens": ["hi", "there"], "pos": ["UH", "RB"], "ner": ["O", "O"], "act": "a"},
+    {"speaker": "B", "tokens": ["ok"], "act": "b"},
+]}
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_transcript_field_replaced_by_json_exits_zero_or_two(tiny, capsys, data):
+    directory, _, _ = tiny
+    utterance_keys = [("utterances", 0, key) for key in TRANSCRIPT["utterances"][0]]
+    paths = [("id",), ("utterances",), ("utterances", 1), *utterance_keys, ("utterances", 0, "tokens", 1)]
+    *parents, last = data.draw(st.sampled_from(paths), label="field")
+    obj = json.loads(json.dumps(TRANSCRIPT))
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(JSON_VALUES, label="value")
+    path = directory / "fuzzed.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    command = data.draw(st.sampled_from(["train", "eval", "predict"]), label="command")
+    if command == "train":  # on the transcript itself, with a tiny config
+        cfg = directory / "tiny.cfg"
+        cfg.write_text(TINY_TRAIN_CFG, encoding="utf-8")
+        argv = ["--train", str(path), "--valid", str(path), "--checkpoint", str(directory / "fuzzed.ckpt"),
+                "--config", str(cfg), "--quiet"]
+    else:
+        argv = ["--checkpoint", str(directory / "tiny.ckpt"), "--test", str(path), "--out", str(directory / "out")]
+    code = run_cli(command, *argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2), err
+
+
+# a key = value line of a known key and a drawn value, or free text
+CONFIG_VALUES = st.integers(-1000, 1000).map(str) | st.floats().map(repr) | st.text(max_size=6) | st.sampled_from(
+    ["true", "no", "1e3", "0.5", "-0", "nan", "inf", ""]
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_line_replaced_by_text_exits_zero_or_two(tiny, capsys, data):
+    directory, _, _ = tiny
+    lines = TINY_TRAIN_CFG.splitlines()
+    keys = sorted(f.name for f in fields(TrainConfig))
+    known = st.builds("{} = {}".format, st.sampled_from(keys), CONFIG_VALUES)
+    lines[data.draw(st.integers(0, len(lines) - 1), label="line")] = data.draw(known | st.text(), label="text")
+    data_path = directory / "labeled.jsonl"
+    data_path.write_text(json.dumps(TRANSCRIPT) + "\n", encoding="utf-8")
+    cfg = directory / "fuzzed.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run_cli("train", "--train", str(data_path), "--valid", str(data_path),
+                   "--checkpoint", str(directory / "fuzzed.ckpt"), "--config", str(cfg), "--quiet")
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2), err
+
+
+@pytest.mark.parametrize("line", ["lr = 1e308", "l2 = 1e300"])
+def test_training_overflow_exits_two_in_one_line(tmp_path, capsys, line):
+    data = tmp_path / "labeled.jsonl"
+    data.write_text(json.dumps(TRANSCRIPT) + "\n", encoding="utf-8")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TINY_TRAIN_CFG + line + "\n", encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    code = run_cli("train", "--train", str(data), "--valid", str(data), "--checkpoint", str(ckpt),
+                   "--config", str(cfg), "--quiet")
+    err = capsys.readouterr().err
+    assert code == 2 and not ckpt.exists()
+    assert err.count("\n") == 1 and "overflow encountered" in err, err

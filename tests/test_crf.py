@@ -1,6 +1,7 @@
 """Chain inference vs enumeration, selection layer, potential construction."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,13 +26,9 @@ from dialact.train import TrainConfig, adagrad_step
 from helpers import same_char_width
 
 
-def random_pot(rng, n, k, boundary=False):
-    return oracles.random_potentials(rng, n, k, with_boundary=boundary)
-
-
 def fb(pot):
     """Engine marginals of one table, as a batch of one."""
-    return forward_backward(pot.unary[None], pot.transition, pot.start, pot.stop)
+    return forward_backward(pot.unary[None], pot.transition)
 
 
 def log_partition(pot):
@@ -39,14 +36,13 @@ def log_partition(pot):
 
 
 def viterbi(pot):
-    paths, scores = viterbi_decode(pot.unary[None], pot.transition, pot.start, pot.stop)
+    paths, scores = viterbi_decode(pot.unary[None], pot.transition)
     return paths[0].tolist(), float(scores[0])
 
 
 def sequence_log_prob(pot, labels):
     """log p(labels) = gold score - logZ, the negated tape op."""
-    bounds = (None if v is None else ag.Tensor(v) for v in (pot.start, pot.stop))
-    return -float(chain_nll(ag.Tensor(pot.unary[None]), ag.Tensor(pot.transition), [labels], *bounds).data[0])
+    return -float(chain_nll(ag.Tensor(pot.unary[None]), ag.Tensor(pot.transition), [labels]).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +67,8 @@ def test_log_partition_factorizes_without_transitions():
 
 def test_log_partition_matches_enumeration():
     rng = np.random.default_rng(1)
-    for boundary in (False, True):
-        pot = random_pot(rng, 5, 4, boundary)
+    for n in (1, 5):
+        pot = oracles.random_potentials(rng, n, 4)
         logz_ref, *_ = oracles.enumerate_chain(pot)
         assert abs(log_partition(pot) - logz_ref) < 1e-9
 
@@ -109,7 +105,7 @@ def test_marginals_fully_symmetric_case():
 
 def test_marginals_match_enumeration():
     rng = np.random.default_rng(3)
-    pot = random_pot(rng, 6, 3)
+    pot = oracles.random_potentials(rng, 6, 3)
     logz_ref, node_ref, edge_ref, *_ = oracles.enumerate_chain(pot)
     marg = fb(pot)
     assert abs(marg.logZ[0] - logz_ref) < 1e-9
@@ -120,8 +116,7 @@ def test_marginals_match_enumeration():
 def test_marginal_normalization_and_consistency():
     rng = np.random.default_rng(4)
     for _ in range(25):
-        pot = random_pot(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)),
-                         boundary=bool(rng.integers(0, 2)))
+        pot = oracles.random_potentials(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)))
         marg = fb(pot)
         node, edge = marg.node[0], marg.edge[0]
         assert np.abs(node.sum(axis=1) - 1.0).max() < 1e-9
@@ -150,7 +145,7 @@ def test_sequence_log_prob_uniform_two_state():
 
 def test_sequence_probabilities_normalize():
     rng = np.random.default_rng(5)
-    pot = random_pot(rng, 4, 3)
+    pot = oracles.random_potentials(rng, 4, 3)
     total = sum(
         np.exp(sequence_log_prob(pot, seq))
         for seq in itertools.product(range(3), repeat=4)
@@ -160,7 +155,7 @@ def test_sequence_probabilities_normalize():
 
 def test_sequence_log_prob_never_positive_and_viterbi_dominates():
     rng = np.random.default_rng(6)
-    pot = random_pot(rng, 5, 4)
+    pot = oracles.random_potentials(rng, 5, 4)
     path, _ = viterbi(pot)
     best = sequence_log_prob(pot, path)
     assert best <= 0.0
@@ -205,8 +200,8 @@ def test_viterbi_alternates_under_repeat_penalty():
 
 def test_viterbi_matches_enumeration():
     rng = np.random.default_rng(8)
-    for boundary in (False, True):
-        pot = random_pot(rng, 6, 4, boundary)
+    for n in (1, 6):
+        pot = oracles.random_potentials(rng, n, 4)
         *_, path_ref, score_ref = oracles.enumerate_chain(pot)
         path, score = viterbi(pot)
         assert path == path_ref
@@ -221,7 +216,7 @@ def test_viterbi_ties_break_low():
 
 def test_unary_shift_invariance():
     rng = np.random.default_rng(9)
-    pot = random_pot(rng, 5, 3)
+    pot = oracles.random_potentials(rng, 5, 3)
     shift = 1.7
     shifted = PotentialTable(unary=pot.unary + shift, transition=pot.transition)
     assert viterbi(shifted)[0] == viterbi(pot)[0]
@@ -297,25 +292,22 @@ def test_chain_marginals_match_forward_backward():
 
 @st.composite
 def chain_batches(draw):
-    """(unary (B, n, Y), transition, start, stop) with boundaries on or off."""
+    """(unary (B, n, Y), transition)."""
     b = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     k = draw(st.integers(2, 4))
-    boundary = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    start = rng.normal(0.0, 2.0, k) if boundary else None
-    stop = rng.normal(0.0, 2.0, k) if boundary else None
-    return rng.normal(0.0, 2.0, (b, n, k)), rng.normal(0.0, 2.0, (k, k)), start, stop
+    return rng.normal(0.0, 2.0, (b, n, k)), rng.normal(0.0, 2.0, (k, k))
 
 
 @settings(max_examples=40, deadline=None)
 @given(chain_batches())
 def test_engine_matches_enumeration_per_conversation(chain):
-    unary, trans, start, stop = chain
+    unary, trans = chain
     marg = forward_backward(*chain)
     paths, scores = viterbi_decode(*chain)
     for b in range(unary.shape[0]):
-        pot = PotentialTable(unary=unary[b], transition=trans, start=start, stop=stop)
+        pot = PotentialTable(unary=unary[b], transition=trans)
         logz_ref, node_ref, edge_ref, path_ref, score_ref = oracles.enumerate_chain(pot)
         assert abs(marg.logZ[b] - logz_ref) < 1e-9
         assert np.abs(marg.node[b] - node_ref).max() < 1e-9
@@ -328,10 +320,10 @@ def test_engine_matches_enumeration_per_conversation(chain):
 @settings(max_examples=40, deadline=None)
 @given(chain_batches())
 def test_batched_viterbi_equals_one_row_at_a_time(chain):
-    unary, trans, start, stop = chain
+    unary, trans = chain
     paths, scores = viterbi_decode(*chain)
     for b in range(unary.shape[0]):
-        row_paths, row_scores = viterbi_decode(unary[b : b + 1], trans, start, stop)
+        row_paths, row_scores = viterbi_decode(unary[b : b + 1], trans)
         assert np.array_equal(paths[b], row_paths[0])
         assert scores[b] == row_scores[0]
 
@@ -339,7 +331,7 @@ def test_batched_viterbi_equals_one_row_at_a_time(chain):
 @settings(max_examples=40, deadline=None)
 @given(chain_batches(), st.integers(0, 2**32 - 1))
 def test_chain_marginals_backward_is_enumeration_covariance(chain, seed):
-    unary, trans, _, _ = chain
+    unary, trans = chain
     b, n, k = unary.shape
     g = np.random.default_rng(seed).normal(size=unary.shape)
     ut = ag.Tensor(unary, requires_grad=True)
@@ -370,12 +362,10 @@ def test_fused_chain_ops_pass_grad_check(n):
     reg = ag.ParamRegistry()
     unary = reg.add("unary", rng.normal(size=(3, n, 3)))
     trans = reg.add("trans", rng.normal(size=(3, 3)))
-    start = reg.add("start", rng.normal(size=3))
-    stop = reg.add("stop", rng.normal(size=3))
     weights = rng.normal(size=(3, n, 3))
     gold, scale = rng.integers(0, 3, size=(3, n)), rng.normal(size=3)
     for closure in (
-        lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold, start=start, stop=stop), scale)),
+        lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold), scale)),
         lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans), weights)),
     ):
         report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
@@ -389,23 +379,20 @@ def test_fused_chain_ops_pass_grad_check(n):
 
 @st.composite
 def mixed_chain_batches(draw):
-    """(unary (B, N, Y), transition, start, stop, lengths): chains 1..6 long, noise past each end."""
+    """(unary (B, N, Y), transition, lengths): chains 1..6 long, noise past each end."""
     b = draw(st.integers(1, 4))
     lengths = np.array(draw(st.lists(st.integers(1, 6), min_size=b, max_size=b)))
     k = draw(st.integers(2, 4))
-    boundary = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     unary = rng.normal(0.0, 2.0, (b, lengths.max(), k))
     pad = np.arange(lengths.max()) >= lengths[:, None]
     unary[pad] = rng.uniform(-50.0, 50.0, (pad.sum(), k))
-    start = rng.normal(0.0, 2.0, k) if boundary else None
-    stop = rng.normal(0.0, 2.0, k) if boundary else None
-    return unary, rng.normal(0.0, 2.0, (k, k)), start, stop, lengths
+    return unary, rng.normal(0.0, 2.0, (k, k)), lengths
 
 
 def cropped(chain, b):
-    unary, trans, start, stop, lengths = chain
-    return PotentialTable(unary=unary[b, : lengths[b]], transition=trans, start=start, stop=stop)
+    unary, trans, lengths = chain
+    return PotentialTable(unary=unary[b, : lengths[b]], transition=trans)
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,7 +415,7 @@ def test_mixed_length_engine_matches_enumeration_per_chain(chain):
 @settings(max_examples=40, deadline=None)
 @given(mixed_chain_batches(), st.integers(0, 2**32 - 1))
 def test_mixed_length_marginals_backward_is_enumeration_covariance(chain, seed):
-    unary, trans, _, _, lengths = chain
+    unary, trans, lengths = chain
     k = unary.shape[2]
     g = np.random.default_rng(seed).normal(size=unary.shape)
     ut = ag.Tensor(unary, requires_grad=True)
@@ -455,26 +442,24 @@ def test_mixed_length_marginals_backward_is_enumeration_covariance(chain, seed):
 
 def chain_outputs(chain, g, gold):
     """Every engine output and every tape-op gradient of one mixed batch."""
-    unary, trans, start, stop, lengths = chain
-    tensors = [ag.Tensor(a, requires_grad=True) for a in (unary, trans, start, stop) if a is not None]
-    ut, tt, *bounds = tensors
-    st_, sp = bounds if bounds else (None, None)
+    unary, trans, lengths = chain
+    ut, tt = ag.Tensor(unary, requires_grad=True), ag.Tensor(trans, requires_grad=True)
     with ag.Tape() as tape:
-        nll = chain_nll(ut, tt, gold, st_, sp, lengths)
+        nll = chain_nll(ut, tt, gold, lengths)
         node = chain_marginals(ut, tt, lengths)
         loss = ag.add(ag.reduce_sum(nll), ag.reduce_sum(ag.mul(node, g)))
     tape.backward(loss)
     marg = forward_backward(*chain)
     return [
         marg.logZ, marg.node, marg.edge, *viterbi_decode(*chain), nll.data, node.data,
-        *(t.grad for t in tensors),
+        ut.grad, tt.grad,
     ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(mixed_chain_batches(), st.integers(0, 2**32 - 1))
 def test_padded_unary_values_change_no_output_or_gradient(chain, seed):
-    unary, trans, start, stop, lengths = chain
+    unary, trans, lengths = chain
     rng = np.random.default_rng(seed)
     g = rng.normal(size=unary.shape)
     gold = rng.integers(0, unary.shape[2], size=unary.shape[:2])
@@ -482,7 +467,7 @@ def test_padded_unary_values_change_no_output_or_gradient(chain, seed):
     pad = np.arange(unary.shape[1]) >= lengths[:, None]
     noisy[pad] = rng.uniform(-50.0, 50.0, (pad.sum(), unary.shape[2]))
     for got, want in zip(
-        chain_outputs((noisy, trans, start, stop, lengths), g, gold), chain_outputs(chain, g, gold)
+        chain_outputs((noisy, trans, lengths), g, gold), chain_outputs(chain, g, gold)
     ):
         assert np.array_equal(got, want)
 
@@ -507,13 +492,11 @@ def test_fused_chain_ops_pass_grad_check_on_mixed_lengths():
     reg = ag.ParamRegistry()
     unary = reg.add("unary", rng.normal(size=(4, 4, 3)))
     trans = reg.add("trans", rng.normal(size=(3, 3)))
-    start = reg.add("start", rng.normal(size=3))
-    stop = reg.add("stop", rng.normal(size=3))
     weights = rng.normal(size=(4, 4, 3))
     gold = rng.integers(0, 3, size=(4, 4))
     scale = rng.normal(size=4)
     for closure in (
-        lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold, start, stop, lengths), scale)),
+        lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold, lengths), scale)),
         lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans, lengths), weights)),
     ):
         report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
@@ -523,15 +506,15 @@ def test_fused_chain_ops_pass_grad_check_on_mixed_lengths():
 def test_gold_score_of_mixed_lengths_sums_each_chain_to_its_end():
     rng = np.random.default_rng(46)
     unary = rng.normal(size=(2, 4, 3))
-    trans, start, stop = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
+    trans = rng.normal(size=(3, 3))
     gold = rng.integers(0, 3, size=(2, 4))
     lengths = np.array([4, 2])
     gold[1, 2:] = [99, -1]  # past the chain's end: never read
-    nll = chain_nll(*(ag.Tensor(a) for a in (unary, trans)), gold, ag.Tensor(start), ag.Tensor(stop), lengths)
-    logz = forward_backward(unary, trans, start, stop, lengths).logZ
+    nll = chain_nll(ag.Tensor(unary), ag.Tensor(trans), gold, lengths)
+    logz = forward_backward(unary, trans, lengths).logZ
     for b, n in enumerate(lengths):
         y = gold[b, :n]
-        ref = unary[b, np.arange(n), y].sum() + trans[y[:-1], y[1:]].sum() + start[y[0]] + stop[y[-1]]
+        ref = unary[b, np.arange(n), y].sum() + trans[y[:-1], y[1:]].sum()
         assert logz[b] - nll.data[b] == pytest.approx(ref, abs=1e-12)
 
 
@@ -545,9 +528,8 @@ def test_each_fused_chain_op_is_one_record():
     rng = np.random.default_rng(44)
     unary = ag.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     trans = ag.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    start, stop = (ag.Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2))
     with ag.Tape() as tape:
-        chain_nll(unary, trans, rng.integers(0, 3, size=(2, 4)), start, stop)
+        chain_nll(unary, trans, rng.integers(0, 3, size=(2, 4)))
         chain_marginals(unary, trans)
     assert [r.op for r in tape.records] == ["chain_nll", "chain_marginals"]
 
@@ -632,7 +614,7 @@ def test_zero_parameters_give_zero_potentials():
     rng = np.random.default_rng(18)
     finals = ag.Tensor(rng.normal(size=(1, 3, 4)))
     ctx = ag.Tensor(rng.normal(size=(1, 4)))
-    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3, zero=True))
+    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3, zero=True), np.array([3]))
     assert np.array_equal(unary.data, np.zeros((1, 3, 3)))
     assert np.array_equal(trans.data, np.zeros((3, 3)))
 
@@ -641,7 +623,7 @@ def test_potential_shapes():
     rng = np.random.default_rng(19)
     finals = ag.Tensor(rng.normal(size=(1, 2, 4)))
     ctx = ag.Tensor(rng.normal(size=(1, 4)))
-    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3))
+    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3), np.array([2]))
     assert unary.shape == (1, 2, 3)
     assert trans.shape == (3, 3)
 
@@ -651,13 +633,49 @@ def test_act_embedding_perturbation_is_column_local():
     finals = ag.Tensor(rng.normal(size=(1, 4, 6)))
     ctx = ag.Tensor(rng.normal(size=(1, 6)))
     params = potential_weights(rng, 6, 5, 4)
-    base, _ = compute_potentials(finals, ctx, params)
+    base, _ = compute_potentials(finals, ctx, params, np.array([4]))
     params["crf.act_emb"].data[2] += 0.37
-    bumped, _ = compute_potentials(finals, ctx, params)
+    bumped, _ = compute_potentials(finals, ctx, params, np.array([4]))
     diff = bumped.data - base.data
     assert np.abs(diff[:, :, 2]).min() > 0.0
     untouched = np.delete(diff, 2, axis=2)
     assert np.abs(untouched).max() == 0.0
+
+
+def test_boundary_vectors_fold_into_each_chains_first_and_last_rows():
+    rng = np.random.default_rng(23)
+    lengths = np.array([3, 1, 2])
+    finals = ag.Tensor(rng.normal(size=(3, 3, 6)))
+    ctx = ag.Tensor(rng.normal(size=(3, 6)))
+    params = potential_weights(rng, 6, 5, 4)
+    start, stop = rng.normal(size=4), rng.normal(size=4)
+    plain, trans = compute_potentials(finals, ctx, params, lengths)
+    bounded = {**params, "crf.start": ag.Tensor(start), "crf.stop": ag.Tensor(stop)}
+    folded, folded_trans = compute_potentials(finals, ctx, bounded, lengths)
+    expected = plain.data.copy()
+    expected[:, 0] += start
+    expected[np.arange(3), lengths - 1] += stop
+    assert np.array_equal(folded.data, expected)
+    assert folded_trans is trans
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_full_model_with_boundaries_passes_grad_check_on_mixed_lengths(seed):
+    convs, _ = generate_synthetic(
+        default_spec(num_acts=3, self_transition=0.6, num_conversations=3, min_len=3, max_len=3, seed=seed)
+    )
+    convs = [replace(conv, utterances=conv.utterances[:n]) for conv, n in zip(convs, (3, 1, 2))]
+    cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4,
+                      emit_dim=4, dropout=0.0, boundary_potentials=True)
+    rng = np.random.default_rng(seed)
+    model = DialogueActModel(build_vocab(convs), cfg, rng=rng)
+    for name in ("crf.start", "crf.stop"):  # off their zero init, so each boundary term is visible
+        model.registry[name].data = rng.normal(size=model.registry[name].shape)
+    report = ag.grad_check(
+        lambda: model.loss(convs, train=False), model.registry, eps=1e-4, tol=1e-4, max_per_tensor=10, seed=seed
+    )
+    assert report.passed, report.summary()
+    assert {"crf.start", "crf.stop"} <= {name for name, _, _ in report.entries}
 
 
 def test_potential_tables_share_one_transition():
@@ -668,7 +686,7 @@ def test_potential_tables_share_one_transition():
                       emit_dim=4, boundary_potentials=True)
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(21))
     tables, _, _ = model.potential_tables(convs[:2])
-    (unary, trans, start, stop, lengths), _, _ = model.chain_scores(convs[:2])
+    (unary, trans, lengths), _, _ = model.chain_scores(convs[:2])
     assert len(tables) == 2 and lengths.tolist() == [3, 3]
     assert np.array_equal(tables[1].unary, unary[1])
     assert tables[0].transition is tables[1].transition
@@ -680,7 +698,6 @@ def test_potential_tables_share_one_transition():
     adagrad_step(model.registry, lr=0.1)
     assert not np.array_equal(model.registry["crf.trans"].data, before)
     assert np.array_equal(tables[0].transition, before)
-    assert np.array_equal(tables[0].start, start) and np.array_equal(tables[1].stop, stop)
 
 
 def test_potential_tables_are_cropped_to_each_length():

@@ -677,7 +677,6 @@ def test_prepare_batch_packs_mixed_lengths():
         id="short", utterances=(Utterance(tokens=(Token("hello"),), speaker="A", act="x"),)
     )
     batch = prepare_batch(convs + [other], vocab)
-    assert batch.conv_ids == ["t", "short"]
     assert batch.utt_counts.tolist() == [2, 1]
     assert batch.lengths.tolist() == [3, 1, 1]
     assert batch.types.tolist() == [0, 1, 2, 3, 0]  # "hello" keeps its type row

@@ -551,8 +551,7 @@ def test_checkpoint_round_trip_through_model(tmp_path):
     for name, value in best_state.items():
         assert np.array_equal(again.registry[name].data, value)
     # decoding agrees with the source model evaluated on its best shadows
-    model.registry.load_state_dict(best_state)
-    assert again.decode(convs[:4]) == model.decode(convs[:4])
+    assert again.decode(convs[:4]) == model.decode(convs[:4], weights=best_state)
 
 
 def inference_results(model, convs):
@@ -588,8 +587,7 @@ def test_inference_never_records_and_leaves_weights_in_place():
     assert results == [expected, expected]
     assert all(reg[name].data is array for name, array in arrays.items())
     # EMA validation scores what a model holding the shadows as weights scores
-    shadows = DialogueActModel(model.vocab, model.cfg)
-    shadows.registry.load_state_dict(reg.ema)
+    shadows = DialogueActModel(model.vocab, model.cfg, weights=reg.ema)
     assert shadows.accuracy(valid) == expected[1]
 
 
