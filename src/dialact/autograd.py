@@ -37,6 +37,7 @@ __all__ = [
     "GradCheckReport",
     "ShapeError",
     "record",
+    "will_record",
     "grad_check",
     "matmul",
     "add",
@@ -153,18 +154,25 @@ def _as_tensor(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def will_record(inputs):
+    """Whether an op over ``inputs`` is recorded: a tape is live and one input needs a gradient.
+
+    A fused op asks before its forward, to keep what only its backward reads.
+    """
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def record(op, inputs, out_data, backward_fn):
-    """Make the output tensor; append a record iff a tape is live and needed.
+    """Make the output tensor; append a record iff ``will_record(inputs)``.
 
     This is also the entry point for fused ops defined outside this module:
     ``backward_fn(g)`` receives the output gradient and accumulates into
     the inputs that require one.
     """
     out = Tensor(out_data)
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if will_record(inputs):
         out.requires_grad = True
-        tape.records.append(_Record(op, out, backward_fn))
+        _ACTIVE_TAPE.records.append(_Record(op, out, backward_fn))
     return out
 
 

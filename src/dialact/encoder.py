@@ -30,19 +30,24 @@ there is one row per distinct triple and an ``index`` from tokens to
 rows: the word BiGRU projects each distinct row once and reads the
 projections by that index.
 
-Both BiGRUs run through ``gru_sequence``, one tape record per direction
-with a hand-written backward through time. It projects every input row
-for all three gates with one GEMM, sorts the sequences by length, longest
-first, and at step t updates only the prefix of sequences still running;
-the reverse direction reads each sequence from its last row. Padding
-rows of the embedding tables stay identically zero: they are initialized
-to zero and their gradients are masked by the registry.
+Each BiGRU is one ``gru_sequence`` call, one tape record with a
+hand-written backward through time, returning [fwd | bwd] rows. Each
+direction projects every input row for all three gates with one GEMM.
+The sequences are sorted by length, longest first, and one time loop
+steps both directions: at step t, ``gru_step`` updates the prefix of
+sequences still running, forward and backward rows in one block, in
+place; the backward direction reads each sequence from its last row.
+Gates and candidates are kept only when the op is recorded, so inference
+keeps one step's worth. Padding rows of the embedding tables stay
+identically zero: they are initialized to zero and their gradients are
+masked by the registry.
 
 Every layer takes ``params``, one flat mapping from checkpoint name to
 tensor, and reads its own entries: ``emb.*`` and ``cnn.w{k}``/``cnn.b{k}``
 for the token features, ``{prefix}.w_r`` ... ``{prefix}.b_h`` for a GRU
 (``utt_fwd``, ``utt_bwd``, ``ctx_fwd``, ``ctx_bwd``), and ``ctx.w_fwd``,
-``ctx.w_bwd``, ``ctx.b`` for the context combination. Training passes the
+``ctx.w_bwd``, ``ctx.b`` for the context combination, whose two weights
+are stacked into one matmul over the [fwd | bwd] states. Training passes the
 registry's tensors; inference passes grad-free tensors over the same
 arrays, so it records nothing.
 """
@@ -122,17 +127,40 @@ def prepare_batch(conversations, vocab, min_char_len=4):
 # ---------------------------------------------------------------------------
 
 
-def gru_step(params, x, h):
-    """One gated update of the k running sequences, on plain arrays.
+def gru_step(params, x, h, out, rz, cand):
+    """One gated update of the k running sequences of both directions, in place.
 
-    ``x`` (k, 3H) holds the projected inputs [x w_r + b_r | x w_z + b_z |
-    x w_h + b_h]; ``params`` holds ``u_rz`` = [u_r | u_z] and ``u_h``.
-    Returns (h', [r | z], candidate) with h' = z * h + (1 - z) * candidate.
+    ``x`` (2k, 3H) holds the projected inputs of the forward sequences, then
+    of the backward ones, with the r/z columns halved: [(x w_r + b_r) / 2 |
+    (x w_z + b_z) / 2 | x w_h + b_h]. ``params`` holds each direction's
+    ``u_rz`` = [u_r | u_z] / 2, stacked (2, H, 2H), and ``u_h`` (2, H, H).
+    ``h`` (2, k, H) is the state before the step, or None for the zero state
+    of step 0, which needs no recurrent GEMM. Writes [r | z] to ``rz`` (2, k,
+    2H), the candidate to ``cand`` (2, k, H) and h' = z * h + (1 - z) *
+    candidate to ``out`` (2, k, H).
     """
-    hid = h.shape[1]
-    rz = 0.5 * np.tanh(0.5 * (x[:, : 2 * hid] + h @ params["u_rz"])) + 0.5  # sigmoid
-    cand = np.tanh(x[:, 2 * hid :] + (rz[:, :hid] * h) @ params["u_h"])
-    return cand + rz[:, hid:] * (h - cand), rz, cand
+    hid = out.shape[2]
+    x = x.reshape(2, -1, 3 * hid)
+    if h is None:
+        np.tanh(x[:, :, : 2 * hid], out=rz)
+    else:
+        np.matmul(h, params["u_rz"], out=rz)
+        rz += x[:, :, : 2 * hid]
+        np.tanh(rz, out=rz)
+    rz *= 0.5
+    rz += 0.5  # sigmoid(v) = tanh(v / 2) / 2 + 1/2, with v / 2 formed above
+    if h is None:
+        np.tanh(x[:, :, 2 * hid :], out=cand)
+        np.multiply(rz[:, :, hid:], cand, out=out)
+        np.subtract(cand, out, out=out)
+    else:
+        np.multiply(rz[:, :, :hid], h, out=out)  # r * h, until h' overwrites it
+        np.matmul(out, params["u_h"], out=cand)
+        cand += x[:, :, 2 * hid :]
+        np.tanh(cand, out=cand)
+        np.subtract(h, cand, out=out)
+        out *= rz[:, :, hid:]
+        out += cand
 
 
 @dataclass
@@ -140,19 +168,24 @@ class PackedSchedule:
     """Time-major order of packed rows: step t runs the first k_t sequences.
 
     Sequences are sorted by length, longest first, so the sequences still
-    running at step t are a prefix of that order. ``perm[i]`` is the packed
-    row read at time-major position i; ``offsets[t]`` is where step t
-    starts; ``last[s]`` is the time-major position of sequence s's final
-    state.
+    running at step t are a prefix of that order, in both directions.
+    ``perm[d, i]`` is the packed row that direction d (0 forward, 1
+    backward, which reads each sequence from its last row) reads at
+    time-major position i; ``offsets[t]`` is where step t starts; ``last[s]``
+    is the time-major position of sequence s's final state. A step-blocked
+    buffer holds step t in rows [2 offsets[t], 2 offsets[t + 1]), its k_t
+    forward rows then its k_t backward rows; ``slots[d, i]`` is the row of
+    direction d's position i there.
     """
 
     running: list  # k_t per step
     offsets: list
-    perm: np.ndarray
-    last: np.ndarray
+    perm: np.ndarray  # (2, M)
+    last: np.ndarray  # (S,)
+    slots: np.ndarray  # (2, M)
 
     @classmethod
-    def build(cls, lengths, reverse):
+    def build(cls, lengths):
         """Schedule for an int64 array of sequence lengths."""
         if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
             raise ValueError(f"sequence lengths must be a non-empty list of ints >= 1, got {lengths}")
@@ -162,28 +195,39 @@ class PackedSchedule:
         offsets = np.concatenate([[0], np.cumsum(running)])
         step = np.repeat(np.arange(t_len), running)
         seq = order[np.arange(offsets[-1]) - offsets[step]]
-        pos = lengths[seq] - 1 - step if reverse else step
         starts = np.cumsum(lengths) - lengths
         last = np.empty_like(order)
         last[order] = offsets[lengths[order] - 1] + np.arange(lengths.size)
+        slots = np.arange(offsets[-1]) + offsets[step]
         return cls(
-            running=running.tolist(), offsets=offsets.tolist(), perm=starts[seq] + pos, last=last
+            running=running.tolist(),
+            offsets=offsets.tolist(),
+            perm=np.stack([starts[seq] + step, starts[seq] + lengths[seq] - 1 - step]),
+            last=last,
+            slots=np.stack([slots, slots + running[step]]),
         )
 
 
-def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False, index=None):
-    """GRU over packed rows, recorded as one tape op.
+def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
+    """Bidirectional GRU over packed rows, recorded as one tape op.
 
     ``xs`` (M, E) is a tensor holding the sequences end to end, in order, with
-    ``lengths`` (S,) rows each (all >= 1, summing to M); the GRU's weights
-    are ``params[f"{prefix}.w_r"]`` and so on. The state starts at zero, runs over each
-    sequence (from its last row when ``reverse``) and never sees another
-    sequence's rows. Returns the final states (S, H), or with ``collect``
-    the state after every row, (M, H) in packed order.
+    ``lengths`` (S,) rows each (all >= 1, summing to M). ``prefixes`` names
+    the forward and the backward GRU: their weights are
+    ``params[f"{prefix}.w_r"]`` and so on. Each state starts at zero, runs
+    over each sequence (the backward one from its last row) and never sees
+    another sequence's rows. Returns the final states [fwd | bwd] (S, 2H),
+    or with ``collect`` the states after every row, (M, 2H) in packed order.
 
     With ``index`` (M,), packed row m is ``xs[index[m]]``: ``xs`` holds
     distinct rows only, each projected once, and the backward sums the
     gradients of the packed rows that share one.
+
+    Each direction projects its rows for all three gates with one GEMM; one
+    time loop then steps both directions together (``gru_step``), writing
+    into step-blocked buffers. The gates and candidates are kept for the
+    backward only when the op is recorded; the backward reads each step's
+    previous state from the states.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if xs.ndim != 2 or (index is None and xs.shape[0] != lengths.sum()):
@@ -193,76 +237,112 @@ def gru_sequence(params, prefix, xs, lengths, reverse=False, collect=False, inde
             raise ag.ShapeError(f"gru_sequence index needs sum(lengths) rows, got {index.shape} for {lengths}")
         if index.size and (index.min() < 0 or index.max() >= xs.shape[0]):
             raise ag.ShapeError(f"gru_sequence index must lie in [0, {xs.shape[0]}), the rows of xs")
-    sched = PackedSchedule.build(lengths, reverse)
+    sched = PackedSchedule.build(lengths)
     rows = sched.perm if index is None else index[sched.perm]
-    own = {f"{kind}_{g}": params[f"{prefix}.{kind}_{g}"] for g in GRU_GATES for kind in "wub"}
-    w = np.concatenate([own[f"w_{g}"].data for g in GRU_GATES], axis=1)
-    step_params = {
-        "u_rz": np.concatenate([own["u_r"].data, own["u_z"].data], axis=1),
-        "u_h": own["u_h"].data,
-    }
-    bias = np.concatenate([own[f"b_{g}"].data for g in GRU_GATES])
-    hid = step_params["u_h"].shape[0]
-    a = (xs.data @ w + bias)[rows]
-    steps = a.shape[0]
-    h_prev, states, cand = np.empty((steps, hid)), np.empty((steps, hid)), np.empty((steps, hid))
-    rz = np.empty((steps, 2 * hid))
-    h = np.zeros((sched.running[0], hid))
-    for lo, k in zip(sched.offsets, sched.running):
-        hi = lo + k
-        h = h[:k]
-        h_prev[lo:hi] = h
-        h, rz[lo:hi], cand[lo:hi] = gru_step(step_params, a[lo:hi], h)
-        states[lo:hi] = h
+    owns = [
+        {f"{kind}_{g}": params[f"{prefix}.{kind}_{g}"] for g in GRU_GATES for kind in "wub"} for prefix in prefixes
+    ]
+    w = [np.concatenate([own[f"w_{g}"].data for g in GRU_GATES], axis=1) for own in owns]
+    bias = [np.concatenate([own[f"b_{g}"].data for g in GRU_GATES]) for own in owns]
+    u_rz = np.stack([np.concatenate([own["u_r"].data, own["u_z"].data], axis=1) for own in owns])
+    u_h = np.stack([own["u_h"].data for own in owns])
+    hid, m, k0 = u_h.shape[1], rows.shape[1], sched.running[0]
+    # The sigmoid's inner 1/2, folded into the r/z columns: halving is exact.
+    half = np.repeat([0.5, 0.5, 1.0], hid)
+    proj = np.empty((2, xs.shape[0], 3 * hid))
+    for d in range(2):
+        np.matmul(xs.data, w[d] * half, out=proj[d])
+        proj[d] += bias[d] * half
+    src = np.empty(2 * m, dtype=np.int64)  # step-blocked rows of proj
+    src[sched.slots] = rows + xs.shape[0] * np.arange(2)[:, None]
+    proj = proj.reshape(-1, 3 * hid)
+    inputs = (xs, *owns[0].values(), *owns[1].values())
+    keep = ag.will_record(inputs)
+    states, step_in = np.empty((2 * m, hid)), np.empty((2 * k0, 3 * hid))
+    kept = 2 * m if keep else 2 * k0  # without a backward, one step's gates at a time
+    rz, cand = np.empty((kept, 2 * hid)), np.empty((kept, hid))
+
+    def block(buf, t):
+        """Step t's rows of a step-blocked buffer, viewed as (2, k_t, width)."""
+        lo, k = sched.offsets[t], sched.running[t]
+        return buf[2 * lo : 2 * (lo + k)].reshape(2, k, -1)
+
+    step_params = {"u_rz": 0.5 * u_rz, "u_h": u_h}
+    h = None
+    for t, (lo, k) in enumerate(zip(sched.offsets, sched.running)):
+        out = block(states, t)
+        if keep:
+            step_rz, step_cand = block(rz, t), block(cand, t)
+        else:
+            step_rz, step_cand = rz[: 2 * k].reshape(2, k, -1), cand[: 2 * k].reshape(2, k, -1)
+        # src is in range by construction; mode "raise" would buffer the write to out
+        np.take(proj, src[2 * lo : 2 * (lo + k)], axis=0, out=step_in[: 2 * k], mode="clip")
+        gru_step(step_params, step_in[: 2 * k], None if h is None else h[:, :k], out, step_rz, step_cand)
+        h = out
     if collect:
-        out_data = np.empty_like(states)
-        out_data[sched.perm] = states
+        take = np.empty_like(sched.slots)
+        np.put_along_axis(take, sched.perm, sched.slots, axis=1)
     else:
-        out_data = states[sched.last]
+        take = sched.slots[:, sched.last]
+    out_data = states[take.T].reshape(-1, 2 * hid)
 
     def bwd(g):
+        # Direction-major (2, M, .) buffers: each direction's rows are contiguous and
+        # time-major, the order its weight GEMMs sum in.
+        g = g.reshape(-1, 2, hid).swapaxes(0, 1)
         if collect:
-            d_states = g[sched.perm]
+            d_states = np.take_along_axis(g, sched.perm[:, :, None], axis=1)
         else:
-            d_states = np.zeros_like(states)
-            d_states[sched.last] = g
-        u_rz_t, u_h_t = step_params["u_rz"].T, step_params["u_h"].T
-        da = np.empty_like(a)
-        carry = np.zeros((sched.running[0], hid))  # dL/dh from the step after
-        for lo, k in zip(reversed(sched.offsets[:-1]), reversed(sched.running)):
+            d_states = np.zeros((2, m, hid))
+            d_states[:, sched.last] = g
+        u_rz_t, u_h_t = u_rz.swapaxes(1, 2), u_h.swapaxes(1, 2)
+        da = np.empty((2, m, 3 * hid))
+        h_prev, rh = np.empty((2, m, hid)), np.empty((2, m, hid))
+        h_prev[:, :k0] = 0.0
+        carry = np.zeros((2, k0, hid))  # dL/dh from the step after
+        for t in reversed(range(len(sched.running))):
+            lo, k = sched.offsets[t], sched.running[t]
             hi = lo + k
-            dh = d_states[lo:hi]
-            dh += carry[:k]
-            hp, c, gates = h_prev[lo:hi], cand[lo:hi], rz[lo:hi]
-            z = gates[:, hid:]
-            da_h = da[lo:hi, 2 * hid :]
+            if t:
+                h_prev[:, lo:hi] = block(states, t - 1)[:, :k]
+            dh = d_states[:, lo:hi]
+            dh += carry[:, :k]
+            hp, c, gates = h_prev[:, lo:hi], block(cand, t), block(rz, t)
+            z = gates[:, :, hid:]
+            np.multiply(gates[:, :, :hid], hp, out=rh[:, lo:hi])
+            da_h = da[:, lo:hi, 2 * hid :]
             np.multiply(dh * (1.0 - z), 1.0 - c * c, out=da_h)
-            drh = da_h @ u_h_t
-            da_rz = da[lo:hi, : 2 * hid]
-            np.multiply(drh, hp, out=da_rz[:, :hid])
-            np.multiply(dh, hp - c, out=da_rz[:, hid:])
+            drh = np.matmul(da_h, u_h_t)
+            da_rz = da[:, lo:hi, : 2 * hid]
+            np.multiply(drh, hp, out=da_rz[:, :, :hid])
+            np.multiply(dh, hp - c, out=da_rz[:, :, hid:])
             da_rz *= gates * (1.0 - gates)
-            carry[:k] = dh * z + drh * gates[:, :hid] + da_rz @ u_rz_t
-        d_rz = h_prev.T @ da[:, : 2 * hid]
-        if index is None:
-            da_rows = np.empty_like(da)
-            da_rows[rows] = da
-        else:
-            da_rows = ag.scatter_add(rows, da, xs.shape[0])
-        d_w = xs.data.T @ da_rows
-        d_b = da_rows.sum(axis=0)
-        grads = {"u_r": d_rz[:, :hid], "u_z": d_rz[:, hid:]}
-        grads["u_h"] = (rz[:, :hid] * h_prev).T @ da[:, 2 * hid :]
-        for i, gate in enumerate(GRU_GATES):
-            grads[f"w_{gate}"] = d_w[:, i * hid : (i + 1) * hid]
-            grads[f"b_{gate}"] = d_b[i * hid : (i + 1) * hid]
-        for name, grad in grads.items():
-            if own[name].requires_grad:
-                own[name].accumulate_grad(grad)
-        if xs.requires_grad:
-            xs.accumulate_grad(da_rows @ w.T)
+            carry[:, :k] = dh * z + drh * gates[:, :, :hid] + np.matmul(da_rz, u_rz_t)
+        # Freed before the input-side GEMMs allocate: a lower peak keeps the
+        # heap within pages already mapped instead of faulting in fresh ones.
+        del d_states, carry
+        d_u_rz = np.matmul(h_prev.swapaxes(1, 2), da[:, :, : 2 * hid])
+        d_u_h = np.matmul(rh.swapaxes(1, 2), da[:, :, 2 * hid :])
+        del h_prev, rh
+        for d, own in enumerate(owns):
+            if index is None:
+                da_rows = np.empty_like(da[d])
+                da_rows[rows[d]] = da[d]
+            else:
+                da_rows = ag.scatter_add(rows[d], da[d], xs.shape[0])
+            d_w = xs.data.T @ da_rows
+            d_b = da_rows.sum(axis=0)
+            grads = {"u_r": d_u_rz[d, :, :hid], "u_z": d_u_rz[d, :, hid:], "u_h": d_u_h[d]}
+            for i, gate in enumerate(GRU_GATES):
+                grads[f"w_{gate}"] = d_w[:, i * hid : (i + 1) * hid]
+                grads[f"b_{gate}"] = d_b[i * hid : (i + 1) * hid]
+            for name, grad in grads.items():
+                if own[name].requires_grad:
+                    own[name].accumulate_grad(grad)
+            if xs.requires_grad:
+                xs.accumulate_grad(da_rows @ w[d].T)
 
-    return ag.record("gru", (xs, *own.values()), out_data, bwd)
+    return ag.record("gru", inputs, out_data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -359,24 +439,19 @@ def encode_utterances(embedded, lengths, params, index=None):
 
     ``embedded`` and ``index`` are as ``embed_tokens`` returns them.
     """
-    h_fwd = gru_sequence(params, "utt_fwd", embedded, lengths, index=index)
-    h_bwd = gru_sequence(params, "utt_bwd", embedded, lengths, reverse=True, index=index)
-    return ag.concat([h_fwd, h_bwd], axis=1)
+    return gru_sequence(params, ("utt_fwd", "utt_bwd"), embedded, lengths, index=index)
 
 
 def encode_context(rows, utt_counts, params):
-    """Contextual keys h_j = tanh(Wf fwd_j + Wb bwd_j + b) over packed utterance rows.
+    """Contextual keys h_j = tanh([fwd_j | bwd_j] [Wf; Wb] + b) over packed utterance rows.
 
     ``rows`` (S, d) and the result hold each conversation's ``utt_counts``
     rows end to end. fwd/bwd are the ``ctx_fwd``/``ctx_bwd`` GRU states;
     Wf, Wb and b are ``ctx.w_fwd``, ``ctx.w_bwd`` and ``ctx.b``.
     """
-    fwd = ag.matmul(gru_sequence(params, "ctx_fwd", rows, utt_counts, collect=True), params["ctx.w_fwd"])
-    bwd = ag.matmul(
-        gru_sequence(params, "ctx_bwd", rows, utt_counts, reverse=True, collect=True),
-        params["ctx.w_bwd"],
-    )
-    return ag.tanh(ag.add(ag.add(fwd, bwd), params["ctx.b"]))
+    states = gru_sequence(params, ("ctx_fwd", "ctx_bwd"), rows, utt_counts, collect=True)
+    weight = ag.concat([params["ctx.w_fwd"], params["ctx.w_bwd"]], axis=0)
+    return ag.tanh(ag.add(ag.matmul(states, weight), params["ctx.b"]))
 
 
 def pad_rows(rows, utt_counts):

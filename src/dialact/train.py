@@ -18,12 +18,15 @@ Config files are flat ``key = value`` text; keys must be TrainConfig
 field names, given once; an unknown or repeated key, or a bad value (a
 bool is true/false/yes/no/1/0), is an error naming the line. History
 records are one JSON object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds",
-"utt_per_s", "clip_frac", "grad_norm", "grad_norm_max"}. ``seconds`` is the epoch's wall time,
+"utt_per_s", "clip_frac", "grad_norm", "grad_norm_max", "tape_records"}. ``seconds`` is the epoch's wall time,
 validation included; ``utt_per_s`` is the training utterances of the
 epoch over it, and ``clip_frac`` the share of the epoch's steps whose
 gradients were scaled down by the global-norm clip. ``grad_norm`` and
 ``grad_norm_max`` are the median and the largest global gradient norm of
-the epoch's steps, taken before the clip.
+the epoch's steps, taken before the clip; ``tape_records`` is the median
+number of tape records per step. Training runs under
+``np.errstate(raise)``, as the CLI does, so a numpy overflow, division
+by zero or invalid value raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -209,55 +212,60 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
     best_state = dict(model.registry.ema)  # arrays are rebound, never written
     best_val_accuracy = -1.0
     epochs_since_improvement = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        epoch_loss = 0.0
-        batches = make_batches(train_convs, cfg.max_batch, rng)
-        clipped, norms = 0, []
-        for batch in batches:
-            model.registry.zero_grads()
-            with ag.Tape() as tape:
-                loss = model.loss(batch, train=True, rng=rng)
-            # ``previous`` keeps the last step's graph alive until this step's
-            # is allocated: freed below live memory, its pages are reused
-            # instead of being returned to the OS and faulted back in.
-            previous = tape  # noqa: F841
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
-            tape.backward(loss)
-            model.registry.mask_frozen_grads()
-            scale, norm = clip_gradients(model.registry, cfg.clip_norm)
-            clipped += scale < 1.0
-            norms.append(norm)
-            adagrad_step(model.registry, cfg.lr)
-            ema_update(model.registry, cfg.ema_decay)
-            epoch_loss += float(loss.data)
-        val_acc = model.accuracy(valid_convs, weights=model.registry.ema)
-        seconds = time.perf_counter() - t0
-        record = {
-            "epoch": epoch,
-            "train_loss": epoch_loss,
-            "val_accuracy": val_acc,
-            "seconds": seconds,
-            "utt_per_s": train_utts / seconds,
-            "clip_frac": clipped / len(batches),
-            "grad_norm": float(np.median(norms)),
-            "grad_norm_max": max(norms),
-        }
-        history.append(record)
-        if log is not None:
-            log(
-                f"epoch {epoch:3d}  loss {epoch_loss:12.4f}  val_acc {val_acc:.4f}  {seconds:.1f}s"
-                f"  {record['utt_per_s']:.0f} utt/s"
-            )
-        if val_acc > best_val_accuracy:
-            best_val_accuracy = val_acc
-            epochs_since_improvement = 0
-            best_state = dict(model.registry.ema)
-        else:
-            epochs_since_improvement += 1
-            if epochs_since_improvement >= cfg.patience:
-                break
+    # As under the CLI: an overflow or invalid value ends training instead of
+    # flowing on as inf/nan (say, into a zero clip scale).
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            t0 = time.perf_counter()
+            epoch_loss = 0.0
+            batches = make_batches(train_convs, cfg.max_batch, rng)
+            clipped, norms, records = 0, [], []
+            for batch in batches:
+                model.registry.zero_grads()
+                with ag.Tape() as tape:
+                    loss = model.loss(batch, train=True, rng=rng)
+                # ``previous`` keeps the last step's graph alive until this step's
+                # is allocated: freed below live memory, its pages are reused
+                # instead of being returned to the OS and faulted back in.
+                previous = tape  # noqa: F841
+                records.append(len(tape.records))
+                if not np.isfinite(loss.data):
+                    raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
+                tape.backward(loss)
+                model.registry.mask_frozen_grads()
+                scale, norm = clip_gradients(model.registry, cfg.clip_norm)
+                clipped += scale < 1.0
+                norms.append(norm)
+                adagrad_step(model.registry, cfg.lr)
+                ema_update(model.registry, cfg.ema_decay)
+                epoch_loss += float(loss.data)
+            val_acc = model.accuracy(valid_convs, weights=model.registry.ema)
+            seconds = time.perf_counter() - t0
+            record = {
+                "epoch": epoch,
+                "train_loss": epoch_loss,
+                "val_accuracy": val_acc,
+                "seconds": seconds,
+                "utt_per_s": train_utts / seconds,
+                "clip_frac": clipped / len(batches),
+                "grad_norm": float(np.median(norms)),
+                "grad_norm_max": max(norms),
+                "tape_records": float(np.median(records)),
+            }
+            history.append(record)
+            if log is not None:
+                log(
+                    f"epoch {epoch:3d}  loss {epoch_loss:12.4f}  val_acc {val_acc:.4f}  {seconds:.1f}s"
+                    f"  {record['utt_per_s']:.0f} utt/s"
+                )
+            if val_acc > best_val_accuracy:
+                best_val_accuracy = val_acc
+                epochs_since_improvement = 0
+                best_state = dict(model.registry.ema)
+            else:
+                epochs_since_improvement += 1
+                if epochs_since_improvement >= cfg.patience:
+                    break
     return model, best_state, history
 
 

@@ -278,27 +278,30 @@ def test_encode_utterance_single_step():
     u = encode_utterances(e, [1], params)
     assert u.shape == (1, 6)
     # with one token both directions see the same single input
-    h_f = gru_sequence(params, "utt_fwd", e, [1])
-    h_b = gru_sequence(params, "utt_bwd", e, [1], reverse=True)
-    assert np.array_equal(u.data[0, :3], h_f.data[0])
-    assert np.array_equal(u.data[0, 3:], h_b.data[0])
+    same = gru_sequence(params, ("utt_bwd", "utt_bwd"), e, [1]).data
+    assert np.array_equal(same[:, :3], same[:, 3:])
+    assert np.array_equal(u.data[:, 3:], same[:, 3:])
+    for half, prefix in enumerate(("utt_fwd", "utt_bwd")):
+        ref = reference_gru_step(params, prefix, e, ag.Tensor(np.zeros((1, 3))))
+        assert np.abs(u.data[:, 3 * half : 3 * half + 3] - ref.data).max() < 1e-12
 
 
 def test_direction_symmetry_under_reversal():
     params = gru_pair(3, 4, 3)
     seq = np.random.default_rng(4).normal(size=(6, 4))
-    fwd_on_reversed = gru_sequence(params, "utt_fwd", ag.Tensor(seq[::-1].copy()), [6])
-    bwd_on_original = gru_sequence(params, "utt_fwd", ag.Tensor(seq), [6], reverse=True)
-    assert np.abs(fwd_on_reversed.data - bwd_on_original.data).max() < 1e-14
+    pair = ("utt_fwd", "utt_fwd")
+    on_reversed = gru_sequence(params, pair, ag.Tensor(seq[::-1].copy()), [6]).data
+    on_original = gru_sequence(params, pair, ag.Tensor(seq), [6]).data
+    assert np.abs(on_reversed[:, :3] - on_original[:, 3:]).max() < 1e-14
 
 
 def test_zero_gru_weights_give_zero_state():
     reg = ag.ParamRegistry()
     init_gru(reg, "z", 4, 3, np.random.default_rng(0), scale=0.0)
     seq = ag.Tensor(np.random.default_rng(1).normal(size=(10, 4)))
-    h = gru_sequence(reg.params, "z", seq, [5, 5])
+    h = gru_sequence(reg.params, ("z", "z"), seq, [5, 5])
     # candidate tanh(0) = 0 and h0 = 0, so the state never leaves zero
-    assert np.array_equal(h.data, np.zeros((2, 3)))
+    assert np.array_equal(h.data, np.zeros((2, 6)))
 
 
 def test_masked_padding_equals_unpadded_encoding():
@@ -316,18 +319,83 @@ def test_gru_sequence_rejects_bad_lengths():
     params = gru_pair(0, 2, 2)
     x = ag.Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(params, "utt_fwd", x, [4, 0])
+        gru_sequence(params, ("utt_fwd", "utt_bwd"), x, [4, 0])
     with pytest.raises(ag.ShapeError, match="rows"):
-        gru_sequence(params, "utt_fwd", x, [2, 1])
+        gru_sequence(params, ("utt_fwd", "utt_bwd"), x, [2, 1])
 
 
-def random_gru(rng, input_dim, hidden):
-    """GRU parameters away from the small-init regime, so every gate matters."""
+PAIR = ("f", "b")  # the forward and the backward GRU of the tests' pairs
+
+
+def random_pair(rng, input_dim, hidden):
+    """The two GRUs of ``PAIR``, away from the small-init regime, so every gate matters."""
     reg = ag.ParamRegistry()
-    init_gru(reg, "g", input_dim, hidden, rng, scale=0.5)
+    for prefix in PAIR:
+        init_gru(reg, prefix, input_dim, hidden, rng, scale=0.5)
     for name in reg.names():
         reg[name].data += rng.normal(scale=0.3, size=reg[name].shape)
     return reg
+
+
+def check_pair_against_reference(rng, lengths, e, hidden, collect, indexed):
+    """One pair op against two primitive reference GRUs, forward and reversed.
+
+    Each half of the output matches its reference to 1e-12, and every
+    parameter and input gradient to 1e-10. With ``indexed``, the op reads
+    distinct rows by an index and the reference the gathered rows. The
+    op's grad-free forward, which keeps no gates, equals its recorded one
+    bit for bit.
+    """
+    b, t_len = len(lengths), int(lengths.max())
+    real = np.arange(t_len)[None, :] < lengths[:, None]
+    m = int(lengths.sum())
+    reg = random_pair(rng, e, hidden)
+    params = reg.params
+    distinct = rng.normal(size=(max(1, m // 2) if indexed else m, e))
+    index = rng.integers(0, len(distinct), size=m) if indexed else None
+    padded_rows = np.zeros((b, t_len, e))
+    padded_rows[real] = distinct if index is None else distinct[index]
+    padded = reg.add("x", padded_rows)
+    weights = rng.normal(size=(m if collect else b, 2 * hidden))
+
+    reg.zero_grads()
+    with ag.Tape() as tape:
+        halves = []
+        for half, (prefix, reverse) in enumerate(zip(PAIR, (False, True))):
+            final, states = reference_gru(params, prefix, padded, real.astype(float), hidden, reverse)
+            w_half = weights[:, half * hidden : (half + 1) * hidden]
+            if collect:
+                stacked = ag.concat([ag.reshape(s, (b, 1, hidden)) for s in states], axis=1)
+                spread = np.zeros((b, t_len, hidden))
+                spread[real] = w_half
+                halves.append((ag.reduce_sum(ag.mul(stacked, spread)), stacked.data[real]))
+            else:
+                halves.append((ag.reduce_sum(ag.mul(final, w_half)), final.data))
+        loss = ag.add(halves[0][0], halves[1][0])
+    tape.backward(loss)
+    expected = np.concatenate([halves[0][1], halves[1][1]], axis=1)
+    ref_grads = {name: reg[name].grad.copy() for name in reg.names()}
+    ref_dx = ref_grads["x"][real]
+    if index is not None:
+        ref_dx = ag.scatter_add(index, ref_dx, len(distinct))
+
+    reg.zero_grads()
+    x = ag.Tensor(distinct, requires_grad=True)
+    with ag.Tape() as tape:
+        out = gru_sequence(params, PAIR, x, lengths, collect=collect, index=index)
+        loss = ag.reduce_sum(ag.mul(out, weights))
+    tape.backward(loss)
+    grad_free = {name: ag.Tensor(t.data) for name, t in params.items()}
+    lean = gru_sequence(grad_free, PAIR, ag.Tensor(distinct), lengths, collect=collect, index=index)
+
+    assert out.shape == expected.shape
+    assert np.array_equal(lean.data, out.data)
+    assert np.abs(out.data - expected).max() < 1e-12
+    names = [name for name in reg.names() if name != "x"]
+    assert len(names) == 18
+    for name in names:
+        assert np.abs(params[name].grad - ref_grads[name]).max() < 1e-10, name
+    assert np.abs(x.grad - ref_dx).max() < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,88 +405,68 @@ def random_gru(rng, input_dim, hidden):
     t_len=st.integers(1, 6),
     e=st.integers(1, 5),
     hidden=st.integers(1, 4),
-    reverse=st.booleans(),
     collect=st.booleans(),
+    indexed=st.booleans(),
 )
-def test_fused_gru_matches_primitive_reference(seed, b, t_len, e, hidden, reverse, collect):
-    """Forward to 1e-12 and every parameter and input gradient to 1e-10."""
+def test_fused_gru_matches_primitive_reference(seed, b, t_len, e, hidden, collect, indexed):
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, t_len + 1, size=b)
-    t_len = int(lengths.max())
-    real = np.arange(t_len)[None, :] < lengths[:, None]
-    reg = random_gru(rng, e, hidden)
-    params = reg.params
-    padded = reg.add("x", rng.normal(size=(b, t_len, e)))
-    weights = rng.normal(size=(int(lengths.sum()) if collect else b, hidden))
-
-    reg.zero_grads()
-    with ag.Tape() as tape:
-        final, states = reference_gru(params, "g", padded, real.astype(float), hidden, reverse)
-        if collect:
-            stacked = ag.concat([ag.reshape(s, (b, 1, hidden)) for s in states], axis=1)
-            spread = np.zeros((b, t_len, hidden))
-            spread[real] = weights
-            loss = ag.reduce_sum(ag.mul(stacked, spread))
-            expected = stacked.data[real]
-        else:
-            loss = ag.reduce_sum(ag.mul(final, weights))
-            expected = final.data
-    tape.backward(loss)
-    ref_grads = {name: reg[name].grad.copy() for name in reg.names()}
-
-    reg.zero_grads()
-    packed = ag.Tensor(padded.data[real], requires_grad=True)
-    with ag.Tape() as tape:
-        out = gru_sequence(params, "g", packed, lengths, reverse=reverse, collect=collect)
-        loss = ag.reduce_sum(ag.mul(out, weights))
-    tape.backward(loss)
-
-    assert np.abs(out.data - expected).max() < 1e-12
-    names = [name for name in reg.names() if name.startswith("g.")]
-    assert len(names) == 9
-    for name in names:
-        assert np.abs(params[name].grad - ref_grads[name]).max() < 1e-10, name
-    assert np.abs(packed.grad - ref_grads["x"][real]).max() < 1e-10
+    check_pair_against_reference(rng, rng.integers(1, t_len + 1, size=b), e, hidden, collect, indexed)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("indexed", [False, True])
 @pytest.mark.parametrize("collect", [False, True])
-def test_fused_gru_passes_grad_check(reverse, collect):
-    check_fused_gru_gradients(reverse, collect, index=None)
+def test_gru_pair_branches_agree_on_mixed_lengths(collect, indexed):
+    # length-1 sequences take only the zero-state step
+    lengths = np.array([3, 1, 5, 1, 2, 1, 4])
+    check_pair_against_reference(np.random.default_rng(17), lengths, 4, 3, collect, indexed)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+def pair_weights(rng, rows, hidden, bwd_only):
+    """Loss weights over a pair's (rows, 2H) output; ``bwd_only`` zeroes the forward half."""
+    weights = rng.normal(size=(rows, 2 * hidden))
+    if bwd_only:
+        weights[:, :hidden] = 0.0  # the forward GRU's gradients must then be zero
+    return weights
+
+
+@pytest.mark.parametrize("bwd_only", [False, True])
 @pytest.mark.parametrize("collect", [False, True])
-def test_indexed_gru_passes_grad_check(reverse, collect):
+def test_fused_gru_passes_grad_check(bwd_only, collect):
+    check_fused_gru_gradients(bwd_only, collect, index=None)
+
+
+@pytest.mark.parametrize("bwd_only", [False, True])
+@pytest.mark.parametrize("collect", [False, True])
+def test_indexed_gru_passes_grad_check(bwd_only, collect):
     # 11 packed rows read 4 distinct rows, out of order and repeated
-    check_fused_gru_gradients(reverse, collect, index=np.array([2, 0, 2, 3, 1, 1, 0, 3, 2, 0, 1]))
+    check_fused_gru_gradients(bwd_only, collect, index=np.array([2, 0, 2, 3, 1, 1, 0, 3, 2, 0, 1]))
 
 
-def check_fused_gru_gradients(reverse, collect, index):
+def check_fused_gru_gradients(bwd_only, collect, index):
     rng = np.random.default_rng(21)
     lengths = [3, 1, 4, 1, 2]  # includes length-1 rows
-    reg = random_gru(rng, 3, 2)
+    reg = random_pair(rng, 3, 2)
     x = reg.add("x", rng.normal(size=(sum(lengths) if index is None else index.max() + 1, 3)))
-    weights = rng.normal(size=(sum(lengths) if collect else len(lengths), 2))
+    weights = pair_weights(rng, sum(lengths) if collect else len(lengths), 2, bwd_only)
 
     def closure():
-        out = gru_sequence(reg.params, "g", x, lengths, reverse=reverse, collect=collect, index=index)
+        out = gru_sequence(reg.params, PAIR, x, lengths, collect=collect, index=index)
         return ag.reduce_sum(ag.mul(out, weights))
 
     report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4, max_per_tensor=20, seed=2)
     assert report.passed, report.summary()
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("bwd_only", [False, True])
 @pytest.mark.parametrize("collect", [False, True])
-def test_indexed_gru_matches_gathered_rows(reverse, collect):
+def test_indexed_gru_matches_gathered_rows(bwd_only, collect):
     """Forward bit-for-bit; gradients to 1e-12 of each tensor's largest entry."""
     rng = np.random.default_rng(8)
     lengths = [2, 5, 1, 3]
-    reg = random_gru(rng, 3, 2)
+    reg = random_pair(rng, 3, 2)
     x = reg.add("x", rng.normal(size=(5, 3)))
     index = rng.integers(0, 5, size=sum(lengths))
-    weights = rng.normal(size=(sum(lengths) if collect else len(lengths), 2))
+    weights = pair_weights(rng, sum(lengths) if collect else len(lengths), 2, bwd_only)
 
     def run(build):
         reg.zero_grads()
@@ -428,14 +476,13 @@ def test_indexed_gru_matches_gathered_rows(reverse, collect):
         tape.backward(loss)
         return out.data, {name: reg[name].grad.copy() for name in reg.names()}
 
-    ref_out, ref_grads = run(
-        lambda: gru_sequence(reg.params, "g", ag.gather(x, index), lengths, reverse=reverse, collect=collect)
-    )
-    out, grads = run(
-        lambda: gru_sequence(reg.params, "g", x, lengths, reverse=reverse, collect=collect, index=index)
-    )
+    ref_out, ref_grads = run(lambda: gru_sequence(reg.params, PAIR, ag.gather(x, index), lengths, collect=collect))
+    out, grads = run(lambda: gru_sequence(reg.params, PAIR, x, lengths, collect=collect, index=index))
     assert np.array_equal(out, ref_out)
     for name in reg.names():
+        if bwd_only and name.startswith("f."):
+            assert not grads[name].any(), name
+            continue
         scale = max(np.abs(ref_grads[name]).max(), 1e-300)
         assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * scale, name
 
@@ -443,13 +490,14 @@ def test_indexed_gru_matches_gathered_rows(reverse, collect):
 def test_gru_sequence_rejects_bad_index():
     params = gru_pair(0, 2, 2)
     x = ag.Tensor(np.zeros((3, 2)))
+    pair = ("utt_fwd", "utt_bwd")
     with pytest.raises(ag.ShapeError, match="index"):
-        gru_sequence(params, "utt_fwd", x, [2, 2], index=np.array([0, 1, 2]))  # 3 entries for 4 rows
+        gru_sequence(params, pair, x, [2, 2], index=np.array([0, 1, 2]))  # 3 entries for 4 rows
     with pytest.raises(ag.ShapeError, match="index"):
-        gru_sequence(params, "utt_fwd", x, [2, 2], index=np.array([[0, 1, 2, 0]]))  # not 1-d
+        gru_sequence(params, pair, x, [2, 2], index=np.array([[0, 1, 2, 0]]))  # not 1-d
     for bad in (3, -1):
         with pytest.raises(ag.ShapeError, match="index"):
-            gru_sequence(params, "utt_fwd", x, [2, 2], index=np.array([0, 1, bad, 2]))
+            gru_sequence(params, pair, x, [2, 2], index=np.array([0, 1, bad, 2]))
 
 
 # ---------------------------------------------------------------------------

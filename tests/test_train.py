@@ -492,10 +492,15 @@ def test_train_loop_deterministic_and_history_schema(tmp_path):
     assert strip(h1) == strip(h2)
     for name, value in runs[0][1].items():
         assert np.array_equal(value, runs[1][1][name])
+    model = DialogueActModel(build_vocab(convs[:18]), TOY_CFG, rng=np.random.default_rng(0))
+    with ag.Tape() as tape:
+        model.loss(convs[:4], train=True, rng=np.random.default_rng(0))
     for record in h1:
         assert set(record) == {
-            "epoch", "train_loss", "val_accuracy", "seconds", "utt_per_s", "clip_frac", "grad_norm", "grad_norm_max"
+            "epoch", "train_loss", "val_accuracy", "seconds", "utt_per_s", "clip_frac", "grad_norm", "grad_norm_max",
+            "tape_records",
         }
+        assert record["tape_records"] == len(tape.records)  # every batch records the same ops
     path = tmp_path / "history.jsonl"
     write_history(path, h1)
     import json
@@ -646,6 +651,14 @@ def test_train_loop_names_epoch_of_non_finite_loss(tmp_path):
     path = huge_embeddings(tmp_path, convs, TOY_CFG.word_dim)
     with pytest.raises(FloatingPointError, match="non-finite training loss inf in epoch 1"):
         train_loop(convs[:18], convs[18:], TOY_CFG, embeddings_path=path)
+
+
+def test_train_loop_raises_at_a_numpy_overflow():
+    # The L2 gradient squares to inf in the clip's norm; unchecked, every update would be scaled to zero.
+    convs = small_corpus()
+    cfg = TrainConfig(**{**TOY_CFG.__dict__, "l2": 1e300})
+    with pytest.raises(FloatingPointError, match="overflow"):
+        train_loop(convs[:18], convs[18:], cfg)
 
 
 def cli_train_with_embeddings(tmp_path, convs, embeddings):
