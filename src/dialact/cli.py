@@ -14,15 +14,14 @@ Subcommands wire the library end to end:
 Exit codes: 0 success, 1 usage error, 2 validation or oracle failure.
 A numpy overflow, division by zero or invalid value (say, from an ``lr``
 or ``l2`` too large to train with) is a validation failure too, reported
-in one line. A single --seed drives every source of randomness in a
-subcommand.
+in one line, and so is an input too large to allocate. A single --seed
+drives every source of randomness in a subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -208,10 +207,8 @@ def run(argv=None):
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args)
-    except (
-        TranscriptError, ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError
-    ) as e:
-        print(f"dialact {args.command}: {e}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, FloatingPointError, MemoryError) as e:  # + TranscriptError, JSONDecodeError
+        print(f"dialact {args.command}: {str(e) or type(e).__name__}", file=sys.stderr)
         return VALIDATION_ERROR
 
 

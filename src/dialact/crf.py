@@ -147,11 +147,12 @@ def viterbi_decode(unary, transition, lengths=None):
     b, n, k = unary.shape
     back = np.zeros(unary.shape, dtype=np.int64)
     score = unary[:, 0]
+    into, labels = np.ascontiguousarray(transition.T), np.arange(k)  # into[to]: the scores into label to
     for t in range(1, n):
-        cand = score[:, :, None] + transition  # (B, from, to)
-        best = np.argmax(cand, axis=1)
-        step = np.take_along_axis(cand, best[:, None, :], axis=1)[:, 0] + unary[:, t]
-        back[:, t] = np.where(live[:, t, None], best, np.arange(k))
+        cand = score[:, None, :] + into  # (B, to, from)
+        best = cand.argmax(axis=2)
+        step = cand.max(axis=2) + unary[:, t]
+        back[:, t] = np.where(live[:, t, None], best, labels)
         score = np.where(live[:, t, None], step, score)
     rows = np.arange(b)
     paths = np.empty((b, n), dtype=np.int64)

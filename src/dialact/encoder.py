@@ -21,8 +21,9 @@ A token's word id and characters depend only on its surface, so a batch
 stores them once per type row (one distinct surface, in order of first
 occurrence) and ``types`` maps each packed token row to its type row.
 ``embed_tokens`` runs the word lookup and ``char_cnn``, one fused tape
-op, over the type rows, expands them to feature rows with one gather and
-adds the POS/NER rows; table gradients are summed by ``ag.scatter_add``.
+op that adds up k rows of projected character tables per window, over
+the type rows, expands them to feature rows with one gather and adds the
+POS/NER rows; table gradients are summed by ``ag.scatter_add``.
 In training, dropout masks every token's row separately, so there is one
 feature row per token. Where no mask is drawn (inference, or a dropout
 of 0), a token's features depend only on its (type, POS, NER) triple, so
@@ -353,61 +354,67 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
 def char_cnn(char_ids, params):
     """Character convolutions with max-over-time pooling, as one tape record.
 
-    char_ids: (N, L) ids into ``emb.char`` (C columns), L at least the
-    widest filter. Width k has the filter bank ``cnn.w{k}`` (k*C, F_k),
-    laid out position-major, and ``cnn.b{k}`` (F_k,). Output (N, sum F_k),
-    widths concatenated in ascending order.
+    char_ids: (N, L) ids into ``emb.char`` (V, C), L at least the widest
+    filter. Width k has the filter bank ``cnn.w{k}`` (k*C, F_k), whose rows
+    [j*C, (j+1)*C) are tap j, the weights of a window's j-th character, and
+    ``cnn.b{k}`` (F_k,). Output (N, sum F_k), widths in ascending order.
 
-    Each width reads its windows' character rows straight from the id
-    array (im2col by indexing), convolves all N rows with one stacked
-    matmul and keeps each filter's argmax window; ties go to the first
-    window. The backward routes each pooled gradient to its argmax window
-    only and adds every width's window gradients into ``emb.char`` with one
-    ``scatter_add``.
+    One GEMM projects the whole table (not only the batch's characters)
+    through every tap, so a window's scores are its k characters' rows of
+    the projected tap tables plus the bias, laid out time-major (L_out, N,
+    F_k). Inference pools with max; a recorded op also keeps each filter's
+    argmax window (ties go to the first), and its backward adds each pooled
+    gradient into the tap tables at that window's characters (one
+    ``np.bincount``), then into the table and filters by one GEMM each.
     """
     table = params["emb.char"]
     banks = [(k, params[f"cnn.w{k}"], params[f"cnn.b{k}"]) for k in CHAR_WIDTHS]
-    n, length = char_ids.shape
-    dim = table.shape[1]
-    pooled, saved = [], []
-    for width, weight, bias in banks:
+    (n, length), dim = char_ids.shape, table.shape[1]
+    for width, weight, _ in banks:
         if length < width:
             raise ag.ShapeError(f"char_cnn input length {length} shorter than filter width {width}")
         if weight.shape[0] != width * dim:
             raise ag.ShapeError(f"char_cnn weight rows {weight.shape[0]} != width*C {width * dim}")
-        ids = np.lib.stride_tricks.sliding_window_view(char_ids, width, axis=1)
-        col = table.data[ids].reshape(n, length - width + 1, width * dim)
-        # A stacked (N, L_out, k*C) matmul rounds each row as a per-token
-        # product does; one flat 2-D GEMM would not.
-        conv = col @ weight.data + bias.data
-        arg = conv.argmax(axis=1)
-        pooled.append(np.take_along_axis(conv, arg[:, None, :], axis=1)[:, 0, :])
-        saved.append((ids, col, arg))
+    # (C, sum k*F_k): width k's tap j is columns [start_k + j*F_k, start_k + (j+1)*F_k)
+    taps = np.concatenate([w.data.reshape(k, dim, -1).transpose(1, 0, 2).reshape(dim, -1) for k, w, _ in banks], 1)
+    starts = np.cumsum([0] + [k * w.shape[1] for k, w, _ in banks]).tolist()
+    proj = table.data @ taps  # (V, sum k*F_k): every tap's table
+    time_ids = np.ascontiguousarray(char_ids.T)
+    inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
+    keep = ag.will_record(inputs)
+    pooled, args = [], []
+    for (width, weight, bias), start in zip(banks, starts):
+        filters, span = weight.shape[1], length - width + 1
+        conv = np.take(proj[:, start : start + filters], time_ids[:span], axis=0)
+        for j in range(1, width):
+            conv += np.take(proj[:, start + j * filters : start + (j + 1) * filters], time_ids[j : j + span], axis=0)
+        conv += bias.data
+        pooled.append(conv.max(axis=0))  # the value at the argmax window, to the bit
+        args.append(conv.argmax(axis=0) if keep else None)
     out_data = np.concatenate(pooled, axis=1)
 
     def bwd(g):
-        lo = 0
-        window_ids, window_grads = [], []
-        for (width, weight, bias), (ids, col, arg) in zip(banks, saved):
+        flat_ids, flat, grads, lo = char_ids.reshape(-1), [], [], 0
+        for (width, weight, bias), start, arg in zip(banks, starts, args):
             filters = weight.shape[1]
             g_k = g[:, lo : lo + filters]
             lo += filters
             if bias.requires_grad:
                 bias.accumulate_grad(g_k.sum(axis=0))
-            argmax_rows = np.arange(n)[:, None] * col.shape[1] + arg
-            d_conv = np.zeros((n * col.shape[1], filters))
-            d_conv[argmax_rows, np.arange(filters)] = g_k
-            if weight.requires_grad:
-                weight.accumulate_grad(col.reshape(-1, width * dim).T @ d_conv)
-            if table.requires_grad:
-                window_ids.append(ids.reshape(-1))
-                window_grads.append((d_conv @ weight.data.T).reshape(-1, dim))
+            window = np.arange(n)[:, None] * length + arg  # each filter's argmax window in the flat ids
+            for j in range(width):  # d P_j[c, f] gets g_k[:, f] wherever tap j read character c
+                flat.append(flat_ids[window + j] * proj.shape[1] + (start + j * filters + np.arange(filters)))
+                grads.append(g_k)
+        flat, grads = np.concatenate(flat, axis=None), np.concatenate(grads, axis=None)
+        d_proj = np.bincount(flat, weights=grads, minlength=proj.size).reshape(proj.shape)
         if table.requires_grad:
-            table.accumulate_grad(
-                ag.scatter_add(np.concatenate(window_ids), np.concatenate(window_grads), table.shape[0])
-            )
+            table.accumulate_grad(d_proj @ taps.T)
+        d_taps = table.data.T @ d_proj
+        for (width, weight, _), start in zip(banks, starts):
+            if weight.requires_grad:
+                d_w = d_taps[:, start : start + width * weight.shape[1]].reshape(dim, width, -1)
+                weight.accumulate_grad(d_w.transpose(1, 0, 2).reshape(weight.shape))
 
-    inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
     return ag.record("char_cnn", inputs, out_data, bwd)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from dialact import autograd as ag
 from dialact.corpus import Conversation, Token, Utterance
-from dialact.encoder import GRU_GATES
+from dialact.encoder import CHAR_WIDTHS, GRU_GATES
 
 
 def init_gru(registry, prefix, input_dim, hidden_dim, rng, scale=0.08):
@@ -55,6 +55,47 @@ def pick(x, indices):
             x.accumulate_grad(gx)
 
     return ag.record("pick", (x,), out_data, bwd)
+
+
+def im2col_char_cnn(char_ids, params):
+    """The char CNN by im2col, as one tape record; the reference for ``encoder.char_cnn``.
+
+    Each width gathers every window's character rows into an (N, L_out,
+    k*C) array, convolves it with one stacked matmul and keeps each
+    filter's argmax window, ties to the first. The backward sends each
+    pooled gradient to its argmax window only.
+    """
+    table = params["emb.char"]
+    banks = [(k, params[f"cnn.w{k}"], params[f"cnn.b{k}"]) for k in CHAR_WIDTHS]
+    n, length = char_ids.shape
+    dim = table.shape[1]
+    pooled, saved = [], []
+    for width, weight, bias in banks:
+        ids = np.lib.stride_tricks.sliding_window_view(char_ids, width, axis=1)
+        col = table.data[ids].reshape(n, length - width + 1, width * dim)
+        conv = col @ weight.data + bias.data
+        arg = conv.argmax(axis=1)
+        pooled.append(np.take_along_axis(conv, arg[:, None, :], axis=1)[:, 0, :])
+        saved.append((ids, col, arg))
+
+    def bwd(g):
+        lo = 0
+        for (width, weight, bias), (ids, col, arg) in zip(banks, saved):
+            filters = weight.shape[1]
+            g_k = g[:, lo : lo + filters]
+            lo += filters
+            if bias.requires_grad:
+                bias.accumulate_grad(g_k.sum(axis=0))
+            d_conv = np.zeros((n * col.shape[1], filters))
+            d_conv[np.arange(n)[:, None] * col.shape[1] + arg, np.arange(filters)] = g_k
+            if weight.requires_grad:
+                weight.accumulate_grad(col.reshape(-1, width * dim).T @ d_conv)
+            if table.requires_grad:
+                d_windows = (d_conv @ weight.data.T).reshape(-1, dim)
+                table.accumulate_grad(ag.scatter_add(ids.reshape(-1), d_windows, table.shape[0]))
+
+    inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
+    return ag.record("char_cnn", inputs, np.concatenate(pooled, axis=1), bwd)
 
 
 def same_char_width(conversations):

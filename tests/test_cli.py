@@ -503,6 +503,16 @@ def test_any_config_line_replaced_by_text_exits_zero_or_two(tiny, capsys, data):
     assert err.count("\n") == (code == 2), err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 112. GiB for an array with shape (5001, 3000000)", ""])
+def test_out_of_memory_exits_two_in_one_line(monkeypatch, capsys, message):
+    def allocate(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "gradcheck", allocate)
+    assert run_cli("gradcheck") == 2
+    assert capsys.readouterr().err == f"dialact gradcheck: {message or 'MemoryError'}\n"
+
+
 @pytest.mark.parametrize("line", ["lr = 1e308", "l2 = 1e300"])
 def test_training_overflow_exits_two_in_one_line(tmp_path, capsys, line):
     data = tmp_path / "labeled.jsonl"

@@ -20,7 +20,7 @@ from dialact.encoder import (
 )
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
-from helpers import init_gru, pick, sigmoid, sub
+from helpers import im2col_char_cnn, init_gru, pick, sigmoid, sub
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -144,24 +144,77 @@ def test_char_cnn_is_one_record_and_passes_grad_check():
     assert report.passed, report.summary()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    length=st.integers(4, 9),
+    dim=st.integers(1, 4),
+    chars=st.integers(2, 8),
+    filters=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+)
+def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters):
+    """Outputs and every emb.char/cnn.* gradient to 1e-12 of the tensor's largest entry."""
+    rng = np.random.default_rng(seed)
+    reg = ag.ParamRegistry()
+    table = rng.normal(size=(chars, dim))
+    table[0] = 0.0
+    reg.add("emb.char", table, frozen_rows=[0])
+    for width, count in zip(encoder.CHAR_WIDTHS, filters):
+        reg.add(f"cnn.w{width}", rng.normal(size=(width * dim, count)))
+        reg.add(f"cnn.b{width}", rng.normal(size=count))
+    ids = rng.integers(0, chars, size=(n, length))  # PAD (0) anywhere, as well as after a word
+    ids[0, rng.integers(1, length) :] = 0
+    weights = rng.normal(size=(n, sum(filters)))
+
+    def run(op):
+        reg.zero_grads()
+        with ag.Tape() as tape:
+            out = op(ids, reg.params)
+            loss = ag.reduce_sum(ag.mul(out, weights))
+        tape.backward(loss)
+        return out.data, {name: t.grad for name, t in reg.params.items()}
+
+    ref_out, ref_grads = run(im2col_char_cnn)
+    out, grads = run(char_cnn)
+    assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+    for name, grad in grads.items():
+        assert np.abs(grad - ref_grads[name]).max() <= 1e-12 * max(np.abs(ref_grads[name]).max(), 1e-300), name
+    grad_free = {name: ag.Tensor(t.data) for name, t in reg.params.items()}
+    assert np.array_equal(char_cnn(ids, grad_free).data, out)
+
+
 def reference_embed(batch, vocab, params, convs):
     """Token features built token by token from primitive ops (no type rows).
 
-    Each token's characters are looked up and convolved on their own: every
-    window is a gathered and flattened (1, k*C) row, the windows stack into
-    one (L_out, k*C) matmul, and the max over time picks the argmax window.
+    The character table goes through every filter tap in one matmul, as
+    in ``char_cnn``. Each token's window scores are then sums of its
+    characters' projected rows, one gather per tap, and the max over time
+    picks the argmax window.
     """
     length = batch.char.shape[1]
+    dim = params["emb.char"].shape[1]
+    taps = [
+        ag.select(ag.reshape(params[f"cnn.w{width}"], (width, dim, -1)), j, axis=0)
+        for width in encoder.CHAR_WIDTHS
+        for j in range(width)
+    ]
+    by_column = ag.transpose_last(ag.matmul(params["emb.char"], ag.concat(taps, axis=1)))
+    tap_tables, start = [], 0
+    for tap in taps:
+        columns = np.arange(start, start + tap.shape[1])
+        tap_tables.append(ag.transpose_last(ag.gather(by_column, columns)))  # (V, F_k)
+        start += tap.shape[1]
     rows = []
     for tok in (tok for c in convs for u in c.utterances for tok in u.tokens):
-        ids = [vocab.char_id(ch) for ch in tok.chars] + [0] * (length - len(tok.chars))
-        pooled = []
+        ids = np.array([vocab.char_id(ch) for ch in tok.chars] + [0] * (length - len(tok.chars)))
+        pooled, tables = [], iter(tap_tables)
         for width in encoder.CHAR_WIDTHS:
-            windows = [
-                ag.reshape(ag.gather(params["emb.char"], np.array(ids[t : t + width])), (1, -1))
-                for t in range(length - width + 1)
-            ]
-            conv = ag.add(ag.matmul(ag.concat(windows, axis=0), params[f"cnn.w{width}"]), params[f"cnn.b{width}"])
+            span = length - width + 1
+            conv = ag.gather(next(tables), ids[:span])
+            for j in range(1, width):
+                conv = ag.add(conv, ag.gather(next(tables), ids[j : j + span]))
+            conv = ag.add(conv, params[f"cnn.b{width}"])
             arg = conv.data.argmax(axis=0)
             pooled.append(pick(ag.transpose_last(conv), arg))
         features = [
