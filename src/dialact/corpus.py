@@ -11,7 +11,13 @@ optional, and so is each tag in them (``null``); a missing tag maps to a
 dedicated ABSENT tag with its own learned embedding. Acts are optional
 per utterance (absent or ``null`` means unlabeled), but every utterance
 must carry one at training time. A value of the wrong JSON type is an
-error; nothing is converted to a string.
+error; nothing is converted to a string. Every reader accepts a leading
+UTF-8 byte-order mark.
+
+``parse_jsonl`` builds one ``Token`` per distinct (surface, pos, ner) in a
+file and shares it among every occurrence; a ``Token`` is immutable, so
+the sharing cannot be observed. Past the per-token JSON checks, parsing
+and ``build_vocab`` cost per distinct token, not per occurrence.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ class TranscriptError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
+    """One word with its optional tags; immutable.
+
+    Tokens read from one file are shared: equal tokens are one object.
+    """
+
     surface: str
     pos: str | None = None
     ner: str | None = None
@@ -79,7 +90,7 @@ class Conversation:
         return all(u.act is not None for u in self.utterances)
 
 
-def _utterance_from_obj(obj, conv_id, index):
+def _utterance_from_obj(obj, conv_id, index, interned):
     where = f"conversation {conv_id!r}, utterance {index}"
     if not isinstance(obj, dict):
         raise TranscriptError(f"{where}: must be an object, got {type(obj).__name__}")
@@ -102,23 +113,30 @@ def _utterance_from_obj(obj, conv_id, index):
             if t is not None and not isinstance(t, str):
                 raise TranscriptError(f"{where}: '{name}' tag {i} must be a string or null, got {t!r}")
 
-    def tag(tags, i):
-        return None if tags is None else tags[i]
-
-    toks = tuple(Token(surface=t, pos=tag(pos, i), ner=tag(ner, i)) for i, t in enumerate(tokens))
+    toks = []
+    for key in zip(tokens, pos or [None] * len(tokens), ner or [None] * len(tokens)):
+        tok = interned.get(key)
+        if tok is None:
+            tok = interned[key] = Token(*key)
+        toks.append(tok)
     speaker = obj.get("speaker", "")
     if not isinstance(speaker, str):
         raise TranscriptError(f"{where}: 'speaker' must be a string, got {speaker!r}")
     act = obj.get("act")
     if act is not None and not isinstance(act, str):
         raise TranscriptError(f"{where}: 'act' must be a string or null, got {act!r}")
-    return Utterance(tokens=toks, speaker=speaker, act=act)
+    return Utterance(tokens=tuple(toks), speaker=speaker, act=act)
 
 
 def parse_jsonl(path):
-    """Read conversations in file order; raises with the 1-based line number."""
+    """Read conversations in file order; raises with the 1-based line number.
+
+    Equal tokens share one ``Token``: ``interned`` maps each (surface, pos,
+    ner) seen in this file to it, and is dropped on return.
+    """
     conversations = []
-    with open(path, encoding="utf-8") as f:
+    interned = {}
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -142,7 +160,7 @@ def parse_jsonl(path):
                     Conversation(
                         id=conv_id,
                         utterances=tuple(
-                            _utterance_from_obj(u, conv_id, i) for i, u in enumerate(utts)
+                            _utterance_from_obj(u, conv_id, i, interned) for i, u in enumerate(utts)
                         ),
                     )
                 )
@@ -156,7 +174,7 @@ def parse_jsonl(path):
 def read_key_values(path):
     """``key = value`` lines as {key: (line number, value)}; ``#`` comments; bad lines raise."""
     pairs = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -281,34 +299,29 @@ def _symbols(index):
 
 def _ranked(counter):
     """Most frequent first; lexicographic order breaks frequency ties."""
-    return [sym for sym, _ in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))]
+    # sorted() stays stable with reverse=True, so equal counts keep lexicographic order
+    return sorted(sorted(counter), key=counter.__getitem__, reverse=True)
 
 
 def build_vocab(conversations, min_count=1):
     """Index every table from the corpus; pure function of its inputs."""
     if not conversations:
         raise TranscriptError("cannot build a vocabulary from an empty corpus")
-    words, chars, pos, ner, acts = Counter(), Counter(), Counter(), Counter(), Counter()
-    for conv in conversations:
-        for utt in conv.utterances:
-            if utt.act is not None:
-                acts[utt.act] += 1
-            for tok in utt.tokens:
-                words[tok.surface] += 1
-                chars.update(tok.chars)
-                if tok.pos is not None:
-                    pos[tok.pos] += 1
-                if tok.ner is not None:
-                    ner[tok.ner] += 1
+    utterances = [utt for conv in conversations for utt in conv.utterances]
+    acts = Counter(utt.act for utt in utterances if utt.act is not None)
     if not acts:
         raise TranscriptError("corpus has no labeled utterance; cannot index acts")
+    tokens = [tok for utt in utterances for tok in utt.tokens]
+    words = Counter([tok.surface for tok in tokens])
+    # one C-level count over every distinct word repeated by its count
+    chars = Counter("".join([word * n for word, n in words.items()]))
+    pos = Counter([tok.pos for tok in tokens])
+    ner = Counter([tok.ner for tok in tokens])
+    del pos[None], ner[None]  # untagged tokens; a Counter ignores a missing key
 
     def table(counter, reserved, threshold=1):
-        index = {sym: i for i, sym in enumerate(reserved)}
-        for sym in _ranked(counter):
-            if counter[sym] >= threshold and sym not in index:
-                index[sym] = len(index)
-        return index
+        kept = {sym: n for sym, n in counter.items() if n >= threshold and sym not in reserved}
+        return {sym: i for i, sym in enumerate((*reserved, *_ranked(kept)))}
 
     return Vocab(
         word_index=table(words, (PAD, UNK), threshold=min_count),
@@ -337,7 +350,7 @@ def load_pretrained_embeddings(path, vocab, dim, rng=None):
     n_words = len(vocab.word_index)
     matrix = rng.uniform(-0.05, 0.05, size=(n_words, dim))
     matrix[PAD_ID] = 0.0
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split()
             if not parts:

@@ -213,7 +213,7 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     initial = stationary_distribution(spec.act_transition)
     phrase_lists = [
-        ([phrase for phrase, _ in table], np.array([p for _, p in table]))
+        ([tuple(Token(surface=w) for w in phrase) for phrase, _ in table], np.array([p for _, p in table]))
         for table in spec.act_phrase_tables
     ]
     conversations = []
@@ -228,7 +228,7 @@ def generate_synthetic(spec):
             phrase = phrases[int(rng.choice(len(phrases), p=weights))]
             utterances.append(
                 Utterance(
-                    tokens=tuple(Token(surface=w) for w in phrase),
+                    tokens=phrase,
                     speaker="A" if t % 2 == 0 else "B",
                     act=spec.act_names[act],
                 )

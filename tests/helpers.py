@@ -1,9 +1,11 @@
 """Helpers shared by several test files."""
 
+from collections import Counter
+
 import numpy as np
 
 from dialact import autograd as ag
-from dialact.corpus import Conversation, Token, Utterance
+from dialact.corpus import ABSENT, PAD, UNK, Conversation, Token, TranscriptError, Utterance, Vocab
 from dialact.encoder import CHAR_WIDTHS, GRU_GATES
 
 
@@ -55,6 +57,44 @@ def pick(x, indices):
             x.accumulate_grad(gx)
 
     return ag.record("pick", (x,), out_data, bwd)
+
+
+def per_token_vocab(conversations, min_count=1):
+    """``build_vocab`` by one Counter update per token; the reference for ``corpus.build_vocab``."""
+    if not conversations:
+        raise TranscriptError("cannot build a vocabulary from an empty corpus")
+    words, chars, pos, ner, acts = Counter(), Counter(), Counter(), Counter(), Counter()
+    for conv in conversations:
+        for utt in conv.utterances:
+            if utt.act is not None:
+                acts[utt.act] += 1
+            for tok in utt.tokens:
+                words[tok.surface] += 1
+                chars.update(tok.chars)
+                if tok.pos is not None:
+                    pos[tok.pos] += 1
+                if tok.ner is not None:
+                    ner[tok.ner] += 1
+    if not acts:
+        raise TranscriptError("corpus has no labeled utterance; cannot index acts")
+
+    def ranked(counter):
+        return [sym for sym, _ in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+    def table(counter, reserved, threshold=1):
+        index = {sym: i for i, sym in enumerate(reserved)}
+        for sym in ranked(counter):
+            if counter[sym] >= threshold and sym not in index:
+                index[sym] = len(index)
+        return index
+
+    return Vocab(
+        word_index=table(words, (PAD, UNK), threshold=min_count),
+        char_index=table(chars, (PAD, UNK)),
+        pos_index=table(pos, (PAD, UNK, ABSENT)),
+        ner_index=table(ner, (PAD, UNK, ABSENT)),
+        act_index={sym: i for i, sym in enumerate(ranked(acts))},
+    )
 
 
 def im2col_char_cnn(char_ids, params):

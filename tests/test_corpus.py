@@ -1,6 +1,7 @@
 """Transcript parsing, vocabulary construction, embedding loading."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from dialact.corpus import (
     parse_jsonl,
     write_jsonl,
 )
+
+from helpers import per_token_vocab
 
 # Ten-turn two-speaker snippet: a greeting pair opening, a farewell pair
 # closing, question answered in between.
@@ -213,6 +216,60 @@ def test_write_then_parse_returns_equal_conversations(tmp_path, convs):
     assert parse_jsonl(path) == convs
 
 
+def test_parse_shares_one_token_per_distinct_key(tmp_path):
+    path = tmp_path / "shared.jsonl"
+    write_lines(path, [
+        '{"id":"a","utterances":[{"tokens":["hi","hi","there"],"pos":["UH","UH",null]},'
+        '{"tokens":["hi","there"],"act":"x"}]}',
+        '{"id":"b","utterances":[{"tokens":["hi","there"],"pos":["UH",null],"ner":["O",null]},'
+        '{"tokens":["there"],"ner":[null]}]}',
+    ])
+    a, b = parse_jsonl(path)
+    (hi_uh, hi_uh_again, there), (hi, there_no_pos) = (u.tokens for u in a.utterances)
+    (hi_uh_o, there_nulls), (there_null_ner,) = (u.tokens for u in b.utterances)
+    assert hi_uh is hi_uh_again
+    # a null tag and a missing column are one key, across conversations too
+    assert there is there_no_pos is there_nulls is there_null_ner
+    # tokens differing only in a tag are different objects
+    assert hi == Token("hi") and hi_uh == Token("hi", pos="UH") and hi_uh_o == Token("hi", "UH", "O")
+    assert len({id(t) for t in (hi, hi_uh, hi_uh_o)}) == 3
+    tokens = [t for conv in (a, b) for u in conv.utterances for t in u.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens)) == 4
+    # sharing ends with the call: a second parse builds its own tokens
+    assert parse_jsonl(path)[0].utterances[0].tokens[0] is not hi_uh
+
+
+def test_shared_tokens_write_back_byte_for_byte(tmp_path):
+    mixed = Conversation(
+        id="m",
+        utterances=(
+            Utterance(tokens=(Token("a", "DT"), Token("a"), Token("b", "NN", "O")), speaker="A", act="x"),
+            Utterance(tokens=(Token("a"), Token("a", ner="O")), speaker="B"),
+            Utterance(tokens=(Token("a", "DT"), Token("b", None, "O"), Token("b")), speaker="A", act="y"),
+        ),
+    )
+    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    write_jsonl(first, [mixed, conv_from_snippet()])
+    write_jsonl(again, parse_jsonl(first))
+    assert again.read_bytes() == first.read_bytes()
+
+
+BOM = "\ufeff"
+
+
+def test_parse_accepts_a_leading_byte_order_mark_only(tmp_path):
+    lines = ['{"id":"a","utterances":[{"tokens":["hi"],"act":"x"}]}',
+             '{"id":"b","utterances":[{"tokens":["yo"]}]}']
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+    write_lines(plain, lines)
+    marked.write_bytes(BOM.encode() + plain.read_bytes())
+    assert parse_jsonl(marked) == parse_jsonl(plain)
+    inner = tmp_path / "inner.jsonl"
+    write_lines(inner, [lines[0], BOM + lines[1]])
+    with pytest.raises(TranscriptError, match=":2: malformed JSON"):
+        parse_jsonl(inner)
+
+
 def test_token_invariants():
     tok = Token("hello")
     assert tok.chars == ("h", "e", "l", "l", "o")
@@ -288,6 +345,46 @@ def test_build_vocab_requires_labels():
         build_vocab([])
 
 
+SURFACES = st.sampled_from(["a", "b", "ab", "ba", "é", "a b", PAD, UNK, corpus.ABSENT])
+VOCAB_TAGS = st.none() | st.sampled_from(["NN", "VB", "O", PAD, corpus.ABSENT])
+VOCAB_TOKENS = st.builds(Token, surface=SURFACES, pos=VOCAB_TAGS, ner=VOCAB_TAGS)
+VOCAB_CORPORA = st.lists(
+    st.builds(
+        Conversation,
+        id=st.just("v"),
+        utterances=st.lists(
+            st.builds(
+                Utterance,
+                tokens=st.lists(VOCAB_TOKENS, min_size=1, max_size=6).map(tuple),
+                speaker=st.just("A"),
+                act=st.none() | st.sampled_from(["x", "y", "z"]),
+            ),
+            min_size=1,
+            max_size=4,
+        ).map(tuple),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(convs=VOCAB_CORPORA, min_count=st.integers(1, 3))
+def test_build_vocab_matches_per_token_reference(tmp_path, convs, min_count):
+    """Hand-built and parsed (shared) tokens index exactly as one Counter update per token."""
+    path = tmp_path / "vocab.jsonl"
+    write_jsonl(path, convs)
+    parsed = parse_jsonl(path)
+    try:
+        expected = per_token_vocab(convs, min_count)
+    except TranscriptError as e:
+        for corpus_ in (convs, parsed):
+            with pytest.raises(TranscriptError, match=re.escape(str(e))):
+                build_vocab(corpus_, min_count)
+        return
+    assert build_vocab(convs, min_count) == expected
+    assert build_vocab(parsed, min_count) == expected
+
+
 def test_vocab_json_round_trip():
     vocab = build_vocab([conv_from_snippet()])
     again = corpus.Vocab.from_json_obj(json.loads(json.dumps(vocab.to_json_obj())))
@@ -341,6 +438,15 @@ def test_embeddings_reject_non_finite_values_naming_line_and_word(tmp_path, bad)
     path.write_text(f"world 0.5 0.5\nhello 0.1 {bad}\n", encoding="utf-8")
     with pytest.raises(TranscriptError, match=r"vecs\.txt:2: .*'hello' is not finite"):
         load_pretrained_embeddings(path, vocab, dim=2)
+
+
+def test_embeddings_accept_a_leading_byte_order_mark(tmp_path):
+    vocab = build_vocab([make_conv(["hello world"], ["x"])])
+    path = tmp_path / "vecs.txt"
+    path.write_text("hello 0.1 0.2\nworld 0.3 0.4\n", encoding="utf-8-sig")
+    matrix = load_pretrained_embeddings(path, vocab, dim=2)
+    assert np.array_equal(matrix[vocab.word_index["hello"]], [0.1, 0.2])
+    assert np.array_equal(matrix[vocab.word_index["world"]], [0.3, 0.4])
 
 
 def test_every_encoded_id_indexes_its_table(tmp_path):

@@ -1,5 +1,7 @@
 """Generator: chain statistics, reproducibility, spec files, Bayes decoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,23 @@ def test_generation_byte_identical_for_fixed_seed(tmp_path):
     write_jsonl(pa, a)
     write_jsonl(pb, b)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+PINNED_CORPORA = [
+    (dict(num_acts=3, num_conversations=25, seed=99),
+     "9c868ca65ce98bb91e89b45a3ef872f96464f27c34c34f20e24b324eb116958e"),
+    (dict(num_acts=8, self_transition=0.5, num_conversations=40, min_len=3, max_len=30, seed=2017),
+     "70ac4e9a662e11a4f4b1dc2f0aae9b3416623a2f782c0cfacf49b0cc8ab6139e"),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest", PINNED_CORPORA)
+def test_generated_corpus_matches_its_pinned_digest(tmp_path, kwargs, digest):
+    """The sha256 of ``write_jsonl``'s bytes for two fixed specs, from numpy's PCG64 stream."""
+    convs, _ = generate_synthetic(default_spec(**kwargs))
+    path = tmp_path / "pinned.jsonl"
+    write_jsonl(path, convs)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_stationary_distribution_of_symmetric_chain_is_uniform():

@@ -166,6 +166,16 @@ def test_parse_config_file(tmp_path):
         parse_config_file(bad)
 
 
+def test_config_file_accepts_a_leading_byte_order_mark_only(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("max_epochs = 3\nlr = 0.01\n", encoding="utf-8-sig")
+    cfg = parse_config_file(path)
+    assert cfg.max_epochs == 3 and cfg.lr == 0.01
+    path.write_text("max_epochs = 3\n\ufefflr = 0.01\n", encoding="utf-8")
+    with pytest.raises(TranscriptError, match=r":2: unknown config key '\\ufefflr'"):
+        parse_config_file(path)
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
