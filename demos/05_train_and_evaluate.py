@@ -43,7 +43,7 @@ print("\nper-act recall:")
 for name, r in zip(report.labels, report.recall):
     print(f"  {name:12s} {r:.3f}")
 
-doc = evaluate.export_attention(test_c[0], model)
+doc = evaluate.export_attention(test_c, model)[0]
 print(f"\nattention export for {doc['conversation_id']}:")
 print(f"  decoded path: {doc['viterbi_path']}")
 print(f"  selection gamma: {['%.2f' % g for g in doc['selection_gamma']]}")

@@ -152,7 +152,7 @@ def cmd_predict(args):
 def cmd_export_attn(args):
     model = DialogueActModel.load(args.checkpoint)
     convs = parse_jsonl(args.test_path)
-    docs = [evaluate.export_attention(conv, model) for conv in convs]
+    docs = evaluate.export_attention(convs, model)
     evaluate.write_attention_jsonl(args.out, docs)
     print(f"wrote attention export for {len(docs)} conversations to {args.out}")
     return 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +51,10 @@ class Token:
     surface: str
     pos: str | None = None
     ner: str | None = None
-    chars: tuple = field(init=False)
 
     def __post_init__(self):
         if not self.surface:
             raise TranscriptError("token surface must be non-empty")
-        object.__setattr__(self, "chars", tuple(self.surface))
 
 
 @dataclass(frozen=True)

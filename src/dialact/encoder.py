@@ -21,9 +21,11 @@ A token's word id and characters depend only on its surface, so a batch
 stores them once per type row (one distinct surface, in order of first
 occurrence) and ``types`` maps each packed token row to its type row.
 ``embed_tokens`` runs the word lookup and ``char_cnn``, one fused tape
-op that adds up k rows of projected character tables per window, over
-the type rows, expands them to feature rows with one gather and adds the
-POS/NER rows; table gradients are summed by ``ag.scatter_add``.
+op that adds up k rows of projected character tables per window and
+pools over the windows inside the surface only, over the type rows,
+expands them to feature rows with one gather and adds the POS/NER rows;
+table gradients are summed by ``ag.scatter_add``. So a token's features
+never depend on the batch it is in.
 In training, dropout masks every token's row separately, so there is one
 feature row per token. Where no mask is drawn (inference, or a dropout
 of 0), a token's features depend only on its (type, POS, NER) triple, so
@@ -98,17 +100,17 @@ class BatchArrays:
     ner: np.ndarray  # (M,)
 
 
-def prepare_batch(conversations, vocab, min_char_len=4):
+def prepare_batch(conversations, vocab):
     """Map conversations onto packed id arrays.
 
     L, the width of ``char``, is the longest surface in the batch but at
-    least ``min_char_len``.
+    least the widest filter.
     """
     utterances = [u for c in conversations for u in c.utterances]
     tokens = [tok for u in utterances for tok in u.tokens]
     type_rows = {}
     types = [type_rows.setdefault(tok.surface, len(type_rows)) for tok in tokens]
-    l_max = max(min_char_len, max(map(len, type_rows)))
+    l_max = max(max(CHAR_WIDTHS), max(map(len, type_rows)))
     char = np.full((len(type_rows), l_max), PAD_ID, dtype=np.int64)
     for row, surface in enumerate(type_rows):
         char[row, : len(surface)] = [vocab.char_id(ch) for ch in surface]
@@ -359,6 +361,10 @@ def char_cnn(char_ids, params):
     [j*C, (j+1)*C) are tap j, the weights of a window's j-th character, and
     ``cnn.b{k}`` (F_k,). Output (N, sum F_k), widths in ascending order.
 
+    Windows past a surface's end are excluded: those starting beyond
+    max(len, widest filter) - k, len counting a row's non-PAD ids, so a
+    token's features do not depend on L, its batch's longest surface.
+
     One GEMM projects the whole table (not only the batch's characters)
     through every tap, so a window's scores are its k characters' rows of
     the projected tap tables plus the bias, laid out time-major (L_out, N,
@@ -380,6 +386,8 @@ def char_cnn(char_ids, params):
     starts = np.cumsum([0] + [k * w.shape[1] for k, w, _ in banks]).tolist()
     proj = table.data @ taps  # (V, sum k*F_k): every tap's table
     time_ids = np.ascontiguousarray(char_ids.T)
+    # a window of width k may start at most max(len, widest filter) - k in
+    ends = np.maximum(np.count_nonzero(char_ids != PAD_ID, axis=1), max(CHAR_WIDTHS))
     inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
     keep = ag.will_record(inputs)
     pooled, args = [], []
@@ -389,6 +397,7 @@ def char_cnn(char_ids, params):
         for j in range(1, width):
             conv += np.take(proj[:, start + j * filters : start + (j + 1) * filters], time_ids[j : j + span], axis=0)
         conv += bias.data
+        conv[np.arange(span)[:, None] > ends - width] = -np.inf
         pooled.append(conv.max(axis=0))  # the value at the argmax window, to the bit
         args.append(conv.argmax(axis=0) if keep else None)
     out_data = np.concatenate(pooled, axis=1)

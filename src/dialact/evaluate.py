@@ -7,7 +7,8 @@ the counts so heatmaps can be rendered by external tooling.
 
 The attention export is a JSON document per conversation carrying node
 and edge marginals, the selection weights gamma, the memory attention
-matrix, and the decoded path. Schema (version 1)::
+matrix, and the decoded path; one forward per inference chunk, as in
+decoding. Schema (version 1)::
 
     {"version": 1, "conversation_id": str, "acts": [str],
      "viterbi_path": [str], "viterbi_score": float, "log_partition": float,
@@ -23,6 +24,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import crf
 
 EXPORT_VERSION = 1
 
@@ -122,22 +125,27 @@ def evaluate_model(model, conversations):
     return report, preds
 
 
-def export_attention(conv, model):
-    """Per-conversation attention/marginal document; see module docstring."""
-    detail = model.conversation_detail(conv)
+def export_attention(conversations, model):
+    """Attention/marginal documents in input order, one ``forward_backward`` and Viterbi call per chunk."""
     names = model.vocab.act_names
-    return {
-        "version": EXPORT_VERSION,
-        "conversation_id": conv.id,
-        "acts": list(names),
-        "viterbi_path": [names[y] for y in detail["viterbi_path"]],
-        "viterbi_score": detail["viterbi_score"],
-        "log_partition": detail["log_partition"],
-        "node_marginals": detail["node_marginals"].tolist(),
-        "edge_marginals": detail["edge_marginals"].tolist(),
-        "selection_gamma": detail["selection_gamma"].tolist(),
-        "memory_attention": detail["memory_attention"].tolist(),
-    }
+    docs = [None] * len(conversations)
+    for chunk, scores, selection, enc in model.inference_chunks(conversations):
+        marginals = crf.forward_backward(*scores)
+        paths, best = crf.viterbi_decode(*scores)
+        for b, (i, n) in enumerate(zip(chunk, scores[-1])):
+            docs[i] = {
+                "version": EXPORT_VERSION,
+                "conversation_id": conversations[i].id,
+                "acts": list(names),
+                "viterbi_path": [names[y] for y in paths[b, :n]],
+                "viterbi_score": float(best[b]),
+                "log_partition": float(marginals.logZ[b]),
+                "node_marginals": marginals.node[b, :n].tolist(),
+                "edge_marginals": marginals.edge[b, : n - 1].tolist(),
+                "selection_gamma": selection.gamma.data[b, :n].tolist(),
+                "memory_attention": enc.attention.data[b, :n, :n].tolist(),
+            }
+    return docs
 
 
 def write_report(path, report):

@@ -2,16 +2,18 @@
 
 Owns the parameter registry, the loss graph for a batch of conversations,
 decoding, and checkpoint round-trips. A batch of any conversation lengths
-runs as one graph, the chains taking one length per conversation.
-``decode`` sorts conversations by length and runs chunks of at most
-``cfg.max_batch``, so a long conversation pads only its length neighbours.
+runs as one graph, the chains taking one length per conversation. All
+inference (``decode``, ``accuracy``, ``potential_tables``,
+``evaluate.export_attention``) runs on ``inference_chunks``: chunks of at
+most ``cfg.max_batch`` conversations in length order, so a long one pads
+only its length neighbours. No output depends on a conversation's chunk
+mates, up to BLAS rounding.
 
 There is one parameter namespace, the checkpoint names (``emb.word``,
 ``utt_fwd.w_r``, ``sel.trans``, ``crf.start`` ...). Every layer takes a
 flat ``params`` mapping from those names to tensors and reads its own
 entries. ``loss`` passes ``registry.params``, whose tensors require a
-gradient and are recorded on the live tape. Inference (``decode``,
-``accuracy``, ``potential_tables``, ``conversation_detail``) passes fresh
+gradient and are recorded on the live tape. Inference passes fresh
 grad-free tensors over the current arrays, or over ``weights`` such as
 ``registry.ema``; it records nothing on any tape and writes no shared
 state, so it may run next to training in another thread.
@@ -106,72 +108,48 @@ class DialogueActModel:
 
     # -- inference ----------------------------------------------------------
 
-    def _snapshot(self, weights):
-        """Name -> array: a shallow copy of ``weights``, or of the current weights.
+    def inference_chunks(self, conversations, weights=None):
+        """Grad-free forwards over chunks of at most ``cfg.max_batch``, in stable length order.
 
-        Training rebinds weight arrays and never writes into them, so the
-        arrays of a snapshot never change under its reader.
+        Yields (indices into ``conversations``, (unary (B, N, Y), transition,
+        lengths (B,)), selection, encoded) per chunk: the chain engine's
+        arguments, boundary scores included, then the layers' tensors. All
+        chunks read one snapshot of ``weights`` (names to arrays; default:
+        the current weights); training rebinds arrays, never writes them.
         """
         if weights is None:
-            return {name: t.data for name, t in self.registry.params.items()}
-        return dict(weights)
-
-    def chain_scores(self, conversations, weights=None):
-        """Numpy chain scores of one batch (no tape, no dropout).
-
-        ``weights`` maps checkpoint names to arrays (e.g. ``registry.ema``);
-        by default the current weights are used. Either way the forward runs
-        on grad-free tensors over those arrays, so it records nothing on any
-        live tape. Returns ((unary (B, N, Y), transition, lengths (B,)),
-        selection, encoded): scores are the engine's arguments, and unary
-        includes any ``crf.start``/``crf.stop`` boundary scores.
-        """
-        weights = self._snapshot(weights)
+            weights = {name: t.data for name, t in self.registry.params.items()}
         params = {name: ag.Tensor(value) for name, value in weights.items()}
-        batch = encoder.prepare_batch(conversations, self.vocab)
-        unary, trans, selection, enc = self.forward(batch, params)
-        return (unary.data, trans.data, batch.utt_counts), selection, enc
-
-    def potential_tables(self, conversations):
-        """Per-conversation PotentialTables, cropped to each length, sharing one transition table."""
-        (unary, trans, lengths), selection, enc = self.chain_scores(conversations)
-        tables = [crf.PotentialTable(u[:n], trans) for u, n in zip(unary, lengths)]
-        return tables, selection, enc
-
-    def decode(self, conversations, weights=None):
-        """Viterbi act names per conversation, in input order.
-
-        Gold acts are ignored, so acts unseen in training are fine. Each
-        chunk of at most ``cfg.max_batch`` conversations, in stable length
-        order, is one batched Viterbi call; every chunk reads the same
-        snapshot of ``weights`` (default: the current weights).
-        """
-        weights = self._snapshot(weights)
         order = sorted(range(len(conversations)), key=lambda i: len(conversations[i]))
-        results = [None] * len(conversations)
-        names = self.vocab.act_names
         for lo in range(0, len(order), self.cfg.max_batch):
             chunk = order[lo : lo + self.cfg.max_batch]
-            scores, _, _ = self.chain_scores([conversations[i] for i in chunk], weights)
+            batch = encoder.prepare_batch([conversations[i] for i in chunk], self.vocab)
+            unary, trans, selection, enc = self.forward(batch, params)
+            yield chunk, (unary.data, trans.data, batch.utt_counts), selection, enc
+
+    def potential_tables(self, conversations):
+        """Chain tables, selection gammas and memory attentions, cropped, in input order."""
+        tables, gammas, attentions = ([None] * len(conversations) for _ in range(3))
+        for chunk, (unary, trans, lengths), selection, enc in self.inference_chunks(conversations):
+            for b, (i, n) in enumerate(zip(chunk, lengths)):
+                tables[i] = crf.PotentialTable(unary[b, :n], trans)
+                gammas[i] = selection.gamma.data[b, :n]
+                attentions[i] = enc.attention.data[b, :n, :n]
+        return tables, gammas, attentions
+
+    def decode(self, conversations, weights=None):
+        """Viterbi act names per conversation, in input order, under ``weights``.
+
+        Gold acts are ignored, so acts unseen in training are fine. Each
+        chunk of :meth:`inference_chunks` is one batched Viterbi call.
+        """
+        results = [None] * len(conversations)
+        names = self.vocab.act_names
+        for chunk, scores, _, _ in self.inference_chunks(conversations, weights):
             paths, _ = crf.viterbi_decode(*scores)
             for i, path, n in zip(chunk, paths, scores[-1]):
                 results[i] = [names[y] for y in path[:n]]
         return results
-
-    def conversation_detail(self, conv):
-        """Everything the attention export needs, as numpy arrays."""
-        scores, selection, enc = self.chain_scores([conv])
-        marginals = crf.forward_backward(*scores)
-        paths, best = crf.viterbi_decode(*scores)
-        return {
-            "log_partition": float(marginals.logZ[0]),
-            "node_marginals": marginals.node[0],
-            "edge_marginals": marginals.edge[0],
-            "viterbi_path": paths[0].tolist(),
-            "viterbi_score": float(best[0]),
-            "selection_gamma": selection.gamma.data[0].copy(),
-            "memory_attention": enc.attention.data[0].copy(),
-        }
 
     def accuracy(self, conversations, weights=None):
         """Utterance-level decode accuracy against gold acts, under ``weights``."""

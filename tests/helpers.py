@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 
 from dialact import autograd as ag
-from dialact.corpus import ABSENT, PAD, UNK, Conversation, Token, TranscriptError, Utterance, Vocab
+from dialact.corpus import ABSENT, PAD, PAD_ID, UNK, TranscriptError, Vocab
 from dialact.encoder import CHAR_WIDTHS, GRU_GATES
 
 
@@ -70,7 +70,7 @@ def per_token_vocab(conversations, min_count=1):
                 acts[utt.act] += 1
             for tok in utt.tokens:
                 words[tok.surface] += 1
-                chars.update(tok.chars)
+                chars.update(tok.surface)
                 if tok.pos is not None:
                     pos[tok.pos] += 1
                 if tok.ner is not None:
@@ -102,18 +102,22 @@ def im2col_char_cnn(char_ids, params):
 
     Each width gathers every window's character rows into an (N, L_out,
     k*C) array, convolves it with one stacked matmul and keeps each
-    filter's argmax window, ties to the first. The backward sends each
-    pooled gradient to its argmax window only.
+    filter's argmax window, ties to the first, among the windows that
+    start at most max(len, widest filter) - k in (len: the row's non-PAD
+    ids). The backward sends each pooled gradient to its argmax window only.
     """
     table = params["emb.char"]
     banks = [(k, params[f"cnn.w{k}"], params[f"cnn.b{k}"]) for k in CHAR_WIDTHS]
     n, length = char_ids.shape
     dim = table.shape[1]
+    own_width = np.maximum((char_ids != PAD_ID).sum(axis=1), max(CHAR_WIDTHS))
     pooled, saved = [], []
     for width, weight, bias in banks:
         ids = np.lib.stride_tricks.sliding_window_view(char_ids, width, axis=1)
         col = table.data[ids].reshape(n, length - width + 1, width * dim)
         conv = col @ weight.data + bias.data
+        valid = np.arange(length - width + 1) <= (own_width - width)[:, None]  # (N, L_out)
+        conv = np.where(valid[:, :, None], conv, -np.inf)
         arg = conv.argmax(axis=1)
         pooled.append(np.take_along_axis(conv, arg[:, None, :], axis=1)[:, 0, :])
         saved.append((ids, col, arg))
@@ -136,27 +140,3 @@ def im2col_char_cnn(char_ids, params):
 
     inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
     return ag.record("char_cnn", inputs, np.concatenate(pooled, axis=1), bwd)
-
-
-def same_char_width(conversations):
-    """Copies whose token surfaces are padded with "_" to one width.
-
-    The char CNN pools over every column of a batch's character array, PAD
-    columns included, so a token's features depend on the longest surface
-    in its batch. With one width, every batch has the same columns.
-    """
-    width = max(len(t.surface) for c in conversations for u in c.utterances for t in u.tokens)
-    return [
-        Conversation(
-            id=c.id,
-            utterances=tuple(
-                Utterance(
-                    tokens=tuple(Token(t.surface.ljust(width, "_"), t.pos, t.ner) for t in u.tokens),
-                    speaker=u.speaker,
-                    act=u.act,
-                )
-                for u in c.utterances
-            ),
-        )
-        for c in conversations
-    ]

@@ -272,7 +272,7 @@ def test_parse_accepts_a_leading_byte_order_mark_only(tmp_path):
 
 def test_token_invariants():
     tok = Token("hello")
-    assert tok.chars == ("h", "e", "l", "l", "o")
+    assert (tok.surface, tok.pos, tok.ner) == ("hello", None, None)
     with pytest.raises(TranscriptError):
         Token("")
     with pytest.raises(TranscriptError):
@@ -470,7 +470,7 @@ def test_every_encoded_id_indexes_its_table(tmp_path):
     assert batch.word[batch.types].tolist() == [vocab.word_id(tok.surface) for tok in tokens]
     assert batch.char.shape[1] == max(4, max(len(s) for s in surfaces))
     for tok, row in zip(tokens, batch.char[batch.types]):
-        spelled = [vocab.char_id(ch) for ch in tok.chars]
+        spelled = [vocab.char_id(ch) for ch in tok.surface]
         assert row.tolist() == spelled + [PAD_ID] * (row.size - len(spelled))
     # no POS/NER columns in the snippet: real tokens carry the ABSENT tag
     assert np.all(batch.pos == ABSENT_ID)

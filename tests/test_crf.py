@@ -23,7 +23,6 @@ from dialact.crf import (
 from dialact.model import DialogueActModel
 from dialact.synthetic import default_spec, generate_synthetic
 from dialact.train import TrainConfig, adagrad_step
-from helpers import same_char_width
 
 
 def fb(pot):
@@ -686,8 +685,8 @@ def test_potential_tables_share_one_transition():
                       emit_dim=4, boundary_potentials=True)
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(21))
     tables, _, _ = model.potential_tables(convs[:2])
-    (unary, trans, lengths), _, _ = model.chain_scores(convs[:2])
-    assert len(tables) == 2 and lengths.tolist() == [3, 3]
+    ((chunk, (unary, _, lengths), _, _),) = model.inference_chunks(convs[:2])
+    assert len(tables) == 2 and chunk == [0, 1] and lengths.tolist() == [3, 3]
     assert np.array_equal(tables[1].unary, unary[1])
     assert tables[0].transition is tables[1].transition
     assert np.array_equal(tables[0].transition, model.registry["crf.trans"].data)
@@ -704,15 +703,18 @@ def test_potential_tables_are_cropped_to_each_length():
     convs, _ = generate_synthetic(
         default_spec(num_acts=3, num_conversations=6, min_len=2, max_len=5, seed=22)
     )
-    convs = same_char_width(convs)
     cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4,
                       emit_dim=4, boundary_potentials=True)
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(22))
     assert len({len(c) for c in convs}) > 1
-    tables, selection, _ = model.potential_tables(convs)
-    for b, (conv, table) in enumerate(zip(convs, tables)):
-        (alone,), alone_sel, _ = model.potential_tables([conv])
-        assert table.unary.shape[0] == len(conv)
+    assert len({max(len(t.surface) for u in c.utterances for t in u.tokens) for c in convs}) > 1
+    tables, gammas, _ = model.potential_tables(convs)
+    for conv, table, gamma in zip(convs, tables, gammas):
+        (alone,), (alone_gamma,), _ = model.potential_tables([conv])
+        assert table.unary.shape[0] == gamma.shape[0] == len(conv)
         assert np.abs(table.unary - alone.unary).max() <= 1e-12
-        assert np.abs(selection.gamma.data[b, : len(conv)] - alone_sel.gamma.data[0]).max() <= 1e-12
-        assert not selection.gamma.data[b, len(conv) :].any()
+        assert np.abs(gamma - alone_gamma).max() <= 1e-12
+    # all six in one chunk: gamma is 0 past each conversation's length
+    ((_, (_, _, lengths), selection, _),) = model.inference_chunks(convs)
+    for b, n in enumerate(lengths):
+        assert not selection.gamma.data[b, n:].any()

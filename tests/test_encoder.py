@@ -184,15 +184,16 @@ def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters)
     assert np.array_equal(char_cnn(ids, grad_free).data, out)
 
 
-def reference_embed(batch, vocab, params, convs):
+def reference_embed(vocab, params, convs):
     """Token features built token by token from primitive ops (no type rows).
 
     The character table goes through every filter tap in one matmul, as
-    in ``char_cnn``. Each token's window scores are then sums of its
-    characters' projected rows, one gather per tap, and the max over time
-    picks the argmax window.
+    in ``char_cnn``. Each token's ids are spelled at its own width,
+    max(len, widest filter), whatever the batch's widest surface, so its
+    windows never depend on its batch mates. Its window scores are sums of
+    its characters' projected rows, one gather per tap, and the max over
+    time picks the argmax window.
     """
-    length = batch.char.shape[1]
     dim = params["emb.char"].shape[1]
     taps = [
         ag.select(ag.reshape(params[f"cnn.w{width}"], (width, dim, -1)), j, axis=0)
@@ -207,7 +208,8 @@ def reference_embed(batch, vocab, params, convs):
         start += tap.shape[1]
     rows = []
     for tok in (tok for c in convs for u in c.utterances for tok in u.tokens):
-        ids = np.array([vocab.char_id(ch) for ch in tok.chars] + [0] * (length - len(tok.chars)))
+        length = max(len(tok.surface), max(encoder.CHAR_WIDTHS))
+        ids = np.array([vocab.char_id(ch) for ch in tok.surface] + [0] * (length - len(tok.surface)))
         pooled, tables = [], iter(tap_tables)
         for width in encoder.CHAR_WIDTHS:
             span = length - width + 1
@@ -275,7 +277,7 @@ def test_type_level_embedding_matches_per_token_reference(seed, pool, long_word,
         return e.data, {name: params[name].grad for name in names}
 
     weights = rng.normal(size=(batch.types.size, TOY_CFG.word_dim + TOY_CFG.char_out + TOY_CFG.d_p + TOY_CFG.d_n))
-    ref_e, ref_grads = run(lambda: reference_embed(batch, vocab, params, convs))
+    ref_e, ref_grads = run(lambda: reference_embed(vocab, params, convs))
     out_e, grads = run(lambda: ag.gather(*embed_tokens(batch, params)))  # rows read at each token
     assert np.array_equal(out_e, ref_e)
     for name in names:
@@ -742,12 +744,13 @@ def test_embed_tokens_one_row_per_triple_unless_masked():
 
 def test_inference_matches_per_token_reference_exactly(monkeypatch):
     model, convs, _ = repeated_surface_model()
-    (unary, *_), selection, enc = model.chain_scores(convs)
+    tables, gammas, attentions = model.potential_tables(convs)
     use_per_token_reference(monkeypatch)
-    (ref_unary, *_), ref_selection, ref_enc = model.chain_scores(convs)
-    assert np.array_equal(unary, ref_unary)
-    assert np.array_equal(selection.gamma.data, ref_selection.gamma.data)
-    assert np.array_equal(enc.attention.data, ref_enc.attention.data)
+    ref_tables, ref_gammas, ref_attentions = model.potential_tables(convs)
+    for got, want in zip(tables, ref_tables):
+        assert np.array_equal(got.unary, want.unary)
+    assert all(map(np.array_equal, gammas, ref_gammas))
+    assert all(map(np.array_equal, attentions, ref_attentions))
 
 
 def test_eval_loss_gradients_match_per_token_reference(monkeypatch):

@@ -1,12 +1,15 @@
 """Accuracy, confusion reports, attention export round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialact import evaluate, oracles, synthetic
-from dialact.corpus import build_vocab
+from dialact.corpus import Conversation, Token, Utterance, build_vocab
 from dialact.evaluate import AlignmentError, accuracy, confusion, export_attention
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
@@ -117,7 +120,7 @@ def trained_toy():
 def test_export_single_utterance_conversation():
     model, convs = trained_toy()
     conv = next(c for c in convs if len(c) == 1)
-    doc = export_attention(conv, model)
+    (doc,) = export_attention([conv], model)
     assert doc["edge_marginals"] == []
     assert np.abs(np.array(doc["node_marginals"]).sum() - 1.0) < 1e-9
     assert len(doc["viterbi_path"]) == 1
@@ -126,7 +129,7 @@ def test_export_single_utterance_conversation():
 def test_export_consistent_with_direct_inference():
     model, convs = trained_toy()
     conv = max(convs, key=len)
-    doc = export_attention(conv, model)
+    (doc,) = export_attention([conv], model)
     tables, _, _ = model.potential_tables([conv])
     logz, node, edge, path, score = oracles.enumerate_chain(tables[0])
     assert doc["viterbi_path"] == [model.vocab.act_names[y] for y in path]
@@ -136,9 +139,55 @@ def test_export_consistent_with_direct_inference():
     assert np.abs(np.array(doc["edge_marginals"]) - edge).max() < 1e-9
 
 
+def close(a, b, tol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= tol
+
+
+SURFACE = st.text("abcdefghij", min_size=1, max_size=12)
+CONVERSATION = st.lists(st.lists(SURFACE, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spelled=st.lists(CONVERSATION, min_size=2, max_size=6),
+       max_batch=st.integers(1, 5))
+def test_chunked_inference_equals_each_conversation_alone(seed, spelled, max_batch):
+    """Batch mates change nothing: mixed lengths and surface widths, chunks of 1-5.
+
+    ``decode``, ``potential_tables`` and ``export_attention`` over all the
+    conversations give each one's paths exactly, and its unary scores,
+    marginals, logZ, gamma and attention to 1e-12, as when it runs alone.
+    """
+    convs = [
+        Conversation(
+            id=f"c{i}",
+            utterances=tuple(
+                Utterance(tokens=tuple(map(Token, words)), speaker="A", act="xy"[j % 2])
+                for j, words in enumerate(utts)
+            ),
+        )
+        for i, utts in enumerate(spelled)
+    ]
+    model = DialogueActModel(build_vocab(convs), replace(TOY_CFG, max_batch=max_batch),
+                             rng=np.random.default_rng(seed))
+    assert model.decode(convs) == [model.decode([c])[0] for c in convs]
+    tables, gammas, attentions = model.potential_tables(convs)
+    docs = export_attention(convs, model)
+    for conv, table, gamma, attention, doc in zip(convs, tables, gammas, attentions, docs):
+        (one_table,), (one_gamma,), (one_attention,) = model.potential_tables([conv])
+        (one_doc,) = export_attention([conv], model)
+        assert close(table.unary, one_table.unary)
+        assert close(gamma, one_gamma) and close(attention, one_attention)
+        assert doc["conversation_id"] == conv.id
+        assert doc["viterbi_path"] == one_doc["viterbi_path"]
+        for key in ("viterbi_score", "log_partition", "node_marginals", "edge_marginals",
+                    "selection_gamma", "memory_attention"):
+            assert close(doc[key], one_doc[key]), key
+
+
 def test_export_json_round_trip_exact(tmp_path):
     model, convs = trained_toy()
-    docs = [export_attention(c, model) for c in convs[:3]]
+    docs = export_attention(convs[:3], model)
     path = tmp_path / "attn.jsonl"
     evaluate.write_attention_jsonl(path, docs)
     parsed = [json.loads(line) for line in path.read_text().splitlines()]
@@ -158,7 +207,7 @@ def test_export_json_round_trip_exact(tmp_path):
 def test_export_gamma_and_attention_shapes():
     model, convs = trained_toy()
     conv = max(convs, key=len)
-    doc = export_attention(conv, model)
+    (doc,) = export_attention([conv], model)
     n = len(conv)
     assert len(doc["selection_gamma"]) == n
     attn = np.array(doc["memory_attention"])

@@ -13,6 +13,7 @@ from dialact import autograd as ag
 from dialact import cli, synthetic
 from dialact import train as train_module
 from dialact.corpus import Conversation, Token, TranscriptError, Utterance, build_vocab, write_jsonl
+from dialact.evaluate import export_attention
 from dialact.model import DialogueActModel
 from dialact.train import (
     TrainConfig,
@@ -24,7 +25,6 @@ from dialact.train import (
     train_loop,
     write_history,
 )
-from helpers import same_char_width
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -434,8 +434,12 @@ def small_corpus(seed=7, n=24):
 
 
 def test_mixed_batch_loss_and_gradients_equal_the_sum_over_length_groups():
-    convs = same_char_width(small_corpus(seed=9, n=12))
-    assert len({len(c) for c in convs}) > 1
+    convs = small_corpus(seed=8, n=12)
+    widest = {}
+    for conv in convs:
+        width = max(len(t.surface) for u in conv.utterances for t in u.tokens)
+        widest[len(conv)] = max(widest.get(len(conv), 0), width)
+    assert len(set(widest.values())) > 1  # the groups' character arrays differ in width
     cfg = TrainConfig(**{**TOY_CFG.__dict__, "l2": 0.0, "boundary_potentials": True})
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(3))
 
@@ -570,12 +574,11 @@ def test_checkpoint_round_trip_through_model(tmp_path):
 
 
 def inference_results(model, convs):
-    """Decode paths, EMA validation accuracy and one export detail."""
-    detail = model.conversation_detail(convs[0])
+    """Decode paths, EMA validation accuracy and the attention export."""
     return (
         model.decode(convs),
         model.accuracy(convs, weights=model.registry.ema),
-        {k: np.asarray(v).tolist() for k, v in detail.items()},
+        export_attention(convs, model),
     )
 
 
