@@ -46,6 +46,8 @@ __all__ = [
     "tanh",
     "gather",
     "scatter_add",
+    "dropout_mask",
+    "apply_dropout",
     "dropout",
     "softmax",
     "reduce_sum",
@@ -301,21 +303,43 @@ def gather(table, indices):
     return record("gather", (table,), out_data, bwd)
 
 
-def dropout(x, rate, rng, train):
-    """Inverted dropout: kept activations scale by 1/(1-rate); identity at eval."""
-    x = _as_tensor(x)
+def dropout_mask(shape, rate, rng, train):
+    """The bool keep-mask of inverted dropout, ``rng.random(shape) >= rate``.
+
+    None where no mask is drawn (eval, or a rate of 0); a rate outside [0, 1)
+    raises ``ValueError`` either way.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
+        return None
+    return rng.random(shape) >= rate
+
+
+def apply_dropout(x, keep, rate, out=None):
+    """``x`` times the keep-mask, scaled by 1/(1-rate), into ``out`` (default: a new array).
+
+    Equal to the bit to ``x * (keep / (1 - rate))``: multiplying by 1.0 is
+    exact and a dropped entry is the same signed zero either way, but no
+    float mask is built.
+    """
+    out = np.multiply(x, keep, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out
+
+
+def dropout(x, rate, rng, train):
+    """Inverted dropout: kept activations scale by 1/(1-rate); identity at eval."""
+    x = _as_tensor(x)
+    keep = dropout_mask(x.shape, rate, rng, train)
+    if keep is None:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out_data = x.data * mask
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(g * mask)
+            x.accumulate_grad(apply_dropout(g, keep, rate))
 
-    return record("dropout", (x,), out_data, bwd)
+    return record("dropout", (x,), apply_dropout(x.data, keep, rate), bwd)
 
 
 def softmax(x, axis=-1):

@@ -2,8 +2,8 @@
 
 Pipeline per conversation batch (any utterance counts):
 
-1. token features: word row + char-CNN over characters + POS/NER rows,
-   concatenated;
+1. token features: [word row | char-CNN over characters | POS row | NER
+   row], with dropout, as one tape op;
 2. word-level BiGRU whose two final states form the utterance vector u_j;
 3. conversation-level BiGRU over u_1..u_n combined through a tanh layer
    into contextual keys h_j;
@@ -22,10 +22,13 @@ stores them once per type row (one distinct surface, in order of first
 occurrence) and ``types`` maps each packed token row to its type row.
 ``embed_tokens`` runs the word lookup and ``char_cnn``, one fused tape
 op that adds up k rows of projected character tables per window and
-pools over the windows inside the surface only, over the type rows,
-expands them to feature rows with one gather and adds the POS/NER rows;
-table gradients are summed by ``ag.scatter_add``. So a token's features
-never depend on the batch it is in.
+pools over the windows inside the surface only, over the type rows.
+``token_features``, one more tape op, writes each feature row's type
+row, POS row and NER row into their column blocks of one array and
+applies dropout there in place from a bool keep-mask, so a recorded step
+keeps one float array of token features; its backward sends each column
+block to its table by ``ag.scatter_add``. So a token's features never
+depend on the batch it is in.
 In training, dropout masks every token's row separately, so there is one
 feature row per token. Where no mask is drawn (inference, or a dropout
 of 0), a token's features depend only on its (type, POS, NER) triple, so
@@ -427,27 +430,56 @@ def char_cnn(char_ids, params):
     return ag.record("char_cnn", inputs, out_data, bwd)
 
 
+def token_features(tables, rows, keep=None, rate=0.0):
+    """Feature rows [t_0[rows_0] | t_1[rows_1] | ...] (R, E), as one tape record.
+
+    ``tables`` are (V_i, E_i) tensors and ``rows`` (R,) int arrays, one per
+    table. Each table's rows are written into its column block of one (R, E)
+    array. A bool ``keep`` mask (R, E) from ``ag.dropout_mask`` applies
+    inverted dropout to that array in place; the backward scales the
+    gradient by the same mask and sends each column block to its table by
+    one ``ag.scatter_add``. No float mask or intermediate row block is kept.
+    """
+    bounds = np.cumsum([0] + [t.shape[1] for t in tables]).tolist()
+    out = np.empty((len(rows[0]), bounds[-1]))
+    for table, ids, lo, hi in zip(tables, rows, bounds, bounds[1:]):
+        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+            raise IndexError(f"token_features row ids [{ids.min()}, {ids.max()}] out of range for {table.shape[0]} rows")
+        out[:, lo:hi] = table.data[ids]
+    if keep is not None:
+        ag.apply_dropout(out, keep, rate, out=out)
+
+    def bwd(g):
+        if keep is not None:
+            g = ag.apply_dropout(g, keep, rate)
+        for table, ids, lo, hi in zip(tables, rows, bounds, bounds[1:]):
+            if table.requires_grad:
+                table.accumulate_grad(ag.scatter_add(ids, g[:, lo:hi], table.shape[0]))
+
+    return ag.record("token_features", tuple(tables), out, bwd)
+
+
 def embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0):
     """Token features (R, E) and ``index`` (M,), the row of each token; None when R = M.
 
-    The word row and the char-CNN features are built once per type row and
-    copied to the feature rows by one gather; POS/NER rows are added per
-    feature row. When dropout draws a mask, every token gets its own row,
-    in packed order, and ``index`` is None. Otherwise a row's features depend
-    only on its (type, POS, NER) triple, so there is one row per distinct
-    triple, in key order, and ``index`` maps each token to it.
+    The word row and the char-CNN features are built once per type row;
+    ``token_features`` then writes each feature row's type row, POS row and
+    NER row into one array and applies dropout there. When dropout draws a
+    mask, every token gets its own row, in packed order, and ``index`` is
+    None. Otherwise a row's features depend only on its (type, POS, NER)
+    triple, so there is one row per distinct triple, in key order, and
+    ``index`` maps each token to it.
     """
+    per_type = ag.concat([ag.gather(params["emb.word"], batch.word), char_cnn(batch.char, params)], axis=1)
+    pos_table, ner_table = params["emb.pos"], params["emb.ner"]
     types, pos, ner, index = batch.types, batch.pos, batch.ner, None
-    if not train or dropout_rate == 0.0:  # as in ag.dropout: no mask is drawn
-        key = (types * params["emb.pos"].shape[0] + pos) * params["emb.ner"].shape[0] + ner
+    width = per_type.shape[1] + pos_table.shape[1] + ner_table.shape[1]
+    keep = ag.dropout_mask((types.size, width), dropout_rate, rng, train)
+    if keep is None:
+        key = (types * pos_table.shape[0] + pos) * ner_table.shape[0] + ner
         _, first, index = np.unique(key, return_index=True, return_inverse=True)
         types, pos, ner = types[first], pos[first], ner[first]
-    per_type = ag.concat([ag.gather(params["emb.word"], batch.word), char_cnn(batch.char, params)], axis=1)
-    e = ag.concat(
-        [ag.gather(per_type, types), ag.gather(params["emb.pos"], pos), ag.gather(params["emb.ner"], ner)],
-        axis=1,
-    )
-    return ag.dropout(e, dropout_rate, rng, train), index
+    return token_features((per_type, pos_table, ner_table), (types, pos, ner), keep, dropout_rate), index
 
 
 def encode_utterances(embedded, lengths, params, index=None):

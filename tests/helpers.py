@@ -6,7 +6,7 @@ import numpy as np
 
 from dialact import autograd as ag
 from dialact.corpus import ABSENT, PAD, PAD_ID, UNK, TranscriptError, Vocab
-from dialact.encoder import CHAR_WIDTHS, GRU_GATES
+from dialact.encoder import CHAR_WIDTHS, GRU_GATES, char_cnn
 
 
 def init_gru(registry, prefix, input_dim, hidden_dim, rng, scale=0.08):
@@ -140,3 +140,38 @@ def im2col_char_cnn(char_ids, params):
 
     inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
     return ag.record("char_cnn", inputs, np.concatenate(pooled, axis=1), bwd)
+
+
+def float_mask_dropout(x, rate, rng, train):
+    """Inverted dropout through a float mask, keep / (1 - rate); the reference for ``ag.dropout``."""
+    x = ag._as_tensor(x)
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not train or rate == 0.0:
+        return x
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * mask)
+
+    return ag.record("dropout", (x,), x.data * mask, bwd)
+
+
+def chained_embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0):
+    """Token features by three gathers, a concat and ``float_mask_dropout``; the reference for ``embed_tokens``.
+
+    Same rows, ``index`` and draws as ``encoder.embed_tokens``, one tape
+    record per step, with a float (M, E) mask and every intermediate kept.
+    """
+    types, pos, ner, index = batch.types, batch.pos, batch.ner, None
+    if not train or dropout_rate == 0.0:  # no mask is drawn
+        key = (types * params["emb.pos"].shape[0] + pos) * params["emb.ner"].shape[0] + ner
+        _, first, index = np.unique(key, return_index=True, return_inverse=True)
+        types, pos, ner = types[first], pos[first], ner[first]
+    per_type = ag.concat([ag.gather(params["emb.word"], batch.word), char_cnn(batch.char, params)], axis=1)
+    e = ag.concat(
+        [ag.gather(per_type, types), ag.gather(params["emb.pos"], pos), ag.gather(params["emb.ner"], ner)],
+        axis=1,
+    )
+    return float_mask_dropout(e, dropout_rate, rng, train), index

@@ -8,7 +8,7 @@ import pytest
 
 from dialact import autograd as ag
 from dialact import encoder
-from helpers import sigmoid
+from helpers import float_mask_dropout, sigmoid
 
 
 def fd_grad(closure, flat, eps=1e-6):
@@ -78,6 +78,37 @@ def test_dropout_inverted_scaling_and_eval_identity():
     assert 0.7 < kept.mean() < 0.9
     assert ag.dropout(x, 0.2, rng, train=False) is x
     assert ag.dropout(x, 0.0, rng, train=True) is x
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.5])
+def test_dropout_keeps_a_bool_mask_and_matches_the_float_mask_to_the_bit(rate):
+    """Outputs, gradients and the rng's next draw equal ``keep / (1 - rate)`` masking, signed zeros included."""
+    data = np.random.default_rng(2).normal(size=(40, 7))
+    data[::3] *= -1e-300  # tiny and negative: a dropped entry is -0.0 either way
+    upstream = np.random.default_rng(4).normal(size=data.shape)
+    runs = []
+    for dropout in (ag.dropout, float_mask_dropout):
+        x, rng = ag.Tensor(data, requires_grad=True), np.random.default_rng(9)
+        with ag.Tape() as tape:
+            out = dropout(x, rate, rng, True)
+            loss = ag.reduce_sum(ag.mul(out, upstream))
+        masks = [c.cell_contents for c in tape.records[0].backward_fn.__closure__]
+        tape.backward(loss)
+        runs.append((out.data.tobytes(), x.grad.tobytes(), rng.random(), masks))
+    (out, grad, draw, masks), (ref_out, ref_grad, ref_draw, _) = runs
+    assert (out, grad, draw) == (ref_out, ref_grad, ref_draw)
+    arrays = [m for m in masks if isinstance(m, np.ndarray)]
+    assert [m.dtype for m in arrays] == [np.dtype(bool)]
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0, np.nan])
+def test_dropout_rejects_a_rate_outside_unit_interval(rate):
+    x = ag.Tensor(np.ones(3))
+    for train in (True, False):
+        with pytest.raises(ValueError, match="dropout rate"):
+            ag.dropout(x, rate, np.random.default_rng(0), train)
+        with pytest.raises(ValueError, match="dropout rate"):
+            ag.dropout_mask((3,), rate, np.random.default_rng(0), train)
 
 
 def test_shape_errors_name_op_and_shapes():

@@ -20,7 +20,7 @@ from dialact.encoder import (
 )
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
-from helpers import im2col_char_cnn, init_gru, pick, sigmoid, sub
+from helpers import chained_embed_tokens, im2col_char_cnn, init_gru, pick, sigmoid, sub
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -283,6 +283,138 @@ def test_type_level_embedding_matches_per_token_reference(seed, pool, long_word,
     for name in names:
         scale = max(np.abs(ref_grads[name]).max(), 1e-300)
         assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# token features: one op for gather, concat and dropout
+# ---------------------------------------------------------------------------
+
+
+def embedding_run(embed, model, batch, train, rate, seed):
+    """``embed``'s rows, index, next draw of its rng and emb.*/cnn.* gradients, under a tape."""
+    params = model.registry.params
+    rng = np.random.default_rng(seed)
+    model.registry.zero_grads()
+    with ag.Tape() as tape:
+        e, index = embed(batch, params, train=train, rng=rng, dropout_rate=rate)
+        weights = np.random.default_rng(seed + 1).normal(size=e.shape)
+        loss = ag.reduce_sum(ag.mul(e, weights))
+    tape.backward(loss)
+    grads = {name: t.grad for name, t in params.items() if name.startswith(("emb.", "cnn."))}
+    return e.data, index, rng.random(), grads
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 2),
+    lengths=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4), min_size=1, max_size=3),
+    tags=st.sampled_from([(None,), ("NN", "VB"), (None, "NN", "VB")]),
+    rate=st.sampled_from([0.0, 0.2, 0.5]),
+    train=st.booleans(),
+)
+def test_token_features_match_gather_concat_dropout_chain(seed, lengths, tags, rate, train):
+    """Rows, index, the rng's next draw and every emb.*/cnn.* gradient equal the op-by-op chain's, to the bit.
+
+    The conversations' utterance counts and lengths vary, tags are absent,
+    present or mixed, and without a mask (eval, or rate 0) rows are one per
+    distinct triple, read by ``index``.
+    """
+    rng = np.random.default_rng(seed)
+    words = ["ok", "hello", "there", "a", "friendly"]
+
+    def token():
+        return Token(words[rng.integers(len(words))], pos=tags[rng.integers(len(tags))], ner=tags[rng.integers(len(tags))])
+
+    convs = [
+        Conversation(id=f"c{i}", utterances=tuple(
+            Utterance(tokens=tuple(token() for _ in range(n)), speaker="A", act="x") for n in counts
+        ))
+        for i, counts in enumerate(lengths)
+    ]
+    vocab = build_vocab(convs)
+    model = DialogueActModel(vocab, TOY_CFG, rng=rng)
+    batch = prepare_batch(convs, vocab)
+    got = embedding_run(embed_tokens, model, batch, train, rate, seed)
+    want = embedding_run(chained_embed_tokens, model, batch, train, rate, seed)
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    if train and rate:
+        assert got[1] is None and want[1] is None and got[0].shape[0] == batch.types.size
+    else:
+        assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]  # the same draws, at the same point in the stream
+    assert got[3].keys() == want[3].keys()
+    for name, grad in want[3].items():
+        assert grad is not None and got[3][name].tobytes() == grad.tobytes(), name
+
+
+def test_token_features_pass_grad_check_with_a_fixed_mask():
+    rng = np.random.default_rng(11)
+    reg = ag.ParamRegistry()
+    tables = [reg.add(name, rng.normal(size=shape)) for name, shape in (("t", (4, 3)), ("p", (3, 2)), ("n", (5, 2)))]
+    rows = [rng.integers(0, table.shape[0], size=9) for table in tables]
+    keep = ag.dropout_mask((9, 7), 0.3, rng, train=True)
+    assert keep.dtype == bool and 0 < keep.sum() < keep.size
+    weights = rng.normal(size=(9, 7))
+
+    def closure():
+        return ag.reduce_sum(ag.mul(ag.tanh(encoder.token_features(tables, rows, keep, 0.3)), weights))
+
+    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
+@pytest.mark.parametrize("train", [True, False])
+def test_embed_tokens_rejects_a_rate_outside_unit_interval(rate, train):
+    model, convs, vocab = toy_model()
+    with pytest.raises(ValueError, match="dropout rate"):
+        embed_tokens(prepare_batch(convs, vocab), model.registry.params, train=train,
+                     rng=np.random.default_rng(0), dropout_rate=rate)
+
+
+def held_arrays(tape):
+    """Every ndarray a recorded graph keeps: record outputs and what backward closures reach."""
+    found, seen, todo = {}, set(), [rec.output for rec in tape.records] + [rec.backward_fn for rec in tape.records]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:  # views count as the array they view
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, ag.Tensor):
+            todo += [obj.data, obj.grad]
+        elif isinstance(obj, (list, tuple, set)):
+            todo += obj
+        elif isinstance(obj, dict):
+            todo += obj.values()
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo += [cell.cell_contents for cell in obj.__closure__]
+        elif hasattr(obj, "__dataclass_fields__"):
+            todo += vars(obj).values()
+    return list(found.values())
+
+
+def test_training_forward_keeps_one_float_token_feature_array():
+    """A recorded training step holds the token features once, as one (M, E) float64 array.
+
+    Dropout keeps a bool mask. An op-by-op chain would also keep the
+    gathered rows, their concatenation, a float mask and the pre-dropout rows.
+    """
+    _, convs, vocab = repeated_surface_model()
+    cfg = TrainConfig(**{**TOY_CFG.__dict__, "dropout": 0.2})
+    model = DialogueActModel(vocab, cfg, rng=np.random.default_rng(3))
+    batch = prepare_batch(convs, vocab)
+    m, e = batch.types.size, cfg.word_dim + cfg.char_out + cfg.d_p + cfg.d_n
+    with ag.Tape() as tape:
+        model.loss(convs, train=True, rng=np.random.default_rng(0))
+    weights = {id(t.data) for t in model.registry.params.values()}
+    held = [a for a in held_arrays(tape) if id(a) not in weights]
+    token_rows = [a for a in held if a.shape[:1] == (m,) and a.dtype == np.float64]
+    assert [a.shape for a in token_rows] == [(m, e)]
+    assert any(a.shape == (m, e) and a.dtype == bool for a in held)  # the keep-mask
 
 
 # ---------------------------------------------------------------------------
