@@ -3,8 +3,10 @@
 Everything is 64-bit float. A ``Tape`` is an eager, per-step execution
 context: operations append a record (inputs, output, backward closure) in
 execution order, so the record list is already topologically sorted and
-``backward`` is a single reverse sweep. Gradients accumulate into
-``Tensor.grad``; the caller zeroes them between optimization steps.
+``backward`` is a single reverse sweep. The sweep frees the graph as it
+goes, so a tape is single-use. Gradients accumulate into the ``.grad`` of
+leaf tensors (parameters, and inputs a caller marked ``requires_grad``);
+the caller zeroes them between optimization steps.
 
 The module also owns the parameter registry (named tensors plus the
 per-parameter squared-gradient and EMA shadow buffers used by training),
@@ -119,11 +121,13 @@ class Tape:
     An op is recorded only when one of its inputs requires a gradient, so
     work on grad-free tensors (inference) never reaches a live tape, from
     whichever thread it runs. Records point at their outputs and inputs,
-    never back at the tape, so a graph is freed as soon as its tape is.
+    never back at the tape. ``backward`` consumes the records, so a tape
+    is single-use and holds nothing once it has run.
     """
 
     def __init__(self):
         self.records = []
+        self._consumed = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -138,16 +142,28 @@ class Tape:
         return False
 
     def backward(self, loss):
-        """Reverse sweep from a scalar loss; accumulates into .grad fields."""
+        """Reverse sweep from a scalar loss that frees the graph as it runs.
+
+        Each record is popped, its output's gradient taken off the output,
+        and its backward run; after that nothing refers to the record, its
+        closure or what the closure saved. Only leaf tensors keep a
+        ``.grad``. A second call raises ``RuntimeError``.
+        """
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+        if self._consumed:
+            raise RuntimeError("backward already ran on this tape; its graph was consumed")
         if not self.records:
             raise RuntimeError("tape is empty; nothing to differentiate")
+        self._consumed = True
         loss.accumulate_grad(np.ones_like(loss.data))
-        for rec in reversed(self.records):
-            g = rec.output.grad
+        records = self.records
+        while records:
+            rec = records.pop()
+            g, rec.output.grad = rec.output.grad, None
             if g is not None:
                 rec.backward_fn(g)
+            del rec, g  # the record, its closure and what it saved die here
 
 
 def _as_tensor(x):

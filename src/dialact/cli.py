@@ -12,6 +12,10 @@ Subcommands wire the library end to end:
     dialact oracle-check [--trials N] [--max-n N] [--max-labels N] [--seed N]
 
 Exit codes: 0 success, 1 usage error, 2 validation or oracle failure.
+A flag value out of range is a usage error: oracle-check needs
+--trials >= 1, --max-n >= 1, --max-labels >= 2 and at most
+``oracles.MAX_SEQUENCES`` label sequences per chain (--max-labels **
+--max-n); every --seed of gradcheck and oracle-check is >= 0.
 A numpy overflow, division by zero or invalid value (say, from an ``lr``
 or ``l2`` too large to train with) is a validation failure too, reported
 in one line, and so is an input too large to allocate. A single --seed
@@ -41,6 +45,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(USAGE_ERROR)
+
+
+def _int_at_least(low):
+    """An argparse type: an int no smaller than ``low``; the parser names the flag."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -78,13 +97,13 @@ def build_parser():
     p.add_argument("--out", required=True, help="attention JSONL path")
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a toy model")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
 
     p = sub.add_parser("oracle-check", help="brute-force equivalence suites")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.add_argument("--max-labels", type=int, default=4, dest="max_labels")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
+    p.add_argument("--max-n", type=_int_at_least(1), default=6, dest="max_n")
+    p.add_argument("--max-labels", type=_int_at_least(2), default=4, dest="max_labels")
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     return parser
 
 
@@ -204,6 +223,12 @@ _COMMANDS = {
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # max_n is capped before the power (max_labels >= 2), so a huge value costs nothing to reject
+    if args.command == "oracle-check" and args.max_labels ** min(args.max_n, 64) > oracles.MAX_SEQUENCES:
+        parser.error(
+            f"argument --max-n: --max-labels ** --max-n must be <= {oracles.MAX_SEQUENCES} "
+            f"label sequences to enumerate, got {args.max_labels} ** {args.max_n}"
+        )
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args)

@@ -19,6 +19,12 @@ from . import autograd as ag
 from . import crf
 
 
+# The most label sequences ``oracle-check`` enumerates for one chain
+# (--max-labels ** --max-n): 4 ** 8, 16 times the default 4 ** 6. Each is a
+# Python tuple, scored and summed one by one.
+MAX_SEQUENCES = 4**8
+
+
 def enumerate_chain(pot):
     """Score all |Y|^n sequences; return logZ, node/edge marginals, argmax.
 

@@ -110,6 +110,8 @@ class SyntheticSpec:
             raise ValueError(f"need 1 <= min_len <= max_len, got {self.min_len}..{self.max_len}")
         if self.num_conversations < 1:
             raise ValueError("num_conversations must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         names = self.act_names or tuple(f"act{i}" for i in range(self.num_acts))
         if len(names) != self.num_acts or len(set(names)) != self.num_acts:
             raise ValueError("act_names must be distinct, one per act")

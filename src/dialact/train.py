@@ -224,10 +224,6 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
                 model.registry.zero_grads()
                 with ag.Tape() as tape:
                     loss = model.loss(batch, train=True, rng=rng)
-                # ``previous`` keeps the last step's graph alive until this step's
-                # is allocated: freed below live memory, its pages are reused
-                # instead of being returned to the OS and faulted back in.
-                previous = tape  # noqa: F841
                 records.append(len(tape.records))
                 if not np.isfinite(loss.data):
                     raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")

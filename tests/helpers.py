@@ -59,6 +59,19 @@ def pick(x, indices):
     return ag.record("pick", (x,), out_data, bwd)
 
 
+def retained_backward(tape, loss):
+    """The reverse sweep that frees nothing: every record and intermediate ``.grad`` stays.
+
+    The reference for ``Tape.backward``, which frees each record once its
+    backward has run.
+    """
+    loss.accumulate_grad(np.ones_like(loss.data))
+    for rec in reversed(tape.records):
+        g = rec.output.grad
+        if g is not None:
+            rec.backward_fn(g)
+
+
 def per_token_vocab(conversations, min_count=1):
     """``build_vocab`` by one Counter update per token; the reference for ``corpus.build_vocab``."""
     if not conversations:

@@ -176,10 +176,11 @@ def test_backward_accumulates_across_calls():
 
 
 def test_dropped_tape_frees_its_graph_without_the_cyclic_collector():
-    """Records never point back at their tape, so a graph dies with its last reference.
+    """Backward consumes the graph: an intermediate dies there, while the tape is still referenced.
 
-    The intermediate is watched through its data array, which only the
-    tensor and its record's backward closure hold.
+    Records never point back at their tape, so nothing waits for the cyclic
+    collector. The intermediate is watched through its data array, which
+    only the tensor and its record's backward closure hold.
     """
     x = ag.Tensor(np.linspace(-1.0, 1.0, 9).reshape(3, 3), requires_grad=True)
     gc.disable()
@@ -187,14 +188,28 @@ def test_dropped_tape_frees_its_graph_without_the_cyclic_collector():
         with ag.Tape() as tape:
             hidden = ag.tanh(ag.matmul(x, x))
             loss = ag.reduce_sum(hidden)
+        hidden_ref = weakref.ref(hidden.data)
+        del hidden
+        assert hidden_ref() is not None  # the graph holds it until backward
         tape.backward(loss)
-        tape_ref, hidden_ref = weakref.ref(tape), weakref.ref(hidden.data)
-        del tape, hidden, loss
-        assert tape_ref() is None
         assert hidden_ref() is None
+        assert tape.records == []
+        tape_ref = weakref.ref(tape)
+        del tape
+        assert tape_ref() is None
     finally:
         gc.enable()
-    assert x.grad is not None
+    assert x.grad is not None and loss.grad is None
+
+
+def test_a_tape_is_single_use():
+    w = ag.Tensor(np.array([2.0]), requires_grad=True)
+    with ag.Tape() as tape:
+        loss = ag.reduce_sum(ag.mul(w, w))
+    tape.backward(loss)
+    with pytest.raises(RuntimeError, match="already ran on this tape"):
+        tape.backward(loss)
+    assert np.array_equal(w.grad, [4.0])
 
 
 def test_forward_bit_reproducible():

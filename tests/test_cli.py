@@ -71,6 +71,52 @@ def test_usage_error_exit_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("oracle-check", "--trials", "-3"), "argument --trials: must be >= 1, got -3"),
+        (("oracle-check", "--trials", "0"), "argument --trials: must be >= 1, got 0"),
+        (("oracle-check", "--max-n", "0"), "argument --max-n: must be >= 1, got 0"),
+        (("oracle-check", "--max-labels", "1"), "argument --max-labels: must be >= 2, got 1"),
+        (("oracle-check", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+        (("gradcheck", "--seed", "-5"), "argument --seed: must be >= 0, got -5"),
+        (("oracle-check", "--trials", "abc"), "argument --trials: invalid int value: 'abc'"),
+    ],
+)
+def test_out_of_range_flag_exits_one_naming_the_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(message), err
+    assert "Traceback" not in err
+
+
+def test_negative_gen_synthetic_seed_exits_two_in_one_line(tmp_path, capsys):
+    code = run_cli("gen-synthetic", "--spec", write_spec(tmp_path), "--out", str(tmp_path / "x.jsonl"), "--seed", "-1")
+    assert code == 2
+    assert capsys.readouterr().err == "dialact gen-synthetic: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("max_n, max_labels", [(9, 4), (12, 4), (17, 2), (40, 4), (10**12, 2)])
+def test_oracle_check_rejects_an_enumeration_past_the_cap_before_running(monkeypatch, capsys, max_n, max_labels):
+    monkeypatch.setattr(cli.oracles, "chain_oracle_suite", None)  # never reached
+    with pytest.raises(SystemExit) as exc:
+        run_cli("oracle-check", "--max-n", str(max_n), "--max-labels", str(max_labels))
+    assert exc.value.code == cli.USAGE_ERROR
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "argument --max-n" in last and f"<= {cli.oracles.MAX_SEQUENCES} " in last, last
+    assert f"got {max_labels} ** {max_n}" in last
+
+
+def test_oracle_check_cap_leaves_room_for_the_defaults(capsys):
+    defaults = cli.build_parser().parse_args(["oracle-check"])
+    assert defaults.max_labels**defaults.max_n * 16 <= cli.oracles.MAX_SEQUENCES
+    # 4 ** 8 sequences, at the cap, is still accepted
+    assert run_cli("oracle-check", "--max-n", "8", "--max-labels", "4", "--trials", "1") == 0
+    assert "1/1 passed" in capsys.readouterr().out
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     code = run_cli(
         "train",

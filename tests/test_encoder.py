@@ -1,5 +1,8 @@
 """Token embedding, BiGRU encoders, memory attention, encoder gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,7 @@ from dialact.encoder import (
 )
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
-from helpers import chained_embed_tokens, im2col_char_cnn, init_gru, pick, sigmoid, sub
+from helpers import chained_embed_tokens, im2col_char_cnn, init_gru, pick, retained_backward, sigmoid, sub
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -415,6 +418,55 @@ def test_training_forward_keeps_one_float_token_feature_array():
     token_rows = [a for a in held if a.shape[:1] == (m,) and a.dtype == np.float64]
     assert [a.shape for a in token_rows] == [(m, e)]
     assert any(a.shape == (m, e) and a.dtype == bool for a in held)  # the keep-mask
+
+
+def recorded_training_step(seed=3):
+    """A dropout-on toy model, its loss and the tape that recorded one training step."""
+    _, convs, vocab = repeated_surface_model()
+    cfg = TrainConfig(**{**TOY_CFG.__dict__, "dropout": 0.2})
+    model = DialogueActModel(vocab, cfg, rng=np.random.default_rng(seed))
+    with ag.Tape() as tape:
+        loss = model.loss(convs, train=True, rng=np.random.default_rng(0))
+    return model, loss, tape
+
+
+def test_backward_frees_the_recorded_graph():
+    """After backward the tape is empty, and of what the step made only weights and the loss live.
+
+    Record outputs, backward closures, what they saved and every
+    intermediate gradient go with their records, without the cyclic
+    collector; the loss keeps no gradient.
+    """
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, ag.Tensor)]
+    gc.disable()
+    try:
+        model, loss, tape = recorded_training_step()
+        weights = {id(t.data) for t in model.registry.params.values()}
+        graph = [weakref.ref(a) for a in held_arrays(tape) if id(a) not in weights and a is not loss.data]
+        assert len(graph) > 20
+        tape.backward(loss)
+        assert tape.records == [] and held_arrays(tape) == []
+        assert [ref() for ref in graph if ref() is not None] == []
+        known = {id(t) for t in before} | {id(t) for t in model.registry.params.values()}
+        made = [o for o in gc.get_objects() if isinstance(o, ag.Tensor) and id(o) not in known]
+    finally:
+        gc.enable()
+    assert made == [loss] and loss.grad is None
+    assert all(t.grad is not None for t in model.registry.params.values())
+
+
+def test_freeing_backward_gives_the_retained_sweeps_gradients_to_the_bit():
+    """``Tape.backward`` and the sweep that frees nothing, each on the same step built from one seed."""
+    grads = []
+    for sweep in (ag.Tape.backward, retained_backward):
+        model, loss, tape = recorded_training_step()
+        sweep(tape, loss)
+        grads.append({name: t.grad for name, t in model.registry.params.items()})
+    freed, retained = grads
+    assert freed.keys() == retained.keys()
+    for name, grad in freed.items():
+        assert grad is not None and np.array_equal(grad, retained[name]), name
 
 
 # ---------------------------------------------------------------------------

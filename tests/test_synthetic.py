@@ -33,6 +33,8 @@ def test_spec_validation():
         SyntheticSpec(3, bad, tables, 5, 2, 4, 0, names)
     with pytest.raises(ValueError, match="min_len"):
         SyntheticSpec(3, symmetric_transition(3, 0.7), tables, 5, 5, 4, 0, names)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SyntheticSpec(3, symmetric_transition(3, 0.7), tables, 5, 2, 4, -1, names)
 
 
 def test_high_self_transition_yields_adjacent_repeats():
