@@ -8,9 +8,9 @@ goes, so a tape is single-use. Gradients accumulate into the ``.grad`` of
 leaf tensors (parameters, and inputs a caller marked ``requires_grad``);
 the caller zeroes them between optimization steps.
 
-The module also owns the parameter registry (named tensors plus the
-per-parameter squared-gradient and EMA shadow buffers used by training),
-the finite-difference gradient checker, and the binary checkpoint format.
+The module also owns the parameter registry (named tensors and their
+pinned rows; optimizer state lives with the training loop), the
+finite-difference gradient checker, and the binary checkpoint format.
 
 Checkpoint layout (little-endian, stable across releases):
 
@@ -28,7 +28,9 @@ Checkpoint layout (little-endian, stable across releases):
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -447,30 +449,28 @@ def l2_penalty(tensors, coeff):
 
 
 class ParamRegistry:
-    """Named parameters plus the optimizer-side buffers that shadow them.
+    """Named parameters and the pinned rows of each; one array per parameter.
 
-    ``sq_accum`` holds the per-element running sum of squared gradients;
-    ``ema`` holds the exponential moving-average shadow, initialized to the
-    initial parameter values. ``frozen_rows`` lists row indices whose
-    gradient is masked to keep them pinned (padding rows).
+    ``frozen_rows`` lists row indices whose gradient is masked to keep them
+    pinned (padding rows). Optimizer state (squared-gradient sums, EMA
+    shadows) belongs to the training loop, not here, so a model built for
+    inference holds exactly one copy of its weights.
 
-    Parameter and EMA arrays are never written in place: updates bind a
-    new array, so any mapping of arrays taken earlier stays as it was.
+    Parameter arrays are never written in place: updates bind a new array,
+    so any mapping of arrays taken earlier stays as it was. So ``add``
+    keeps the array it is given, copying it only when it is not a
+    C-contiguous, aligned, writeable float64 array that owns its data.
     """
 
     def __init__(self):
         self.params = {}
-        self.sq_accum = {}
-        self.ema = {}
         self.frozen_rows = {}
 
     def add(self, name, value, frozen_rows=None):
         if name in self.params:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.require(value, np.float64, ["C", "A", "W", "O"]), requires_grad=True)
         self.params[name] = t
-        self.sq_accum[name] = np.zeros_like(t.data)
-        self.ema[name] = t.data.copy()
         if frozen_rows is not None:
             self.frozen_rows[name] = np.asarray(frozen_rows, dtype=np.int64)
         return t
@@ -498,9 +498,6 @@ class ParamRegistry:
         if rows is not None:
             mask[rows] = False
         return mask
-
-    def state_dict(self):
-        return {name: t.data.copy() for name, t in self.params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +616,10 @@ def _loss_value(closure):
 
 
 def save_checkpoint(path, tensors):
-    """Write named float64 arrays in the documented binary layout."""
+    """Write named float64 arrays in the documented binary layout.
+
+    Each array's bytes go to the file from the array itself, not a copy.
+    """
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -632,47 +632,66 @@ def save_checkpoint(path, tensors):
             f.write(struct.pack("<B", arr.ndim))
             for dim in arr.shape:
                 f.write(struct.pack("<I", dim))
-            f.write(arr.tobytes())
+            f.write(arr)
 
 
 def load_checkpoint(path):
     """Read a checkpoint back into a name -> float64 ndarray dict.
 
-    Every field is length-checked, so a short file raises ``ValueError``
-    naming the file, the tensor being read, and the bytes expected and left.
+    Each tensor's values are read straight into the array returned for it,
+    a C-contiguous float64 array that owns its data. Every field is
+    length-checked against the bytes left in the file before anything is
+    read or allocated, so a short file, or a header claiming more than the
+    file holds, raises ``ValueError`` naming the file, the tensor being
+    read, and the bytes expected and left. A tensor name given twice, or
+    bytes after the last tensor, raise ``ValueError`` naming the file too.
     """
     with open(path, "rb") as f:
-        buf = f.read()
-    pos = 0
+        size = os.fstat(f.fileno()).st_size
 
-    def read(size, what):
-        nonlocal pos
-        if len(buf) - pos < size:
-            raise ValueError(
-                f"checkpoint {path} is truncated: {what} needs {size} bytes, "
-                f"{len(buf) - pos} left"
-            )
-        pos += size
-        return buf[pos - size : pos]
+        def truncated(need, what, left):
+            return ValueError(f"checkpoint {path} is truncated: {what} needs {need} bytes, {left} left")
 
-    def unpack(fmt, what):
-        return struct.unpack(fmt, read(struct.calcsize(fmt), what))[0]
+        def check(need, what):
+            if size - f.tell() < need:
+                raise truncated(need, what, size - f.tell())
 
-    magic = read(4, "header magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-    version = unpack("<I", "header version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    count = unpack("<I", "header tensor count")
-    tensors = {}
-    for i in range(count):
-        where = f"tensor #{i}"
-        name_len = unpack("<H", f"{where} name length")
-        name = read(name_len, f"{where} name").decode("utf-8")
-        where = f"tensor {name!r}"
-        ndim = unpack("<B", f"{where} ndim")
-        shape = tuple(unpack("<I", f"{where} dims") for _ in range(ndim))
-        values = read(8 * math.prod(shape), f"{where} values")
-        tensors[name] = np.frombuffer(values, dtype="<f8").astype(np.float64).reshape(shape)
+        def read(need, what):
+            check(need, what)
+            data = f.read(need)
+            if len(data) < need:  # the file shrank while being read
+                raise truncated(need, what, len(data))
+            return data
+
+        def unpack(fmt, what):
+            return struct.unpack(fmt, read(struct.calcsize(fmt), what))[0]
+
+        magic = read(4, "header magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+        version = unpack("<I", "header version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        count = unpack("<I", "header tensor count")
+        tensors = {}
+        for i in range(count):
+            where = f"tensor #{i}"
+            name_len = unpack("<H", f"{where} name length")
+            name = read(name_len, f"{where} name").decode("utf-8")
+            if name in tensors:
+                raise ValueError(f"checkpoint {path} holds tensor {name!r} twice")
+            where = f"tensor {name!r}"
+            ndim = unpack("<B", f"{where} ndim")
+            shape = tuple(unpack("<I", f"{where} dims") for _ in range(ndim))
+            need = 8 * math.prod(shape)
+            check(need, f"{where} values")
+            value = np.empty(shape)
+            got = f.readinto(value)
+            if got < need:
+                raise truncated(need, f"{where} values", got)
+            if sys.byteorder == "big":
+                value.byteswap(inplace=True)  # the file is little-endian
+            tensors[name] = value
+        if size - f.tell():
+            raise ValueError(f"checkpoint {path} has {size - f.tell()} bytes after its last tensor")
     return tensors

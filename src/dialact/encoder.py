@@ -38,7 +38,7 @@ projections by that index.
 
 Each BiGRU is one ``gru_sequence`` call, one tape record with a
 hand-written backward through time, returning [fwd | bwd] rows. Each
-direction projects every input row for all three gates with one GEMM.
+direction projects every input row with one GEMM per gate.
 The sequences are sorted by length, longest first, and one time loop
 steps both directions: at step t, ``gru_step`` updates the prefix of
 sequences still running, forward and backward rows in one block, in
@@ -60,6 +60,7 @@ arrays, so it records nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,11 +230,14 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
     distinct rows only, each projected once, and the backward sums the
     gradients of the packed rows that share one.
 
-    Each direction projects its rows for all three gates with one GEMM; one
+    Each direction projects its rows with one GEMM per gate, read in place
+    from its weight, into the gate's column block of one projection; one
     time loop then steps both directions together (``gru_step``), writing
     into step-blocked buffers. The gates and candidates are kept for the
     backward only when the op is recorded; the backward reads each step's
-    previous state from the states.
+    previous state from the states. An op that is not recorded carves its
+    buffers from one block, its size rounded up to a power of two, and
+    frees it when it returns.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if xs.ndim != 2 or (index is None and xs.shape[0] != lengths.sum()):
@@ -248,25 +252,37 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
     owns = [
         {f"{kind}_{g}": params[f"{prefix}.{kind}_{g}"] for g in GRU_GATES for kind in "wub"} for prefix in prefixes
     ]
-    w = [np.concatenate([own[f"w_{g}"].data for g in GRU_GATES], axis=1) for own in owns]
-    bias = [np.concatenate([own[f"b_{g}"].data for g in GRU_GATES]) for own in owns]
+    w_in = [[own[f"w_{g}"].data for g in GRU_GATES] for own in owns]
     u_rz = np.stack([np.concatenate([own["u_r"].data, own["u_z"].data], axis=1) for own in owns])
     u_h = np.stack([own["u_h"].data for own in owns])
-    hid, m, k0 = u_h.shape[1], rows.shape[1], sched.running[0]
-    # The sigmoid's inner 1/2, folded into the r/z columns: halving is exact.
-    half = np.repeat([0.5, 0.5, 1.0], hid)
-    proj = np.empty((2, xs.shape[0], 3 * hid))
-    for d in range(2):
-        np.matmul(xs.data, w[d] * half, out=proj[d])
-        proj[d] += bias[d] * half
-    src = np.empty(2 * m, dtype=np.int64)  # step-blocked rows of proj
-    src[sched.slots] = rows + xs.shape[0] * np.arange(2)[:, None]
-    proj = proj.reshape(-1, 3 * hid)
+    hid, m, k0, n_x = u_h.shape[1], rows.shape[1], sched.running[0], xs.shape[0]
     inputs = (xs, *owns[0].values(), *owns[1].values())
     keep = ag.will_record(inputs)
-    states, step_in = np.empty((2 * m, hid)), np.empty((2 * k0, 3 * hid))
     kept = 2 * m if keep else 2 * k0  # without a backward, one step's gates at a time
-    rz, cand = np.empty((kept, 2 * hid)), np.empty((kept, hid))
+    shapes = [(2, n_x, 3 * hid), (2 * m, hid), (2 * k0, 3 * hid), (kept, 2 * hid), (kept, hid)]
+    if keep:  # separate arrays: the backward keeps states, rz and cand, but not proj
+        proj, states, step_in, rz, cand = (np.empty(shape) for shape in shapes)
+    else:
+        # One block per call: freeing it raises glibc's mmap threshold to its size
+        # and the trim threshold to twice that, so the heap stays mapped between
+        # decode calls instead of being handed back and faulted in again. Its size
+        # is rounded up to a power of two, so a call a little larger than any before
+        # reuses the heap's block instead of mapping a new one beside it.
+        ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+        scratch = np.empty(1 << (ends[-1] - 1).bit_length())
+        proj, states, step_in, rz, cand = (
+            scratch[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)
+        )
+    for d, own in enumerate(owns):  # one GEMM per gate, into its column block
+        for i, gate in enumerate(GRU_GATES):
+            cols = proj[d, :, i * hid : (i + 1) * hid]
+            np.matmul(xs.data, w_in[d][i], out=cols)
+            cols += own[f"b_{gate}"].data
+    # The sigmoid's inner 1/2, folded into the r/z columns: halving is exact.
+    proj[:, :, : 2 * hid] *= 0.5
+    src = np.empty(2 * m, dtype=np.int64)  # step-blocked rows of proj
+    src[sched.slots] = rows + n_x * np.arange(2)[:, None]
+    proj = proj.reshape(-1, 3 * hid)
 
     def block(buf, t):
         """Step t's rows of a step-blocked buffer, viewed as (2, k_t, width)."""
@@ -346,7 +362,7 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
                 if own[name].requires_grad:
                     own[name].accumulate_grad(grad)
             if xs.requires_grad:
-                xs.accumulate_grad(da_rows @ w[d].T)
+                xs.accumulate_grad(da_rows @ np.concatenate(w_in[d], axis=1).T)
 
     return ag.record("gru", inputs, out_data, bwd)
 

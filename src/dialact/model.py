@@ -15,13 +15,16 @@ flat ``params`` mapping from those names to tensors and reads its own
 entries. ``loss`` passes ``registry.params``, whose tensors require a
 gradient and are recorded on the live tape. Inference passes fresh
 grad-free tensors over the current arrays, or over ``weights`` such as
-``registry.ema``; it records nothing on any tape and writes no shared
-state, so it may run next to training in another thread.
+the EMA shadows that ``train_loop`` keeps; it records nothing on any tape
+and writes no shared state, so it may run next to training in another
+thread.
 
 A checkpoint is the binary tensor container written by
 :mod:`dialact.autograd` plus a ``<path>.meta.json`` sidecar carrying the
 vocabulary and configuration needed to rebuild the model around the
-tensors.
+tensors. A model holds one array per parameter and no optimizer state:
+``load`` keeps the arrays the checkpoint was read into, and ``save``
+writes the live arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ class DialogueActModel:
 
         The other parameters draw from ``rng`` in :func:`parameter_table`
         order. Either way the ``emb.*`` tables get a zero, pinned PAD row.
+        A given array is kept, not copied, unless ``ParamRegistry.add``
+        needs a copy or its PAD row is not +0.0, which is then zeroed in a
+        copy: a given array is never written.
         """
         self.vocab = vocab
         self.cfg = cfg
@@ -53,16 +59,18 @@ class DialogueActModel:
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.registry = ag.ParamRegistry()
         for name, shape, scale in parameter_table(vocab, cfg):
+            frozen = [PAD_ID] if name.startswith("emb.") else None
             if name in weights:
-                value = np.array(weights[name], dtype=np.float64)
+                value = np.asarray(weights[name], dtype=np.float64)
                 if value.shape != shape:
                     raise ValueError(f"{name} shape {value.shape} does not match vocab/config {shape}")
+                if frozen and (value[PAD_ID].any() or np.signbit(value[PAD_ID]).any()):  # not +0.0
+                    value = value.copy()
+                    value[PAD_ID] = 0.0
             else:
                 value = rng.uniform(-scale, scale, shape) if scale else np.zeros(shape)
-            frozen = None
-            if name.startswith("emb."):
-                value[PAD_ID] = 0.0
-                frozen = [PAD_ID]
+                if frozen:
+                    value[PAD_ID] = 0.0
             self.registry.add(name, value, frozen_rows=frozen)
 
     # -- forward ------------------------------------------------------------
@@ -158,8 +166,14 @@ class DialogueActModel:
     # -- persistence --------------------------------------------------------
 
     def save(self, path, state=None):
-        """Write tensors (binary) plus the vocab/config sidecar."""
-        ag.save_checkpoint(path, state if state is not None else self.registry.state_dict())
+        """Write tensors (binary) plus the vocab/config sidecar.
+
+        ``state`` maps names to arrays, such as the best EMA shadows that
+        ``train_loop`` returns; by default, the current weights.
+        """
+        if state is None:
+            state = {name: t.data for name, t in self.registry.params.items()}
+        ag.save_checkpoint(path, state)
         meta = {
             "version": META_VERSION,
             "config": asdict(self.cfg),

@@ -5,7 +5,8 @@ penalty. Updates follow the diagonal adaptive rule: each element keeps a
 running sum of squared gradients and steps by lr * g / sqrt(sum g^2).
 Every parameter also carries an exponential-moving-average shadow; the
 shadows, not the raw weights, are what validation and the saved
-checkpoint use.
+checkpoint use. ``train_loop`` owns the sums and the shadows, as plain
+name -> array dicts; the model holds its weights alone.
 
 Batches contain only conversations with the same number of utterances,
 at most ``max_batch`` each, reshuffled every epoch from the run seed; the
@@ -125,16 +126,19 @@ def parse_config_file(path):
     return TrainConfig(**overrides)
 
 
-def adagrad_step(registry, lr):
-    """One diagonal adaptive update over every parameter with a gradient."""
-    for name in registry.names():
-        tensor = registry.params[name]
+def adagrad_step(registry, sums, lr):
+    """One diagonal adaptive update over every parameter with a gradient.
+
+    ``sums`` maps names to the running sums of squared gradients. They are
+    the optimizer's own arrays, so they are updated in place.
+    """
+    for name, tensor in registry.params.items():
         g = tensor.grad
         if g is None:
             continue
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
-        acc = registry.sq_accum[name]
+        acc = sums[name]
         acc += g * g
         denom = np.sqrt(np.maximum(acc, 1e-12))
         tensor.data = tensor.data - lr * g / denom  # rebind: snapshots keep the old array
@@ -162,10 +166,14 @@ def clip_gradients(registry, max_norm):
     return 1.0, norm
 
 
-def ema_update(registry, decay):
-    """shadow <- decay * shadow + (1 - decay) * param, elementwise, as a new array."""
-    for name in registry.names():
-        registry.ema[name] = decay * registry.ema[name] + (1.0 - decay) * registry.params[name].data
+def ema_update(registry, shadows, decay):
+    """shadow <- decay * shadow + (1 - decay) * param, elementwise, as a new array.
+
+    ``shadows`` maps names to the EMA shadows; each is rebound, never
+    written, so a shadow may start as the parameter's own initial array.
+    """
+    for name, tensor in registry.params.items():
+        shadows[name] = decay * shadows[name] + (1.0 - decay) * tensor.data
 
 
 def make_batches(conversations, max_batch, rng):
@@ -207,9 +215,14 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
         weights["emb.word"] = load_pretrained_embeddings(embeddings_path, vocab, cfg.word_dim, rng=rng)
     model = DialogueActModel(vocab, cfg, rng=rng, weights=weights)
 
+    # The optimizer state is the loop's own, so the model holds one copy of its weights.
+    # Arrays are rebound, never written: the shadows start as the initial weights.
+    params = model.registry.params
+    sums = {name: np.zeros_like(t.data) for name, t in params.items()}
+    shadows = {name: t.data for name, t in params.items()}
     train_utts = sum(len(conv) for conv in train_convs)
     history = []
-    best_state = dict(model.registry.ema)  # arrays are rebound, never written
+    best_state = dict(shadows)
     best_val_accuracy = -1.0
     epochs_since_improvement = 0
     # As under the CLI: an overflow or invalid value ends training instead of
@@ -232,10 +245,10 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
                 scale, norm = clip_gradients(model.registry, cfg.clip_norm)
                 clipped += scale < 1.0
                 norms.append(norm)
-                adagrad_step(model.registry, cfg.lr)
-                ema_update(model.registry, cfg.ema_decay)
+                adagrad_step(model.registry, sums, cfg.lr)
+                ema_update(model.registry, shadows, cfg.ema_decay)
                 epoch_loss += float(loss.data)
-            val_acc = model.accuracy(valid_convs, weights=model.registry.ema)
+            val_acc = model.accuracy(valid_convs, weights=shadows)
             seconds = time.perf_counter() - t0
             record = {
                 "epoch": epoch,
@@ -257,7 +270,7 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
             if val_acc > best_val_accuracy:
                 best_val_accuracy = val_acc
                 epochs_since_improvement = 0
-                best_state = dict(model.registry.ema)
+                best_state = dict(shadows)
             else:
                 epochs_since_improvement += 1
                 if epochs_since_improvement >= cfg.patience:

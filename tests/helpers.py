@@ -72,6 +72,35 @@ def retained_backward(tape, loss):
             rec.backward_fn(g)
 
 
+class RegistryOptimizer:
+    """Adagrad sums and EMA shadows held beside a registry, updated as the registry once held them.
+
+    The reference for ``train.adagrad_step`` and ``train.ema_update``, which
+    take the state as dicts: the sums start at zero and the shadows as
+    copies of the initial weights.
+    """
+
+    def __init__(self, registry):
+        self.registry = registry
+        self.sq_accum = {name: np.zeros_like(t.data) for name, t in registry.params.items()}
+        self.ema = {name: t.data.copy() for name, t in registry.params.items()}
+
+    def adagrad_step(self, lr):
+        for name in self.registry.names():
+            tensor = self.registry.params[name]
+            g = tensor.grad
+            if g is None:
+                continue
+            acc = self.sq_accum[name]
+            acc += g * g
+            denom = np.sqrt(np.maximum(acc, 1e-12))
+            tensor.data = tensor.data - lr * g / denom
+
+    def ema_update(self, decay):
+        for name in self.registry.names():
+            self.ema[name] = decay * self.ema[name] + (1.0 - decay) * self.registry.params[name].data
+
+
 def per_token_vocab(conversations, min_count=1):
     """``build_vocab`` by one Counter update per token; the reference for ``corpus.build_vocab``."""
     if not conversations:

@@ -251,6 +251,9 @@ def test_criterion_6_invariant_battery():
     convs, _ = synthetic.generate_synthetic(spec)
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(77))
     step_rng = np.random.default_rng(78)
+    params = model.registry.params
+    sums = {name: np.zeros_like(t.data) for name, t in params.items()}
+    shadows = {name: t.data for name, t in params.items()}
     for _ in range(100):
         model.registry.zero_grads()
         with ag.Tape() as tape:
@@ -258,8 +261,8 @@ def test_criterion_6_invariant_battery():
         tape.backward(loss)
         model.registry.mask_frozen_grads()
         clip_gradients(model.registry, 5.0)
-        adagrad_step(model.registry, 0.05)
-        ema_update(model.registry, 0.9)
+        adagrad_step(model.registry, sums, 0.05)
+        ema_update(model.registry, shadows, 0.9)
     pad_zero = all(
         not model.registry[name].data[0].any()
         for name in ("emb.word", "emb.char", "emb.pos", "emb.ner")

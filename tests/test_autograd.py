@@ -1,6 +1,7 @@
 """Tape engine: op semantics, backward rules, gradcheck harness, checkpoints."""
 
 import gc
+import struct
 import weakref
 
 import numpy as np
@@ -413,11 +414,14 @@ def test_grad_check_skips_frozen_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_registry_buffers_shape_match_and_names_unique():
+def test_registry_keeps_one_array_per_parameter_and_names_unique():
     reg = ag.ParamRegistry()
-    reg.add("a", np.zeros((2, 3)))
-    assert reg.sq_accum["a"].shape == (2, 3)
-    assert reg.ema["a"].shape == (2, 3)
+    value = np.zeros((2, 3))
+    assert reg.add("a", value).data is value  # owned, C-contiguous float64: kept, not copied
+    assert vars(reg).keys() == {"params", "frozen_rows"}  # no optimizer state
+    strided = np.arange(6.0)[::2]
+    b = reg.add("b", strided).data
+    assert b.flags.c_contiguous and b.flags.owndata and not np.shares_memory(b, strided)
     with pytest.raises(ValueError, match="duplicate"):
         reg.add("a", np.zeros(1))
 
@@ -452,6 +456,44 @@ def test_checkpoint_truncation_names_file_tensor_and_bytes(tmp_path):
         ag.load_checkpoint(path)
     path.write_bytes(full[:6])  # cut inside the header
     with pytest.raises(ValueError, match="header version needs 4 bytes, 2 left"):
+        ag.load_checkpoint(path)
+
+
+def test_checkpoint_loads_into_owned_contiguous_arrays(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tensors = {"alpha": np.arange(6.0).reshape(2, 3), "empty": np.zeros((0, 4))}
+    ag.save_checkpoint(path, tensors)
+    for name, value in ag.load_checkpoint(path).items():
+        assert np.array_equal(value, tensors[name]) and value.shape == tensors[name].shape
+        assert value.dtype == np.float64
+        assert all(value.flags[flag] for flag in ("C_CONTIGUOUS", "ALIGNED", "WRITEABLE", "OWNDATA"))
+
+
+def test_checkpoint_rejects_bytes_after_the_last_tensor(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ag.save_checkpoint(path, {"alpha": np.zeros((2, 3))})
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match=r"model\.ckpt has 1 bytes after its last tensor"):
+        ag.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_tensor_name_given_twice(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ag.save_checkpoint(path, {"alpha": np.zeros(2)})
+    full = path.read_bytes()
+    # the header's count says 2, and the one tensor follows twice
+    path.write_bytes(full[:8] + struct.pack("<I", 2) + full[12:] + full[12:])
+    with pytest.raises(ValueError, match=r"model\.ckpt holds tensor 'alpha' twice"):
+        ag.load_checkpoint(path)
+
+
+def test_checkpoint_checks_a_tensor_size_before_allocating_it(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ag.save_checkpoint(path, {"alpha": np.zeros((2, 3))})
+    full = bytearray(path.read_bytes())
+    full[20:28] = struct.pack("<II", 2**32 - 1, 2**32 - 1)  # alpha's dims: 2**67 bytes of values
+    path.write_bytes(full)
+    with pytest.raises(ValueError, match=rf"'alpha' values needs {8 * (2**32 - 1) ** 2} bytes, 48 left"):
         ag.load_checkpoint(path)
 
 

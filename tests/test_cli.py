@@ -347,6 +347,16 @@ def test_truncated_checkpoint_exits_two_at_every_offset(tmp_path, capsys):
         assert err.count("\n") == 1 and "tiny.ckpt is truncated" in err, (offset, err)
 
 
+@pytest.mark.parametrize("command", ["eval", "predict", "export-attn"])
+def test_checkpoint_with_trailing_bytes_exits_two_in_one_line(tmp_path, capsys, command):
+    ckpt, test_path = tiny_checkpoint(tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes() + b"\x00")
+    code = run_cli(command, "--checkpoint", str(ckpt), "--test", str(test_path), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "tiny.ckpt has 1 bytes after its last tensor" in err, err
+
+
 @pytest.fixture(scope="module")
 def tiny(tmp_path_factory):
     directory = tmp_path_factory.mktemp("tiny")

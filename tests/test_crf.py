@@ -694,7 +694,7 @@ def test_potential_tables_share_one_transition():
     # step leaves the tables as they were without any copy
     before = tables[0].transition.copy()
     model.registry["crf.trans"].grad = np.ones_like(before)
-    adagrad_step(model.registry, lr=0.1)
+    adagrad_step(model.registry, {"crf.trans": np.zeros_like(before)}, lr=0.1)
     assert not np.array_equal(model.registry["crf.trans"].data, before)
     assert np.array_equal(tables[0].transition, before)
 

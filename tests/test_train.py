@@ -25,6 +25,7 @@ from dialact.train import (
     train_loop,
     write_history,
 )
+from helpers import RegistryOptimizer
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -235,12 +236,13 @@ def test_one_adaptive_step_decreases_toy_batch_loss():
     convs, _ = synthetic.generate_synthetic(spec)
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(4))
     before = float(model.loss(convs, train=False).data)
+    sums = {name: np.zeros_like(t.data) for name, t in model.registry.params.items()}
     model.registry.zero_grads()
     with ag.Tape() as tape:
         loss = model.loss(convs, train=False)  # dropout off for a clean re-eval
     tape.backward(loss)
     model.registry.mask_frozen_grads()
-    adagrad_step(model.registry, lr=0.005)
+    adagrad_step(model.registry, sums, lr=0.005)
     after = float(model.loss(convs, train=False).data)
     assert after < before
 
@@ -251,46 +253,47 @@ def test_one_adaptive_step_decreases_toy_batch_loss():
 
 
 def one_param_registry(value):
+    """A registry holding ``w``, its tensor, and fresh Adagrad sums and EMA shadows for it."""
     reg = ag.ParamRegistry()
     p = reg.add("w", np.array([value]))
-    return reg, p
+    return reg, p, {"w": np.zeros(1)}, {"w": p.data}
 
 
 def test_adagrad_first_step_is_lr_times_sign():
-    reg, p = one_param_registry(1.0)
+    reg, p, sums, shadows = one_param_registry(1.0)
     p.grad = np.array([2.0])
-    adagrad_step(reg, lr=0.005)
+    adagrad_step(reg, sums, lr=0.005)
     assert p.data[0] == pytest.approx(1.0 - 0.005, abs=1e-15)
 
 
 def test_adagrad_second_step_shrinks_by_sqrt_two():
-    reg, p = one_param_registry(0.0)
+    reg, p, sums, shadows = one_param_registry(0.0)
     p.grad = np.array([1.0])
-    adagrad_step(reg, lr=0.005)
+    adagrad_step(reg, sums, lr=0.005)
     first = p.data[0]
     p.grad = np.array([1.0])
-    adagrad_step(reg, lr=0.005)
+    adagrad_step(reg, sums, lr=0.005)
     assert first == pytest.approx(-0.005)
     assert p.data[0] - first == pytest.approx(-0.005 / np.sqrt(2.0), abs=1e-15)
 
 
 def test_adagrad_zero_gradient_is_null_update():
-    reg, p = one_param_registry(3.0)
+    reg, p, sums, shadows = one_param_registry(3.0)
     p.grad = np.zeros(1)
-    adagrad_step(reg, lr=0.1)
+    adagrad_step(reg, sums, lr=0.1)
     assert p.data[0] == 3.0
-    assert reg.sq_accum["w"][0] == 0.0
+    assert sums["w"][0] == 0.0
 
 
 def test_adagrad_accumulator_monotone_and_step_bound():
-    reg, p = one_param_registry(0.0)
+    reg, p, sums, shadows = one_param_registry(0.0)
     rng = np.random.default_rng(6)
     prev_acc = 0.0
     prev_val = 0.0
     for step in range(1, 60):
         p.grad = rng.normal(size=1)
-        adagrad_step(reg, lr=0.01)
-        acc = float(reg.sq_accum["w"][0])
+        adagrad_step(reg, sums, lr=0.01)
+        acc = float(sums["w"][0])
         assert acc >= prev_acc
         # every single step is at most lr: |g| / sqrt(sum g^2) <= 1
         assert abs(p.data[0] - prev_val) <= 0.01 + 1e-15
@@ -300,30 +303,30 @@ def test_adagrad_accumulator_monotone_and_step_bound():
 def test_adagrad_constant_gradient_closed_form():
     # with g identical each step, movement after T steps is lr * sum 1/sqrt(t),
     # which stays under 2 * lr * sqrt(T)
-    reg, p = one_param_registry(0.0)
+    reg, p, sums, shadows = one_param_registry(0.0)
     for t in range(1, 30):
         p.grad = np.array([0.5])
-        adagrad_step(reg, lr=0.01)
+        adagrad_step(reg, sums, lr=0.01)
         expected = -0.01 * sum(1.0 / np.sqrt(i) for i in range(1, t + 1))
         assert p.data[0] == pytest.approx(expected, abs=1e-12)
         assert abs(p.data[0]) <= 2 * 0.01 * np.sqrt(t)
 
 
 def test_adagrad_aborts_on_nan_naming_parameter():
-    reg, p = one_param_registry(0.0)
+    reg, p, sums, shadows = one_param_registry(0.0)
     p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError, match="'w'"):
-        adagrad_step(reg, lr=0.01)
+        adagrad_step(reg, sums, lr=0.01)
 
 
 def test_adagrad_rejects_inf_when_clipping_is_off():
     # with clip_norm <= 0 nothing rescales an inf gradient before the step,
     # and inf / sqrt(inf) would write NaN into the weights
-    reg, p = one_param_registry(0.5)
+    reg, p, sums, shadows = one_param_registry(0.5)
     p.grad = np.array([np.inf])
     assert clip_gradients(reg, max_norm=0.0) == (1.0, np.inf)
     with pytest.raises(FloatingPointError, match="non-finite gradient in parameter 'w'"):
-        adagrad_step(reg, lr=0.01)
+        adagrad_step(reg, sums, lr=0.01)
     assert p.data[0] == 0.5
 
 
@@ -361,25 +364,25 @@ def test_clip_gradients_global_norm():
 
 
 def test_ema_fixed_point():
-    reg, p = one_param_registry(1.5)
-    ema_update(reg, decay=0.999)
-    assert reg.ema["w"][0] == pytest.approx(1.5, abs=1e-15)
+    reg, p, sums, shadows = one_param_registry(1.5)
+    ema_update(reg, shadows, decay=0.999)
+    assert shadows["w"][0] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_ema_single_step_formula():
-    reg, p = one_param_registry(1.0)
-    reg.ema["w"][:] = 0.0
-    ema_update(reg, decay=0.999)
-    assert reg.ema["w"][0] == pytest.approx(0.001, abs=1e-15)
+    reg, p, sums, shadows = one_param_registry(1.0)
+    shadows["w"] = np.zeros(1)  # rebound: the shadow starts as the weight's own array
+    ema_update(reg, shadows, decay=0.999)
+    assert shadows["w"][0] == pytest.approx(0.001, abs=1e-15)
 
 
 def test_ema_geometric_series_closed_form():
-    reg, p = one_param_registry(0.7)
-    reg.ema["w"][:] = 0.0
+    reg, p, sums, shadows = one_param_registry(0.7)
+    shadows["w"] = np.zeros(1)  # rebound: the shadow starts as the weight's own array
     k = 250
     for _ in range(k):
-        ema_update(reg, decay=0.999)
-    assert reg.ema["w"][0] == pytest.approx(0.7 * (1 - 0.999 ** k), abs=1e-12)
+        ema_update(reg, shadows, decay=0.999)
+    assert shadows["w"][0] == pytest.approx(0.7 * (1 - 0.999 ** k), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +556,10 @@ def test_history_reports_throughput_and_clip_fraction(clip_norm, clipped, monkey
 
 def test_pad_rows_stay_zero_through_training():
     convs = small_corpus()
-    model, _, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
+    model, best_state, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
     for name in ("emb.word", "emb.char", "emb.pos", "emb.ner"):
         assert not model.registry[name].data[0].any()
-        assert not model.registry.ema[name][0].any()
+        assert not best_state[name][0].any()
 
 
 def test_checkpoint_round_trip_through_model(tmp_path):
@@ -567,35 +570,96 @@ def test_checkpoint_round_trip_through_model(tmp_path):
     again = DialogueActModel.load(path)
     assert again.vocab == model.vocab
     assert again.cfg == model.cfg
+    # one array per parameter, read in place: no optimizer state, nothing to copy for BLAS
+    assert vars(again).keys() == {"vocab", "cfg", "registry"}
+    assert vars(again.registry).keys() == {"params", "frozen_rows"}
     for name, value in best_state.items():
-        assert np.array_equal(again.registry[name].data, value)
+        data = again.registry[name].data
+        assert np.array_equal(data, value) and data.dtype == np.float64
+        assert all(data.flags[flag] for flag in ("C_CONTIGUOUS", "ALIGNED", "WRITEABLE", "OWNDATA"))
+    again.save(str(tmp_path / "again.ckpt"))
+    assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
     # decoding agrees with the source model evaluated on its best shadows
     assert again.decode(convs[:4]) == model.decode(convs[:4], weights=best_state)
 
 
-def inference_results(model, convs):
-    """Decode paths, EMA validation accuracy and the attention export."""
+def test_given_weights_are_kept_and_never_written():
+    convs = small_corpus()
+    model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
+    weights = {name: t.data for name, t in model.registry.params.items()}
+    weights["emb.pos"] = np.ones_like(weights["emb.pos"])
+    weights["emb.ner"] = -np.zeros_like(weights["emb.ner"])  # -0.0 is not the pinned +0.0
+    rebuilt = DialogueActModel(model.vocab, TOY_CFG, weights=weights)
+    for name, value in weights.items():
+        kept = rebuilt.registry[name].data
+        if name in ("emb.pos", "emb.ner"):  # zeroed in a copy
+            assert kept is not value and not kept[0].any() and not np.signbit(kept[0]).any()
+            assert np.array_equal(kept[1:], value[1:])
+        else:
+            assert kept is value
+    assert (weights["emb.pos"] == 1.0).all() and np.signbit(weights["emb.ner"]).all()
+
+
+def test_optimizer_state_matches_the_registry_held_reference():
+    """The loop's Adagrad sums and EMA shadows update as the registry-held ones did, to the bit."""
+    convs = small_corpus()
+    cfg = TrainConfig(**{**TOY_CFG.__dict__, "max_epochs": 1})
+    train_convs = convs[:18]
+    trained, best_state, _ = train_loop(train_convs, convs[18:], cfg)
+
+    vocab, rngs = build_vocab(train_convs), [np.random.default_rng(cfg.seed) for _ in range(2)]
+    models = [DialogueActModel(vocab, cfg, rng=rng) for rng in rngs]
+    ours, ref = (m.registry for m in models)
+    sums = {name: np.zeros_like(t.data) for name, t in ours.params.items()}
+    shadows = {name: t.data for name, t in ours.params.items()}
+    reference = RegistryOptimizer(ref)
+    batches = [make_batches(train_convs, cfg.max_batch, rng) for rng in rngs]
+    assert len(batches[0]) >= 3
+    for step in zip(*batches):
+        for m, batch, rng in zip(models, step, rngs):
+            m.registry.zero_grads()
+            with ag.Tape() as tape:
+                loss = m.loss(batch, train=True, rng=rng)
+            tape.backward(loss)
+            m.registry.mask_frozen_grads()
+            clip_gradients(m.registry, cfg.clip_norm)
+        adagrad_step(ours, sums, cfg.lr)
+        ema_update(ours, shadows, cfg.ema_decay)
+        reference.adagrad_step(cfg.lr)
+        reference.ema_update(cfg.ema_decay)
+        for name in ours.names():
+            assert np.array_equal(ours[name].data, ref[name].data)
+            assert np.array_equal(sums[name], reference.sq_accum[name])
+            assert np.array_equal(shadows[name], reference.ema[name])
+    # train_loop's first epoch runs the same steps and keeps that epoch's shadows
+    for name in ours.names():
+        assert np.array_equal(trained.registry[name].data, ref[name].data)
+        assert np.array_equal(best_state[name], reference.ema[name])
+
+
+def inference_results(model, convs, shadows):
+    """Decode paths, validation accuracy under the EMA ``shadows`` and the attention export."""
     return (
         model.decode(convs),
-        model.accuracy(convs, weights=model.registry.ema),
+        model.accuracy(convs, weights=shadows),
         export_attention(convs, model),
     )
 
 
 def test_inference_never_records_and_leaves_weights_in_place():
     convs = small_corpus()
-    model, _, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
+    model, best_state, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
     reg, valid = model.registry, convs[18:]
-    assert any(not np.array_equal(reg.ema[n], reg[n].data) for n in reg.names())
+    assert any(not np.array_equal(best_state[n], reg[n].data) for n in reg.names())
     arrays = {name: reg[name].data for name in reg.names()}
-    expected = inference_results(model, valid)
+    expected = inference_results(model, valid, best_state)
 
     results = []
     with ag.Tape() as tape:
         loss = model.loss(convs[:6], train=True, rng=np.random.default_rng(1))
         recorded = len(tape.records)
-        results.append(inference_results(model, valid))
-        worker = threading.Thread(target=lambda: results.append(inference_results(model, valid)))
+        results.append(inference_results(model, valid, best_state))
+        worker = threading.Thread(target=lambda: results.append(inference_results(model, valid, best_state)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
@@ -605,7 +669,7 @@ def test_inference_never_records_and_leaves_weights_in_place():
     assert results == [expected, expected]
     assert all(reg[name].data is array for name, array in arrays.items())
     # EMA validation scores what a model holding the shadows as weights scores
-    shadows = DialogueActModel(model.vocab, model.cfg, weights=reg.ema)
+    shadows = DialogueActModel(model.vocab, model.cfg, weights=best_state)
     assert shadows.accuracy(valid) == expected[1]
 
 
@@ -615,6 +679,8 @@ def test_decode_on_a_snapshot_holds_while_training_steps_run():
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
     reg = model.registry
     snapshot = {name: reg[name].data for name in reg.names()}
+    sums = {name: np.zeros_like(array) for name, array in snapshot.items()}
+    shadows = dict(snapshot)
     expected = model.decode(convs, weights=snapshot)
     with ag.Tape() as tape:
         model.loss(convs[:8], train=True, rng=np.random.default_rng(0))
@@ -639,8 +705,8 @@ def test_decode_on_a_snapshot_holds_while_training_steps_run():
                 loss = model.loss(convs[:8], train=True, rng=rng)
             assert len(tape.records) == records
             tape.backward(loss)
-            adagrad_step(reg, 0.5)
-            ema_update(reg, 0.5)
+            adagrad_step(reg, sums, 0.5)
+            ema_update(reg, shadows, 0.5)
     finally:
         stop.set()
         for worker in workers:
