@@ -8,9 +8,9 @@ goes, so a tape is single-use. Gradients accumulate into the ``.grad`` of
 leaf tensors (parameters, and inputs a caller marked ``requires_grad``);
 the caller zeroes them between optimization steps.
 
-The module also owns the parameter registry (named tensors and their
-pinned rows; optimizer state lives with the training loop), the
-finite-difference gradient checker, and the binary checkpoint format.
+The module also owns the parameter registry (named tensors; optimizer
+state lives with the training loop), the finite-difference gradient
+checker, and the binary checkpoint format.
 
 Checkpoint layout (little-endian, stable across releases):
 
@@ -449,12 +449,11 @@ def l2_penalty(tensors, coeff):
 
 
 class ParamRegistry:
-    """Named parameters and the pinned rows of each; one array per parameter.
+    """Named parameters, one array each.
 
-    ``frozen_rows`` lists row indices whose gradient is masked to keep them
-    pinned (padding rows). Optimizer state (squared-gradient sums, EMA
-    shadows) belongs to the training loop, not here, so a model built for
-    inference holds exactly one copy of its weights.
+    Optimizer state (squared-gradient sums, EMA shadows) belongs to the
+    training loop, not here, so a model built for inference holds exactly
+    one copy of its weights.
 
     Parameter arrays are never written in place: updates bind a new array,
     so any mapping of arrays taken earlier stays as it was. So ``add``
@@ -464,15 +463,12 @@ class ParamRegistry:
 
     def __init__(self):
         self.params = {}
-        self.frozen_rows = {}
 
-    def add(self, name, value, frozen_rows=None):
+    def add(self, name, value):
         if name in self.params:
             raise ValueError(f"duplicate parameter name: {name!r}")
         t = Tensor(np.require(value, np.float64, ["C", "A", "W", "O"]), requires_grad=True)
         self.params[name] = t
-        if frozen_rows is not None:
-            self.frozen_rows[name] = np.asarray(frozen_rows, dtype=np.int64)
         return t
 
     def __getitem__(self, name):
@@ -484,20 +480,6 @@ class ParamRegistry:
     def zero_grads(self):
         for t in self.params.values():
             t.grad = None
-
-    def mask_frozen_grads(self):
-        for name, rows in self.frozen_rows.items():
-            g = self.params[name].grad
-            if g is not None:
-                g[rows] = 0.0
-
-    def trainable_mask(self, name):
-        """Boolean mask of elements that actually train (frozen rows excluded)."""
-        mask = np.ones(self.params[name].shape, dtype=bool)
-        rows = self.frozen_rows.get(name)
-        if rows is not None:
-            mask[rows] = False
-        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +522,8 @@ def grad_check(closure, registry, eps=1e-4, tol=1e-4, max_per_tensor=50, seed=0,
 
     The closure must build and return a scalar loss tensor when called under
     an active tape, and must be deterministic (dropout off, fixed inputs).
-    Frozen (pinned) rows are skipped: their gradient is masked by contract,
-    so they are constants rather than parameters. Up to ``max_per_tensor``
-    elements are sampled per parameter.
+    Up to ``max_per_tensor`` elements of each parameter are sampled, from
+    all of its elements.
 
     The error denominator is floored at ``floor``: gradients below that
     magnitude are compared absolutely at tol*floor, which sits safely above
@@ -567,21 +548,17 @@ def grad_check(closure, registry, eps=1e-4, tol=1e-4, max_per_tensor=50, seed=0,
     with Tape() as tape:
         loss = closure()
     tape.backward(loss)
-    registry.mask_frozen_grads()
 
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tol)
     for name in registry.names():
         t = registry.params[name]
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        candidates = np.flatnonzero(registry.trainable_mask(name).reshape(-1))
-        if candidates.size == 0:
-            continue
-        if candidates.size > max_per_tensor:
-            chosen = rng.choice(candidates, size=max_per_tensor, replace=False)
-        else:
-            chosen = candidates
         base = t.data
+        if base.size > max_per_tensor:
+            chosen = rng.choice(base.size, size=max_per_tensor, replace=False)
+        else:
+            chosen = range(base.size)
 
         def shifted_losses(j, step):
             losses = []

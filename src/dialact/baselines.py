@@ -13,7 +13,6 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import UNK_ID
 from .evaluate import accuracy
 
 
@@ -29,7 +28,7 @@ def _mean_embedding_features(conversations, vocab, word_matrix):
     labels = []
     for conv in conversations:
         for utt in conv.utterances:
-            ids = [vocab.word_index.get(t.surface, UNK_ID) for t in utt.tokens]
+            ids = [vocab.word_id(t.surface) for t in utt.tokens]
             rows.append(word_matrix[ids].mean(axis=0))
             labels.append(vocab.act_index[utt.act] if utt.act in vocab.act_index else -1)
     return np.array(rows), np.array(labels, dtype=np.int64)

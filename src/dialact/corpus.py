@@ -217,7 +217,9 @@ class Vocab:
 
     Acts are a closed set: no PAD/UNK, ids cover exactly the observed
     labels. POS and NER tables additionally reserve ABSENT=2 for missing
-    input columns.
+    input columns. PAD is filler, not a symbol: ``word_id``, ``pos_id`` and
+    ``ner_id`` map ``<pad>`` to UNK like any symbol outside the table
+    (``get`` gives None or PAD_ID, 0, and both read UNK).
     """
 
     word_index: dict
@@ -231,7 +233,7 @@ class Vocab:
         return _symbols(self.act_index)
 
     def word_id(self, w):
-        return self.word_index.get(w, UNK_ID)
+        return self.word_index.get(w) or UNK_ID
 
     def char_id(self, c):
         return self.char_index.get(c, UNK_ID)
@@ -239,12 +241,12 @@ class Vocab:
     def pos_id(self, p):
         if p is None:
             return ABSENT_ID
-        return self.pos_index.get(p, UNK_ID)
+        return self.pos_index.get(p) or UNK_ID
 
     def ner_id(self, n):
         if n is None:
             return ABSENT_ID
-        return self.ner_index.get(n, UNK_ID)
+        return self.ner_index.get(n) or UNK_ID
 
     def act_id(self, a):
         if a not in self.act_index:

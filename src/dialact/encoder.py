@@ -44,9 +44,10 @@ steps both directions: at step t, ``gru_step`` updates the prefix of
 sequences still running, forward and backward rows in one block, in
 place; the backward direction reads each sequence from its last row.
 Gates and candidates are kept only when the op is recorded, so inference
-keeps one step's worth. Padding rows of the embedding tables stay
-identically zero: they are initialized to zero and their gradients are
-masked by the registry.
+keeps one step's worth. No padding row of an embedding table is ever
+read: the vocabulary maps no input symbol to PAD, and ``char_cnn`` reads
+the PAD filler after a surface as a constant zero character. So every
+PAD row's gradient is exactly 0 and those rows stay as they start.
 
 Every layer takes ``params``, one flat mapping from checkpoint name to
 tensor, and reads its own entries: ``emb.*`` and ``cnn.w{k}``/``cnn.b{k}``
@@ -380,9 +381,11 @@ def char_cnn(char_ids, params):
     [j*C, (j+1)*C) are tap j, the weights of a window's j-th character, and
     ``cnn.b{k}`` (F_k,). Output (N, sum F_k), widths in ascending order.
 
-    Windows past a surface's end are excluded: those starting beyond
-    max(len, widest filter) - k, len counting a row's non-PAD ids, so a
-    token's features do not depend on L, its batch's longest surface.
+    PAD is a constant zero character, whatever the table's PAD row holds:
+    its projected rows are 0 and so is its row's gradient. Windows past a
+    surface's end are excluded: those starting beyond max(len, widest
+    filter) - k, len counting a row's non-PAD ids, so a token's features
+    do not depend on L, its batch's longest surface.
 
     One GEMM projects the whole table (not only the batch's characters)
     through every tap, so a window's scores are its k characters' rows of
@@ -404,6 +407,7 @@ def char_cnn(char_ids, params):
     taps = np.concatenate([w.data.reshape(k, dim, -1).transpose(1, 0, 2).reshape(dim, -1) for k, w, _ in banks], 1)
     starts = np.cumsum([0] + [k * w.shape[1] for k, w, _ in banks]).tolist()
     proj = table.data @ taps  # (V, sum k*F_k): every tap's table
+    proj[PAD_ID] = 0.0
     time_ids = np.ascontiguousarray(char_ids.T)
     # a window of width k may start at most max(len, widest filter) - k in
     ends = np.maximum(np.count_nonzero(char_ids != PAD_ID, axis=1), max(CHAR_WIDTHS))
@@ -435,6 +439,7 @@ def char_cnn(char_ids, params):
                 grads.append(g_k)
         flat, grads = np.concatenate(flat, axis=None), np.concatenate(grads, axis=None)
         d_proj = np.bincount(flat, weights=grads, minlength=proj.size).reshape(proj.shape)
+        d_proj[PAD_ID] = 0.0
         if table.requires_grad:
             table.accumulate_grad(d_proj @ taps.T)
         d_taps = table.data.T @ d_proj

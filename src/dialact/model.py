@@ -48,10 +48,8 @@ class DialogueActModel:
         """Build every parameter; ``weights`` maps names to initial arrays.
 
         The other parameters draw from ``rng`` in :func:`parameter_table`
-        order. Either way the ``emb.*`` tables get a zero, pinned PAD row.
-        A given array is kept, not copied, unless ``ParamRegistry.add``
-        needs a copy or its PAD row is not +0.0, which is then zeroed in a
-        copy: a given array is never written.
+        order. A given array is kept, not copied, unless
+        ``ParamRegistry.add`` needs a copy; it is never written.
         """
         self.vocab = vocab
         self.cfg = cfg
@@ -59,19 +57,15 @@ class DialogueActModel:
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.registry = ag.ParamRegistry()
         for name, shape, scale in parameter_table(vocab, cfg):
-            frozen = [PAD_ID] if name.startswith("emb.") else None
             if name in weights:
                 value = np.asarray(weights[name], dtype=np.float64)
                 if value.shape != shape:
                     raise ValueError(f"{name} shape {value.shape} does not match vocab/config {shape}")
-                if frozen and (value[PAD_ID].any() or np.signbit(value[PAD_ID]).any()):  # not +0.0
-                    value = value.copy()
-                    value[PAD_ID] = 0.0
             else:
                 value = rng.uniform(-scale, scale, shape) if scale else np.zeros(shape)
-                if frozen:
+                if name.startswith("emb."):
                     value[PAD_ID] = 0.0
-            self.registry.add(name, value, frozen_rows=frozen)
+            self.registry.add(name, value)
 
     # -- forward ------------------------------------------------------------
 
@@ -226,7 +220,9 @@ def parameter_table(vocab, cfg):
     """(checkpoint name, shape, init scale) of every parameter, in creation order.
 
     A parameter draws uniform(-scale, scale), or zeros at scale 0; the
-    ``emb.*`` tables also get a zero, pinned PAD row.
+    ``emb.*`` tables start with a zero PAD row. No input reads a PAD row
+    (the vocabulary never maps a symbol to PAD, and ``encoder.char_cnn``
+    reads the PAD character as a zero row), so its gradient is exactly 0.
     """
     n_acts, d, hid, emb, weight = len(vocab.act_index), cfg.d, cfg.d_u, 0.05, 0.08
     table = [

@@ -95,6 +95,8 @@ class SyntheticSpec:
         object.__setattr__(self, "act_transition", trans)
         if trans.shape != (self.num_acts, self.num_acts):
             raise ValueError(f"transition shape {trans.shape} != ({self.num_acts}, {self.num_acts})")
+        if not np.isfinite(trans).all():
+            raise ValueError("transition probabilities must be finite")
         rowsum = trans.sum(axis=1)
         if np.abs(rowsum - 1.0).max() > 1e-9:
             raise ValueError(f"transition rows must sum to 1 +- 1e-9, got {rowsum}")
@@ -103,6 +105,8 @@ class SyntheticSpec:
         if len(self.act_phrase_tables) != self.num_acts:
             raise ValueError("need one phrase table per act")
         for table in self.act_phrase_tables:
+            if not all(0 <= p < np.inf for _, p in table):  # NaN fails any comparison
+                raise ValueError("phrase probabilities must be finite and nonnegative")
             total = sum(p for _, p in table)
             if not table or abs(total - 1.0) > 1e-9:
                 raise ValueError("each phrase table must be a nonempty distribution")
@@ -356,21 +360,24 @@ def parse_spec_file(path):
                 raise TranscriptError(f"{path}: missing {key!r}")
             phrases = [tuple(p.split()) for p in raw.pop(key).split("|")]
             phrases = [p for p in phrases if p]
+            if not phrases:
+                raise TranscriptError(f"{path}: {key!r} lists no phrase")
             wkey = f"phrase_weights.{name}"
             if wkey in raw:
                 weights = [float(v) for v in raw.pop(wkey).split()]
                 if len(weights) != len(phrases):
                     raise TranscriptError(f"{path}: {wkey!r} needs {len(phrases)} weights")
                 total = sum(weights)
+                # NaN fails w >= 0, and an inf weight makes the total inf
+                if not (all(w >= 0 for w in weights) and 0 < total < np.inf):
+                    raise TranscriptError(f"{path}: {wkey!r} must be finite, nonnegative and sum above 0")
                 weights = [w / total for w in weights]
             else:
                 weights = [1.0 / len(phrases)] * len(phrases)
             tables.append(tuple(zip(phrases, weights)))
         tables = tuple(tables)
     else:
-        bank_names, tables = default_phrase_tables(num_acts)
-        if "act_names" not in raw and names == tuple(_BANK)[:num_acts]:
-            names = bank_names
+        _, tables = default_phrase_tables(num_acts)
 
     if raw:
         raise TranscriptError(f"{path}: unknown keys {sorted(raw)}")

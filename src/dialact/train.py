@@ -241,7 +241,6 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
                 if not np.isfinite(loss.data):
                     raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
                 tape.backward(loss)
-                model.registry.mask_frozen_grads()
                 scale, norm = clip_gradients(model.registry, cfg.clip_norm)
                 clipped += scale < 1.0
                 norms.append(norm)

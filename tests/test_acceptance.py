@@ -259,7 +259,6 @@ def test_criterion_6_invariant_battery():
         with ag.Tape() as tape:
             loss = model.loss(convs, train=True, rng=step_rng)
         tape.backward(loss)
-        model.registry.mask_frozen_grads()
         clip_gradients(model.registry, 5.0)
         adagrad_step(model.registry, sums, 0.05)
         ema_update(model.registry, shadows, 0.9)

@@ -395,20 +395,6 @@ def test_grad_check_rejects_nondeterministic_closure():
         ag.grad_check(closure, reg)
 
 
-def test_grad_check_skips_frozen_rows():
-    reg = ag.ParamRegistry()
-    table = reg.add("emb", np.zeros((3, 2)), frozen_rows=[0])
-    idx = np.array([0, 1, 2])
-
-    def closure():
-        rows = ag.gather(table, idx)
-        return ag.reduce_sum(ag.mul(rows, rows))
-
-    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
-    assert report.passed
-    assert report.entries[0][2] == 4  # 6 elements minus the 2 pinned ones
-
-
 # ---------------------------------------------------------------------------
 # registry and checkpoints
 # ---------------------------------------------------------------------------
@@ -418,7 +404,7 @@ def test_registry_keeps_one_array_per_parameter_and_names_unique():
     reg = ag.ParamRegistry()
     value = np.zeros((2, 3))
     assert reg.add("a", value).data is value  # owned, C-contiguous float64: kept, not copied
-    assert vars(reg).keys() == {"params", "frozen_rows"}  # no optimizer state
+    assert vars(reg).keys() == {"params"}  # no optimizer state
     strided = np.arange(6.0)[::2]
     b = reg.add("b", strided).data
     assert b.flags.c_contiguous and b.flags.owndata and not np.shares_memory(b, strided)

@@ -92,6 +92,13 @@ def test_out_of_range_flag_exits_one_naming_the_flag(capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_empty_phrase_list_exits_two_in_one_line(tmp_path, capsys):
+    text = GREET_SPEC.replace("what are you doing these days | when is the deadline", "|")
+    spec = write_spec(tmp_path, text)
+    assert run_cli("gen-synthetic", "--spec", spec, "--out", str(tmp_path / "x.jsonl")) == 2
+    assert capsys.readouterr().err == f"dialact gen-synthetic: {spec}: 'phrases.question' lists no phrase\n"
+
+
 def test_negative_gen_synthetic_seed_exits_two_in_one_line(tmp_path, capsys):
     code = run_cli("gen-synthetic", "--spec", write_spec(tmp_path), "--out", str(tmp_path / "x.jsonl"), "--seed", "-1")
     assert code == 2

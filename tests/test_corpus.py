@@ -314,6 +314,17 @@ def test_build_vocab_reserved_ids_everywhere():
     assert PAD not in vocab.act_index and UNK not in vocab.act_index
 
 
+def test_pad_spelled_as_input_reads_unk():
+    conv = Conversation(
+        id="p",
+        utterances=(Utterance(tokens=(Token(PAD, pos=PAD, ner=PAD), Token("a", pos="NN")), speaker="A", act="x"),),
+    )
+    vocab = build_vocab([conv])
+    assert vocab.word_index[PAD] == vocab.pos_index[PAD] == vocab.ner_index[PAD] == PAD_ID  # reserved, not counted
+    assert vocab.word_id(PAD) == vocab.pos_id(PAD) == vocab.ner_id(PAD) == UNK_ID
+    assert vocab.word_id("a") == 2 and vocab.pos_id("NN") == 3
+
+
 def test_build_vocab_covers_42_act_classes():
     acts = [f"tag{i:02d}" for i in range(42)]
     conv = make_conv([f"w{i}" for i in range(42)], acts)

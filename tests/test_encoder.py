@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dialact import autograd as ag
 from dialact import encoder
-from dialact.corpus import Conversation, Token, Utterance, build_vocab
+from dialact.corpus import PAD_ID, Conversation, Token, Utterance, build_vocab
 from dialact.encoder import (
     char_cnn,
     embed_tokens,
@@ -94,11 +94,9 @@ def test_unk_word_gets_unk_row_but_real_char_signal():
 
 
 def char_bank(rng, dim, filters=2):
-    """``emb.char`` (PAD row pinned) and one random bank per width, as a registry."""
+    """``emb.char`` and one random bank per width, as a registry; no row is zero, PAD's included."""
     reg = ag.ParamRegistry()
-    table = rng.normal(size=(7, dim))
-    table[0] = 0.0
-    reg.add("emb.char", table, frozen_rows=[0])
+    reg.add("emb.char", rng.normal(size=(7, dim)))
     for width in encoder.CHAR_WIDTHS:
         reg.add(f"cnn.w{width}", rng.normal(size=(width * dim, filters)))
         reg.add(f"cnn.b{width}", rng.normal(size=filters))
@@ -147,8 +145,7 @@ def test_char_cnn_is_one_record_and_passes_grad_check():
     assert report.passed, report.summary()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+CHAR_CNN_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
     length=st.integers(4, 9),
@@ -156,18 +153,20 @@ def test_char_cnn_is_one_record_and_passes_grad_check():
     chars=st.integers(2, 8),
     filters=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
 )
-def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters):
-    """Outputs and every emb.char/cnn.* gradient to 1e-12 of the tensor's largest entry."""
+
+
+def char_cnn_case(seed, n, length, dim, chars, filters):
+    """A registry with a zero PAD row, ids with PAD anywhere, and a runner of (output, gradients)."""
     rng = np.random.default_rng(seed)
     reg = ag.ParamRegistry()
     table = rng.normal(size=(chars, dim))
-    table[0] = 0.0
-    reg.add("emb.char", table, frozen_rows=[0])
+    table[PAD_ID] = 0.0
+    reg.add("emb.char", table)
     for width, count in zip(encoder.CHAR_WIDTHS, filters):
         reg.add(f"cnn.w{width}", rng.normal(size=(width * dim, count)))
         reg.add(f"cnn.b{width}", rng.normal(size=count))
     ids = rng.integers(0, chars, size=(n, length))  # PAD (0) anywhere, as well as after a word
-    ids[0, rng.integers(1, length) :] = 0
+    ids[0, rng.integers(1, length) :] = PAD_ID
     weights = rng.normal(size=(n, sum(filters)))
 
     def run(op):
@@ -178,11 +177,44 @@ def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters)
         tape.backward(loss)
         return out.data, {name: t.grad for name, t in reg.params.items()}
 
+    return reg, ids, run, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CHAR_CNN_CASES)
+def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters):
+    """Outputs and every emb.char/cnn.* gradient to 1e-12 of the tensor's largest entry.
+
+    The reference reads PAD's zero row and sends it gradient; ``char_cnn``
+    reads PAD as a constant zero, so its PAD row gets exactly 0 and the
+    other rows are compared.
+    """
+    reg, ids, run, _ = char_cnn_case(seed, n, length, dim, chars, filters)
     ref_out, ref_grads = run(im2col_char_cnn)
     out, grads = run(char_cnn)
     assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+    assert not grads["emb.char"][PAD_ID].any()
+    grads["emb.char"], ref_grads["emb.char"] = grads["emb.char"][1:], ref_grads["emb.char"][1:]
     for name, grad in grads.items():
         assert np.abs(grad - ref_grads[name]).max() <= 1e-12 * max(np.abs(ref_grads[name]).max(), 1e-300), name
+    grad_free = {name: ag.Tensor(t.data) for name, t in reg.params.items()}
+    assert np.array_equal(char_cnn(ids, grad_free).data, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CHAR_CNN_CASES)
+def test_char_cnn_never_reads_the_pad_row(seed, n, length, dim, chars, filters):
+    """Any values in emb.char's PAD row: the same output and gradients to the bit, PAD's gradient 0."""
+    reg, ids, run, rng = char_cnn_case(seed, n, length, dim, chars, filters)
+    out, grads = run(char_cnn)
+    table = reg.params["emb.char"].data.copy()
+    table[PAD_ID] = rng.normal(size=dim)
+    reg.params["emb.char"].data = table
+    again, again_grads = run(char_cnn)
+    assert np.array_equal(again, out)
+    for name, grad in grads.items():
+        assert np.array_equal(again_grads[name], grad), name
+    assert not again_grads["emb.char"][PAD_ID].any()
     grad_free = {name: ag.Tensor(t.data) for name, t in reg.params.items()}
     assert np.array_equal(char_cnn(ids, grad_free).data, out)
 
@@ -284,8 +316,12 @@ def test_type_level_embedding_matches_per_token_reference(seed, pool, long_word,
     out_e, grads = run(lambda: ag.gather(*embed_tokens(batch, params)))  # rows read at each token
     assert np.array_equal(out_e, ref_e)
     for name in names:
-        scale = max(np.abs(ref_grads[name]).max(), 1e-300)
-        assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * scale, name
+        grad, ref = grads[name], ref_grads[name]
+        if name.startswith("emb."):  # the reference sends PAD characters gradient; no input reads PAD
+            assert not grad[PAD_ID].any(), name
+            grad, ref = grad[1:], ref[1:]
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(grad - ref).max() <= 1e-12 * scale, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Generator: chain statistics, reproducibility, spec files, Bayes decoding."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ def test_spec_validation():
         SyntheticSpec(3, symmetric_transition(3, 0.7), tables, 5, 5, 4, 0, names)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         SyntheticSpec(3, symmetric_transition(3, 0.7), tables, 5, 2, 4, -1, names)
+    for trans in (symmetric_transition(3, np.nan), np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match="transition probabilities must be finite"):
+            SyntheticSpec(3, trans, tables, 5, 2, 4, 0, names)
+    for probs in ((np.nan, 1.0), (1.5, -0.5)):
+        bad_tables = (tuple(zip(((("a",), ("b",))), probs)), *tables[1:])
+        with pytest.raises(ValueError, match="phrase probabilities must be finite and nonnegative"):
+            SyntheticSpec(3, symmetric_transition(3, 0.7), bad_tables, 5, 2, 4, 0, names)
 
 
 def test_high_self_transition_yields_adjacent_repeats():
@@ -181,6 +189,28 @@ def test_parse_spec_file_defaults_and_errors(tmp_path):
     bad.write_text("num_acts = 2\nbogus_key = 1\n", encoding="utf-8")
     with pytest.raises(Exception, match="bogus_key|missing"):
         parse_spec_file(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("phrases.a = |", "'phrases.a' lists no phrase"),
+        ("phrases.a = x | y\nphrase_weights.a = 0 0", "'phrase_weights.a' must be finite, nonnegative and sum above 0"),
+        ("phrases.a = x | y\nphrase_weights.a = -1 2", "'phrase_weights.a' must be finite"),
+        ("phrases.a = x | y\nphrase_weights.a = nan 1", "'phrase_weights.a' must be finite"),
+        ("phrases.a = x | y\nphrase_weights.a = inf 1", "'phrase_weights.a' must be finite"),
+    ],
+    ids=["no-phrase", "zero-sum", "negative", "nan", "inf"],
+)
+def test_parse_spec_file_rejects_empty_phrases_and_bad_weights_naming_the_key(tmp_path, line, message):
+    path = tmp_path / "spec.cfg"
+    path.write_text(
+        f"num_acts = 2\nnum_conversations = 3\nmin_len = 2\nmax_len = 3\nself_transition = 0.5\n"
+        f"act_names = a b\nphrases.b = z\n{line}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TranscriptError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        parse_spec_file(path)
 
 
 def test_parse_spec_file_rejects_a_repeated_key_naming_the_line(tmp_path):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from dialact import autograd as ag
 from dialact import cli, synthetic
 from dialact import train as train_module
-from dialact.corpus import Conversation, Token, TranscriptError, Utterance, build_vocab, write_jsonl
+from dialact.corpus import PAD, PAD_ID, Conversation, Token, TranscriptError, Utterance, build_vocab, write_jsonl
+from dialact.encoder import prepare_batch
 from dialact.evaluate import export_attention
 from dialact.model import DialogueActModel
 from dialact.train import (
@@ -241,7 +242,6 @@ def test_one_adaptive_step_decreases_toy_batch_loss():
     with ag.Tape() as tape:
         loss = model.loss(convs, train=False)  # dropout off for a clean re-eval
     tape.backward(loss)
-    model.registry.mask_frozen_grads()
     adagrad_step(model.registry, sums, lr=0.005)
     after = float(model.loss(convs, train=False).data)
     assert after < before
@@ -562,6 +562,24 @@ def test_pad_rows_stay_zero_through_training():
         assert not best_state[name][0].any()
 
 
+def test_pad_spelled_as_input_trains_no_pad_row():
+    """``<pad>`` tokens and tags read UNK, so no PAD row is read and none moves from zero."""
+    pad = Token(PAD, pos=PAD, ner=PAD)
+    convs = [
+        Conversation(c.id, tuple(
+            Utterance(tuple(pad if i % 3 == 0 else t for i, t in enumerate(u.tokens)), u.speaker, u.act)
+            for u in c.utterances
+        ))
+        for c in small_corpus()
+    ]
+    model, best_state, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
+    batch = prepare_batch(convs, model.vocab)
+    assert PAD_ID not in batch.word and PAD_ID not in batch.pos and PAD_ID not in batch.ner
+    for name in ("emb.word", "emb.char", "emb.pos", "emb.ner"):
+        assert not model.registry[name].data[PAD_ID].any()
+        assert not best_state[name][PAD_ID].any()
+
+
 def test_checkpoint_round_trip_through_model(tmp_path):
     convs = small_corpus()
     model, best_state, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
@@ -572,7 +590,7 @@ def test_checkpoint_round_trip_through_model(tmp_path):
     assert again.cfg == model.cfg
     # one array per parameter, read in place: no optimizer state, nothing to copy for BLAS
     assert vars(again).keys() == {"vocab", "cfg", "registry"}
-    assert vars(again.registry).keys() == {"params", "frozen_rows"}
+    assert vars(again.registry).keys() == {"params"}
     for name, value in best_state.items():
         data = again.registry[name].data
         assert np.array_equal(data, value) and data.dtype == np.float64
@@ -587,16 +605,11 @@ def test_given_weights_are_kept_and_never_written():
     convs = small_corpus()
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
     weights = {name: t.data for name, t in model.registry.params.items()}
-    weights["emb.pos"] = np.ones_like(weights["emb.pos"])
-    weights["emb.ner"] = -np.zeros_like(weights["emb.ner"])  # -0.0 is not the pinned +0.0
+    weights["emb.pos"] = np.ones_like(weights["emb.pos"])  # PAD rows of 1.0 and -0.0 are kept too
+    weights["emb.ner"] = -np.zeros_like(weights["emb.ner"])
     rebuilt = DialogueActModel(model.vocab, TOY_CFG, weights=weights)
     for name, value in weights.items():
-        kept = rebuilt.registry[name].data
-        if name in ("emb.pos", "emb.ner"):  # zeroed in a copy
-            assert kept is not value and not kept[0].any() and not np.signbit(kept[0]).any()
-            assert np.array_equal(kept[1:], value[1:])
-        else:
-            assert kept is value
+        assert rebuilt.registry[name].data is value
     assert (weights["emb.pos"] == 1.0).all() and np.signbit(weights["emb.ner"]).all()
 
 
@@ -621,7 +634,6 @@ def test_optimizer_state_matches_the_registry_held_reference():
             with ag.Tape() as tape:
                 loss = m.loss(batch, train=True, rng=rng)
             tape.backward(loss)
-            m.registry.mask_frozen_grads()
             clip_gradients(m.registry, cfg.clip_norm)
         adagrad_step(ours, sums, cfg.lr)
         ema_update(ours, shadows, cfg.ema_decay)
