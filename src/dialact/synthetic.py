@@ -21,7 +21,9 @@ Spec files are flat key-value text (``#`` comments allowed)::
     phrase_weights.greet = 0.5 0.3 0.2
 
 Acts without explicit phrase tables draw from the built-in dialogue
-template bank (requires num_acts <= 8).
+template bank; acts past its eight get pseudo-word cue phrases, a
+function of the act index alone. Either way, every act shares one
+ambiguous pool.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ _BANK = {
     "farewell": ["goodbye", "see you later", "i will let you get back to it goodbye", "talk soon", "bye for now"],
 }
 _AMBIGUOUS_POOL = ["okay", "well", "you know", "so anyway", "all right", "hm okay then"]
+# Pseudo-words for acts past the bank are spelled in these syllables. No bank
+# or pool phrase is spelled in them alone, so no pseudo-word phrase equals one.
+_SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+_CUES_PER_ACT = 5
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,8 @@ class SyntheticSpec:
     act_names: tuple = ()
 
     def __post_init__(self):
+        if self.num_acts < 1:
+            raise ValueError(f"num_acts must be >= 1, got {self.num_acts}")
         trans = np.asarray(self.act_transition, dtype=np.float64)
         object.__setattr__(self, "act_transition", trans)
         if trans.shape != (self.num_acts, self.num_acts):
@@ -264,25 +272,54 @@ def symmetric_transition(num_acts, self_transition):
     return trans
 
 
+def _default_act_names(num_acts):
+    """The bank's act names for up to eight acts, else ``act0``, ``act1``, ..."""
+    if num_acts <= len(_BANK):
+        return tuple(_BANK)[:num_acts]
+    return tuple(f"act{i}" for i in range(num_acts))
+
+
+def _pseudo_word(n):
+    """A pseudo-word of two or more syllables, a different one for each n >= 0."""
+    digits = []
+    while n or len(digits) < 2:
+        n, digit = divmod(n, len(_SYLLABLES))
+        digits.append(_SYLLABLES[digit])
+    return "".join(reversed(digits))
+
+
+def _pseudo_cue_phrases(act):
+    """The cue phrases of an act past the bank, from the act index alone.
+
+    Phrase j starts with its own word, ``_pseudo_word(5 * act + j)``, so no
+    two acts share a phrase; up to two one-syllable words, drawn by a
+    generator seeded with the act index, follow it.
+    """
+    rng = np.random.default_rng(act)
+    return [
+        " ".join([_pseudo_word(_CUES_PER_ACT * act + j), *rng.choice(_SYLLABLES, size=rng.integers(0, 3))])
+        for j in range(_CUES_PER_ACT)
+    ]
+
+
 def default_phrase_tables(num_acts, ambiguous_mass=0.45):
     """Template tables from the built-in bank plus a shared ambiguous pool.
 
     Each act keeps ``1 - ambiguous_mass`` of its probability on its own cue
     phrases and spreads the rest uniformly over phrases every act shares,
-    so per-utterance lexical evidence is deliberately incomplete.
+    so per-utterance lexical evidence is deliberately incomplete. Acts past
+    the bank's eight take pseudo-word cue phrases.
     """
-    names = list(_BANK)
-    if num_acts > len(names):
-        raise ValueError(f"built-in bank covers at most {len(names)} acts")
+    bank = list(_BANK.values())
     tables = []
     for i in range(num_acts):
-        own = _BANK[names[i]]
+        own = bank[i] if i < len(bank) else _pseudo_cue_phrases(i)
         table = [(tuple(p.split()), (1.0 - ambiguous_mass) / len(own)) for p in own]
         table += [
             (tuple(p.split()), ambiguous_mass / len(_AMBIGUOUS_POOL)) for p in _AMBIGUOUS_POOL
         ]
         tables.append(tuple(table))
-    return tuple(names[:num_acts]), tuple(tables)
+    return _default_act_names(num_acts), tuple(tables)
 
 
 def default_spec(
@@ -316,37 +353,41 @@ def parse_spec_file(path):
     """Flat key-value spec; see the module docstring for the grammar."""
     raw = {key: value for key, (_, value) in read_key_values(path).items()}
 
+    def number(key, cast, text):
+        try:
+            return cast(text)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise TranscriptError(f"{path}: {key!r} must be {kind}, got {text!r}") from None
+
     def take_int(key, default=None):
         if key in raw:
-            return int(raw.pop(key))
+            return number(key, int, raw.pop(key))
         if default is None:
             raise TranscriptError(f"{path}: missing required key {key!r}")
         return default
 
     num_acts = take_int("num_acts")
+    if num_acts < 1:
+        raise TranscriptError(f"{path}: 'num_acts' must be >= 1, got {num_acts}")
     num_conversations = take_int("num_conversations")
     min_len = take_int("min_len")
     max_len = take_int("max_len")
     seed = take_int("seed", 42)
 
-    if "act_names" in raw:
-        names = tuple(raw.pop("act_names").split())
-    else:
-        names = tuple(_BANK)[:num_acts] if num_acts <= len(_BANK) else tuple(
-            f"act{i}" for i in range(num_acts)
-        )
+    names = tuple(raw.pop("act_names").split()) if "act_names" in raw else _default_act_names(num_acts)
     if len(names) != num_acts:
         raise TranscriptError(f"{path}: act_names lists {len(names)} names for {num_acts} acts")
 
     if "self_transition" in raw:
-        trans = symmetric_transition(num_acts, float(raw.pop("self_transition")))
+        trans = symmetric_transition(num_acts, number("self_transition", float, raw.pop("self_transition")))
     else:
         trans = np.empty((num_acts, num_acts))
         for i, name in enumerate(names):
             key = f"transition.{name}"
             if key not in raw:
                 raise TranscriptError(f"{path}: missing {key!r} (or use self_transition)")
-            row = [float(v) for v in raw.pop(key).split()]
+            row = [number(key, float, v) for v in raw.pop(key).split()]
             if len(row) != num_acts:
                 raise TranscriptError(f"{path}: {key!r} needs {num_acts} values")
             trans[i] = row
@@ -364,7 +405,7 @@ def parse_spec_file(path):
                 raise TranscriptError(f"{path}: {key!r} lists no phrase")
             wkey = f"phrase_weights.{name}"
             if wkey in raw:
-                weights = [float(v) for v in raw.pop(wkey).split()]
+                weights = [number(wkey, float, v) for v in raw.pop(wkey).split()]
                 if len(weights) != len(phrases):
                     raise TranscriptError(f"{path}: {wkey!r} needs {len(phrases)} weights")
                 total = sum(weights)

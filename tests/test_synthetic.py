@@ -43,6 +43,9 @@ def test_spec_validation():
         bad_tables = (tuple(zip(((("a",), ("b",))), probs)), *tables[1:])
         with pytest.raises(ValueError, match="phrase probabilities must be finite and nonnegative"):
             SyntheticSpec(3, symmetric_transition(3, 0.7), bad_tables, 5, 2, 4, 0, names)
+    for num_acts in (0, -1):
+        with pytest.raises(ValueError, match=f"num_acts must be >= 1, got {num_acts}"):
+            SyntheticSpec(num_acts, np.empty((0, 0)), (), 5, 2, 4, 0, ())
 
 
 def test_high_self_transition_yields_adjacent_repeats():
@@ -111,6 +114,34 @@ def test_generated_corpus_matches_its_pinned_digest(tmp_path, kwargs, digest):
     path = tmp_path / "pinned.jsonl"
     write_jsonl(path, convs)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def cue_phrases(tables):
+    """Each act's own phrases: its table without the shared ambiguous pool."""
+    pool = {tuple(p.split()) for p in synthetic._AMBIGUOUS_POOL}
+    return [{phrase for phrase, _ in table if phrase not in pool} for table in tables]
+
+
+def test_default_tables_past_the_bank_are_fixed_and_distinct_per_act():
+    names, tables = default_phrase_tables(42)
+    assert names == tuple(f"act{i}" for i in range(42))
+    assert (names, tables) == default_phrase_tables(42)  # a function of the act count alone
+    assert tables[:8] == default_phrase_tables(8)[1]  # the bank's acts keep their tables
+    cues = cue_phrases(tables)
+    assert all(len(own) == 5 for own in cues)
+    for i, own in enumerate(cues):
+        for other in cues[i + 1 :]:
+            assert not own & other, i
+    for table in tables:
+        assert abs(sum(p for _, p in table) - 1.0) <= 1e-12
+
+
+def test_default_spec_generates_a_42_act_corpus():
+    spec = default_spec(num_acts=42, num_conversations=30, min_len=20, max_len=40, seed=4)
+    convs, model = generate_synthetic(spec)
+    assert len(convs) == 30 and set(acts_of(convs)) <= set(spec.act_names)
+    assert len(set(acts_of(convs))) > 30
+    assert model.decode_accuracy(convs) > 0.5  # cue phrases still pick out their act
 
 
 def test_stationary_distribution_of_symmetric_chain_is_uniform():
@@ -192,23 +223,31 @@ def test_parse_spec_file_defaults_and_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "keys, message",
     [
-        ("phrases.a = |", "'phrases.a' lists no phrase"),
-        ("phrases.a = x | y\nphrase_weights.a = 0 0", "'phrase_weights.a' must be finite, nonnegative and sum above 0"),
-        ("phrases.a = x | y\nphrase_weights.a = -1 2", "'phrase_weights.a' must be finite"),
-        ("phrases.a = x | y\nphrase_weights.a = nan 1", "'phrase_weights.a' must be finite"),
-        ("phrases.a = x | y\nphrase_weights.a = inf 1", "'phrase_weights.a' must be finite"),
+        ({"phrases.a": "|"}, "'phrases.a' lists no phrase"),
+        ({"phrases.a": "x | y", "phrase_weights.a": "0 0"},
+         "'phrase_weights.a' must be finite, nonnegative and sum above 0"),
+        ({"phrases.a": "x | y", "phrase_weights.a": "-1 2"}, "'phrase_weights.a' must be finite"),
+        ({"phrases.a": "x | y", "phrase_weights.a": "nan 1"}, "'phrase_weights.a' must be finite"),
+        ({"phrases.a": "x | y", "phrase_weights.a": "inf 1"}, "'phrase_weights.a' must be finite"),
+        ({"phrases.a": "x | y", "phrase_weights.a": "1 x"}, "'phrase_weights.a' must be a number, got 'x'"),
+        ({"num_acts": "five"}, "'num_acts' must be an integer, got 'five'"),
+        ({"max_len": "3.5"}, "'max_len' must be an integer, got '3.5'"),
+        ({"num_acts": "0", "act_names": ""}, "'num_acts' must be >= 1, got 0"),
+        ({"num_acts": "-1"}, "'num_acts' must be >= 1, got -1"),
+        ({"self_transition": "x"}, "'self_transition' must be a number, got 'x'"),
+        ({"self_transition": None, "transition.a": "0.5 0.5", "transition.b": "0.5 half"},
+         "'transition.b' must be a number, got 'half'"),
     ],
-    ids=["no-phrase", "zero-sum", "negative", "nan", "inf"],
+    ids=["no-phrase", "zero-sum", "negative", "nan", "inf", "weight-word", "num-acts-word", "int-as-float",
+         "zero-acts", "negative-acts", "self-transition-word", "transition-word"],
 )
-def test_parse_spec_file_rejects_empty_phrases_and_bad_weights_naming_the_key(tmp_path, line, message):
+def test_parse_spec_file_rejects_empty_phrases_and_bad_weights_naming_the_key(tmp_path, keys, message):
+    spec = {"num_acts": "2", "num_conversations": "3", "min_len": "2", "max_len": "3", "self_transition": "0.5",
+            "act_names": "a b", "phrases.a": "y", "phrases.b": "z", **keys}
     path = tmp_path / "spec.cfg"
-    path.write_text(
-        f"num_acts = 2\nnum_conversations = 3\nmin_len = 2\nmax_len = 3\nself_transition = 0.5\n"
-        f"act_names = a b\nphrases.b = z\n{line}\n",
-        encoding="utf-8",
-    )
+    path.write_text("".join(f"{k} = {v}\n" for k, v in spec.items() if v is not None), encoding="utf-8")
     with pytest.raises(TranscriptError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         parse_spec_file(path)
 
