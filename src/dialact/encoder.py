@@ -37,8 +37,8 @@ rows: the word BiGRU projects each distinct row once and reads the
 projections by that index.
 
 Each BiGRU is one ``gru_sequence`` call, one tape record with a
-hand-written backward through time, returning [fwd | bwd] rows. Each
-direction projects every input row with one GEMM per gate.
+hand-written backward through time, returning [fwd | bwd] rows. One
+GEMM per direction projects every input row through all three gates.
 The sequences are sorted by length, longest first, and one time loop
 steps both directions: at step t, ``gru_step`` updates the prefix of
 sequences still running, forward and backward rows in one block, in
@@ -50,13 +50,13 @@ the PAD filler after a surface as a constant zero character. So every
 PAD row's gradient is exactly 0 and those rows stay as they start.
 
 Every layer takes ``params``, one flat mapping from checkpoint name to
-tensor, and reads its own entries: ``emb.*`` and ``cnn.w{k}``/``cnn.b{k}``
-for the token features, ``{prefix}.w_r`` ... ``{prefix}.b_h`` for a GRU
-(``utt_fwd``, ``utt_bwd``, ``ctx_fwd``, ``ctx_bwd``), and ``ctx.w_fwd``,
-``ctx.w_bwd``, ``ctx.b`` for the context combination, whose two weights
-are stacked into one matmul over the [fwd | bwd] states. Training passes the
-registry's tensors; inference passes grad-free tensors over the same
-arrays, so it records nothing.
+tensor, and reads its own entries, each stored in the layout its op
+computes with: ``emb.*`` and the tap matrix ``cnn.w`` with ``cnn.b`` for
+the token features, ``{name}.w``/``.u``/``.b`` for a BiGRU (``utt_gru``,
+``ctx_gru``), both directions' weights in one tensor each, and ``ctx.w``,
+``ctx.b`` for the context combination, one matmul over the [fwd | bwd]
+states. Training passes the registry's tensors; inference passes grad-free
+tensors over the same arrays, so it records nothing.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ import numpy as np
 from . import autograd as ag
 from .corpus import PAD_ID
 
-GRU_GATES = ("r", "z", "h")
 CHAR_WIDTHS = (2, 3, 4)
 
 
@@ -216,23 +215,23 @@ class PackedSchedule:
         )
 
 
-def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
+def gru_sequence(params, name, xs, lengths, collect=False, index=None):
     """Bidirectional GRU over packed rows, recorded as one tape op.
 
     ``xs`` (M, E) is a tensor holding the sequences end to end, in order, with
-    ``lengths`` (S,) rows each (all >= 1, summing to M). ``prefixes`` names
-    the forward and the backward GRU: their weights are
-    ``params[f"{prefix}.w_r"]`` and so on. Each state starts at zero, runs
-    over each sequence (the backward one from its last row) and never sees
-    another sequence's rows. Returns the final states [fwd | bwd] (S, 2H),
-    or with ``collect`` the states after every row, (M, 2H) in packed order.
+    ``lengths`` (S,) rows each (all >= 1, summing to M). ``name`` names the
+    BiGRU, whose weights are ``{name}.w`` (2, E, 3H), ``{name}.u`` (2, H, 3H)
+    and ``{name}.b`` (2, 3H): direction 0 is forward and 1 backward, and the
+    gate columns are [r | z | h]. Each state starts at zero, runs over each
+    sequence (the backward one from its last row) and never sees another
+    sequence's rows. Returns the final states [fwd | bwd] (S, 2H), or with
+    ``collect`` the states after every row, (M, 2H) in packed order.
 
     With ``index`` (M,), packed row m is ``xs[index[m]]``: ``xs`` holds
     distinct rows only, each projected once, and the backward sums the
     gradients of the packed rows that share one.
 
-    Each direction projects its rows with one GEMM per gate, read in place
-    from its weight, into the gate's column block of one projection; one
+    One GEMM per direction projects its rows through all three gates; one
     time loop then steps both directions together (``gru_step``), writing
     into step-blocked buffers. The gates and candidates are kept for the
     backward only when the op is recorded; the backward reads each step's
@@ -241,6 +240,7 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
     frees it when it returns.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
+    w, u, b = (params[f"{name}.{kind}"] for kind in "wub")
     if xs.ndim != 2 or (index is None and xs.shape[0] != lengths.sum()):
         raise ag.ShapeError(f"gru_sequence needs (sum(lengths), E) rows, got {xs.shape} for {lengths}")
     if index is not None:
@@ -248,16 +248,14 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
             raise ag.ShapeError(f"gru_sequence index needs sum(lengths) rows, got {index.shape} for {lengths}")
         if index.size and (index.min() < 0 or index.max() >= xs.shape[0]):
             raise ag.ShapeError(f"gru_sequence index must lie in [0, {xs.shape[0]}), the rows of xs")
+    hid = b.shape[-1] // 3
+    if w.shape != (2, xs.shape[1], 3 * hid) or u.shape != (2, hid, 3 * hid) or b.shape != (2, 3 * hid):
+        raise ag.ShapeError(f"{name} weights {w.shape}, {u.shape}, {b.shape} do not fit E = {xs.shape[1]} inputs")
     sched = PackedSchedule.build(lengths)
     rows = sched.perm if index is None else index[sched.perm]
-    owns = [
-        {f"{kind}_{g}": params[f"{prefix}.{kind}_{g}"] for g in GRU_GATES for kind in "wub"} for prefix in prefixes
-    ]
-    w_in = [[own[f"w_{g}"].data for g in GRU_GATES] for own in owns]
-    u_rz = np.stack([np.concatenate([own["u_r"].data, own["u_z"].data], axis=1) for own in owns])
-    u_h = np.stack([own["u_h"].data for own in owns])
-    hid, m, k0, n_x = u_h.shape[1], rows.shape[1], sched.running[0], xs.shape[0]
-    inputs = (xs, *owns[0].values(), *owns[1].values())
+    u_rz, u_h = u.data[:, :, : 2 * hid], u.data[:, :, 2 * hid :]
+    m, k0, n_x = rows.shape[1], sched.running[0], xs.shape[0]
+    inputs = (xs, w, u, b)
     keep = ag.will_record(inputs)
     kept = 2 * m if keep else 2 * k0  # without a backward, one step's gates at a time
     shapes = [(2, n_x, 3 * hid), (2 * m, hid), (2 * k0, 3 * hid), (kept, 2 * hid), (kept, hid)]
@@ -274,11 +272,8 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
         proj, states, step_in, rz, cand = (
             scratch[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)
         )
-    for d, own in enumerate(owns):  # one GEMM per gate, into its column block
-        for i, gate in enumerate(GRU_GATES):
-            cols = proj[d, :, i * hid : (i + 1) * hid]
-            np.matmul(xs.data, w_in[d][i], out=cols)
-            cols += own[f"b_{gate}"].data
+    np.matmul(xs.data, w.data, out=proj)
+    proj += b.data[:, None]
     # The sigmoid's inner 1/2, folded into the r/z columns: halving is exact.
     proj[:, :, : 2 * hid] *= 0.5
     src = np.empty(2 * m, dtype=np.int64)  # step-blocked rows of proj
@@ -344,26 +339,23 @@ def gru_sequence(params, prefixes, xs, lengths, collect=False, index=None):
         # Freed before the input-side GEMMs allocate: a lower peak keeps the
         # heap within pages already mapped instead of faulting in fresh ones.
         del d_states, carry
-        d_u_rz = np.matmul(h_prev.swapaxes(1, 2), da[:, :, : 2 * hid])
-        d_u_h = np.matmul(rh.swapaxes(1, 2), da[:, :, 2 * hid :])
+        d_w, d_u, d_b = np.empty_like(w.data), np.empty_like(u.data), np.empty_like(b.data)
+        np.matmul(h_prev.swapaxes(1, 2), da[:, :, : 2 * hid], out=d_u[:, :, : 2 * hid])
+        np.matmul(rh.swapaxes(1, 2), da[:, :, 2 * hid :], out=d_u[:, :, 2 * hid :])
         del h_prev, rh
-        for d, own in enumerate(owns):
+        for d in range(2):
             if index is None:
                 da_rows = np.empty_like(da[d])
                 da_rows[rows[d]] = da[d]
             else:
-                da_rows = ag.scatter_add(rows[d], da[d], xs.shape[0])
-            d_w = xs.data.T @ da_rows
-            d_b = da_rows.sum(axis=0)
-            grads = {"u_r": d_u_rz[d, :, :hid], "u_z": d_u_rz[d, :, hid:], "u_h": d_u_h[d]}
-            for i, gate in enumerate(GRU_GATES):
-                grads[f"w_{gate}"] = d_w[:, i * hid : (i + 1) * hid]
-                grads[f"b_{gate}"] = d_b[i * hid : (i + 1) * hid]
-            for name, grad in grads.items():
-                if own[name].requires_grad:
-                    own[name].accumulate_grad(grad)
+                da_rows = ag.scatter_add(rows[d], da[d], n_x)
+            np.matmul(xs.data.T, da_rows, out=d_w[d])
+            da_rows.sum(axis=0, out=d_b[d])
             if xs.requires_grad:
-                xs.accumulate_grad(da_rows @ np.concatenate(w_in[d], axis=1).T)
+                xs.accumulate_grad(da_rows @ w.data[d].T)
+        for weight, grad in ((w, d_w), (u, d_u), (b, d_b)):
+            if weight.requires_grad:
+                weight.accumulate_grad(grad)
 
     return ag.record("gru", inputs, out_data, bwd)
 
@@ -377,9 +369,11 @@ def char_cnn(char_ids, params):
     """Character convolutions with max-over-time pooling, as one tape record.
 
     char_ids: (N, L) ids into ``emb.char`` (V, C), L at least the widest
-    filter. Width k has the filter bank ``cnn.w{k}`` (k*C, F_k), whose rows
-    [j*C, (j+1)*C) are tap j, the weights of a window's j-th character, and
-    ``cnn.b{k}`` (F_k,). Output (N, sum F_k), widths in ascending order.
+    filter. ``cnn.b`` (F,) holds the biases of F filters, split across the
+    widths by ``split_filter_counts``, F_k of width k. ``cnn.w`` (C, sum
+    k*F_k) is the tap matrix: width k's tap j, the weights of a window's
+    j-th character, is its columns [start_k + j*F_k, start_k + (j+1)*F_k),
+    widths in ascending order. Output (N, F), widths in ascending order.
 
     PAD is a constant zero character, whatever the table's PAD row holds:
     its projected rows are 0 and so is its row's gradient. Windows past a
@@ -393,46 +387,42 @@ def char_cnn(char_ids, params):
     F_k). Inference pools with max; a recorded op also keeps each filter's
     argmax window (ties go to the first), and its backward adds each pooled
     gradient into the tap tables at that window's characters (one
-    ``np.bincount``), then into the table and filters by one GEMM each.
+    ``np.bincount``), then into the table and the tap matrix by one GEMM each.
     """
-    table = params["emb.char"]
-    banks = [(k, params[f"cnn.w{k}"], params[f"cnn.b{k}"]) for k in CHAR_WIDTHS]
+    table, weight, bias = params["emb.char"], params["cnn.w"], params["cnn.b"]
     (n, length), dim = char_ids.shape, table.shape[1]
-    for width, weight, _ in banks:
-        if length < width:
-            raise ag.ShapeError(f"char_cnn input length {length} shorter than filter width {width}")
-        if weight.shape[0] != width * dim:
-            raise ag.ShapeError(f"char_cnn weight rows {weight.shape[0]} != width*C {width * dim}")
-    # (C, sum k*F_k): width k's tap j is columns [start_k + j*F_k, start_k + (j+1)*F_k)
-    taps = np.concatenate([w.data.reshape(k, dim, -1).transpose(1, 0, 2).reshape(dim, -1) for k, w, _ in banks], 1)
-    starts = np.cumsum([0] + [k * w.shape[1] for k, w, _ in banks]).tolist()
-    proj = table.data @ taps  # (V, sum k*F_k): every tap's table
+    if length < max(CHAR_WIDTHS):
+        raise ag.ShapeError(f"char_cnn input length {length} shorter than filter width {max(CHAR_WIDTHS)}")
+    counts = split_filter_counts(bias.shape[0])
+    starts = np.cumsum([0] + [k * f for k, f in zip(CHAR_WIDTHS, counts)]).tolist()
+    if weight.shape != (dim, starts[-1]):
+        raise ag.ShapeError(f"char_cnn tap matrix {weight.shape} does not fit C = {dim} and {bias.shape[0]} filters")
+    bounds = np.cumsum([0, *counts]).tolist()  # width k's filters: output columns [bounds_k, bounds_k+1)
+    proj = table.data @ weight.data  # (V, sum k*F_k): every tap's table
     proj[PAD_ID] = 0.0
     time_ids = np.ascontiguousarray(char_ids.T)
     # a window of width k may start at most max(len, widest filter) - k in
     ends = np.maximum(np.count_nonzero(char_ids != PAD_ID, axis=1), max(CHAR_WIDTHS))
-    inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
+    inputs = (table, weight, bias)
     keep = ag.will_record(inputs)
     pooled, args = [], []
-    for (width, weight, bias), start in zip(banks, starts):
-        filters, span = weight.shape[1], length - width + 1
+    for width, filters, start, lo in zip(CHAR_WIDTHS, counts, starts, bounds):
+        span = length - width + 1
         conv = np.take(proj[:, start : start + filters], time_ids[:span], axis=0)
         for j in range(1, width):
             conv += np.take(proj[:, start + j * filters : start + (j + 1) * filters], time_ids[j : j + span], axis=0)
-        conv += bias.data
+        conv += bias.data[lo : lo + filters]
         conv[np.arange(span)[:, None] > ends - width] = -np.inf
         pooled.append(conv.max(axis=0))  # the value at the argmax window, to the bit
         args.append(conv.argmax(axis=0) if keep else None)
     out_data = np.concatenate(pooled, axis=1)
 
     def bwd(g):
-        flat_ids, flat, grads, lo = char_ids.reshape(-1), [], [], 0
-        for (width, weight, bias), start, arg in zip(banks, starts, args):
-            filters = weight.shape[1]
+        if bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=0))
+        flat_ids, flat, grads = char_ids.reshape(-1), [], []
+        for width, filters, start, lo, arg in zip(CHAR_WIDTHS, counts, starts, bounds, args):
             g_k = g[:, lo : lo + filters]
-            lo += filters
-            if bias.requires_grad:
-                bias.accumulate_grad(g_k.sum(axis=0))
             window = np.arange(n)[:, None] * length + arg  # each filter's argmax window in the flat ids
             for j in range(width):  # d P_j[c, f] gets g_k[:, f] wherever tap j read character c
                 flat.append(flat_ids[window + j] * proj.shape[1] + (start + j * filters + np.arange(filters)))
@@ -441,12 +431,9 @@ def char_cnn(char_ids, params):
         d_proj = np.bincount(flat, weights=grads, minlength=proj.size).reshape(proj.shape)
         d_proj[PAD_ID] = 0.0
         if table.requires_grad:
-            table.accumulate_grad(d_proj @ taps.T)
-        d_taps = table.data.T @ d_proj
-        for (width, weight, _), start in zip(banks, starts):
-            if weight.requires_grad:
-                d_w = d_taps[:, start : start + width * weight.shape[1]].reshape(dim, width, -1)
-                weight.accumulate_grad(d_w.transpose(1, 0, 2).reshape(weight.shape))
+            table.accumulate_grad(d_proj @ weight.data.T)
+        if weight.requires_grad:
+            weight.accumulate_grad(table.data.T @ d_proj)
 
     return ag.record("char_cnn", inputs, out_data, bwd)
 
@@ -504,23 +491,22 @@ def embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0):
 
 
 def encode_utterances(embedded, lengths, params, index=None):
-    """Utterance vectors (S, 2*hidden) from the ``utt_fwd``/``utt_bwd`` GRUs' final states.
+    """Utterance vectors (S, 2*hidden) from the ``utt_gru`` BiGRU's final states.
 
     ``embedded`` and ``index`` are as ``embed_tokens`` returns them.
     """
-    return gru_sequence(params, ("utt_fwd", "utt_bwd"), embedded, lengths, index=index)
+    return gru_sequence(params, "utt_gru", embedded, lengths, index=index)
 
 
 def encode_context(rows, utt_counts, params):
-    """Contextual keys h_j = tanh([fwd_j | bwd_j] [Wf; Wb] + b) over packed utterance rows.
+    """Contextual keys h_j = tanh([fwd_j | bwd_j] W + b) over packed utterance rows.
 
     ``rows`` (S, d) and the result hold each conversation's ``utt_counts``
-    rows end to end. fwd/bwd are the ``ctx_fwd``/``ctx_bwd`` GRU states;
-    Wf, Wb and b are ``ctx.w_fwd``, ``ctx.w_bwd`` and ``ctx.b``.
+    rows end to end. fwd/bwd are the ``ctx_gru`` BiGRU's states; W (2H, d)
+    and b are ``ctx.w`` and ``ctx.b``.
     """
-    states = gru_sequence(params, ("ctx_fwd", "ctx_bwd"), rows, utt_counts, collect=True)
-    weight = ag.concat([params["ctx.w_fwd"], params["ctx.w_bwd"]], axis=0)
-    return ag.tanh(ag.add(ag.matmul(states, weight), params["ctx.b"]))
+    states = gru_sequence(params, "ctx_gru", rows, utt_counts, collect=True)
+    return ag.tanh(ag.add(ag.matmul(states, params["ctx.w"]), params["ctx.b"]))
 
 
 def pad_rows(rows, utt_counts):

@@ -10,7 +10,7 @@ only its length neighbours. No output depends on a conversation's chunk
 mates, up to BLAS rounding.
 
 There is one parameter namespace, the checkpoint names (``emb.word``,
-``utt_fwd.w_r``, ``sel.trans``, ``crf.start`` ...). Every layer takes a
+``utt_gru.w``, ``sel.trans``, ``crf.start`` ...). Every layer takes a
 flat ``params`` mapping from those names to tensors and reads its own
 entries. ``loss`` passes ``registry.params``, whose tensors require a
 gradient and are recorded on the live tape. Inference passes fresh
@@ -24,7 +24,10 @@ A checkpoint is the binary tensor container written by
 vocabulary and configuration needed to rebuild the model around the
 tensors. A model holds one array per parameter and no optimizer state:
 ``load`` keeps the arrays the checkpoint was read into, and ``save``
-writes the live arrays.
+writes the live arrays. The sidecar is version 2, whose tensors hold each
+BiGRU as three (``{name}.w``, ``.u``, ``.b``, both directions stacked),
+the context weight as one ``ctx.w`` and the char filters as one tap
+matrix ``cnn.w``; a version-1 checkpoint, of per-gate weights, is refused.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from . import autograd as ag
 from . import crf, encoder, evaluate
 from .corpus import PAD_ID, TranscriptError, Vocab
 
-META_VERSION = 1
+META_VERSION = 2
 
 
 class DialogueActModel:
@@ -191,8 +194,9 @@ class DialogueActModel:
             text = f.read()
         try:
             meta = json.loads(text)
-            if not isinstance(meta, dict) or meta.get("version") != META_VERSION:
-                raise ValueError(f"expected an object with version {META_VERSION}")
+            version = meta.get("version") if isinstance(meta, dict) else None
+            if version != META_VERSION:
+                raise ValueError(f"expected an object with version {META_VERSION}, got version {version!r}")
             config = meta.get("config")
             if not isinstance(config, dict):
                 raise ValueError("'config' must be an object")
@@ -231,18 +235,17 @@ def parameter_table(vocab, cfg):
         ("emb.pos", (len(vocab.pos_index), cfg.d_p), emb),
         ("emb.ner", (len(vocab.ner_index), cfg.d_n), emb),
     ]
-    for width, count in zip(encoder.CHAR_WIDTHS, encoder.split_filter_counts(cfg.char_out)):
-        table += [(f"cnn.w{width}", (width * cfg.d_c, count), weight), (f"cnn.b{width}", (count,), 0.0)]
+    taps = sum(k * f for k, f in zip(encoder.CHAR_WIDTHS, encoder.split_filter_counts(cfg.char_out)))
+    table += [("cnn.w", (cfg.d_c, taps), weight), ("cnn.b", (cfg.char_out,), 0.0)]
     token_dim = cfg.word_dim + cfg.char_out + cfg.d_p + cfg.d_n
-    for prefix, input_dim in (("utt_fwd", token_dim), ("utt_bwd", token_dim), ("ctx_fwd", d), ("ctx_bwd", d)):
-        for gate in encoder.GRU_GATES:
-            table += [
-                (f"{prefix}.w_{gate}", (input_dim, hid), weight),
-                (f"{prefix}.u_{gate}", (hid, hid), weight),
-                (f"{prefix}.b_{gate}", (hid,), 0.0),
-            ]
+    for name, input_dim in (("utt_gru", token_dim), ("ctx_gru", d)):
+        table += [
+            (f"{name}.w", (2, input_dim, 3 * hid), weight),
+            (f"{name}.u", (2, hid, 3 * hid), weight),
+            (f"{name}.b", (2, 3 * hid), 0.0),
+        ]
     table += [
-        ("ctx.w_fwd", (hid, d), weight), ("ctx.w_bwd", (hid, d), weight), ("ctx.b", (d,), 0.0),
+        ("ctx.w", (2 * hid, d), weight), ("ctx.b", (d,), 0.0),
         ("sel.w", (d, cfg.attn_dim), weight), ("sel.b", (cfg.attn_dim,), 0.0),
         ("sel.v", (cfg.attn_dim, 1), weight), ("sel.trans", (2, 2), 0.0),
         ("crf.act_emb", (n_acts, d), weight),

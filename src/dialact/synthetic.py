@@ -380,7 +380,12 @@ def parse_spec_file(path):
         raise TranscriptError(f"{path}: act_names lists {len(names)} names for {num_acts} acts")
 
     if "self_transition" in raw:
-        trans = symmetric_transition(num_acts, number("self_transition", float, raw.pop("self_transition")))
+        stay = number("self_transition", float, raw.pop("self_transition"))
+        if not 0.0 <= stay <= 1.0:  # NaN fails too
+            raise TranscriptError(f"{path}: 'self_transition' must be in [0, 1], got {stay}")
+        if num_acts < 2:
+            raise TranscriptError(f"{path}: 'num_acts' must be >= 2 with 'self_transition', got {num_acts}")
+        trans = symmetric_transition(num_acts, stay)
     else:
         trans = np.empty((num_acts, num_acts))
         for i, name in enumerate(names):
@@ -423,13 +428,16 @@ def parse_spec_file(path):
     if raw:
         raise TranscriptError(f"{path}: unknown keys {sorted(raw)}")
 
-    return SyntheticSpec(
-        num_acts=num_acts,
-        act_transition=trans,
-        act_phrase_tables=tables,
-        num_conversations=num_conversations,
-        min_len=min_len,
-        max_len=max_len,
-        seed=seed,
-        act_names=names,
-    )
+    try:
+        return SyntheticSpec(
+            num_acts=num_acts,
+            act_transition=trans,
+            act_phrase_tables=tables,
+            num_conversations=num_conversations,
+            min_len=min_len,
+            max_len=max_len,
+            seed=seed,
+            act_names=names,
+        )
+    except ValueError as e:  # the spec's own checks name the field
+        raise TranscriptError(f"{path}: {e}") from None

@@ -6,15 +6,14 @@ import numpy as np
 
 from dialact import autograd as ag
 from dialact.corpus import ABSENT, PAD, PAD_ID, UNK, TranscriptError, Vocab
-from dialact.encoder import CHAR_WIDTHS, GRU_GATES, char_cnn
+from dialact.encoder import CHAR_WIDTHS, char_cnn, split_filter_counts
 
 
-def init_gru(registry, prefix, input_dim, hidden_dim, rng, scale=0.08):
-    """A GRU's ``{prefix}.w_*``/``u_*`` weights, uniform(+-scale), and zero ``b_*`` biases."""
-    for gate in GRU_GATES:
-        registry.add(f"{prefix}.w_{gate}", rng.uniform(-scale, scale, (input_dim, hidden_dim)))
-        registry.add(f"{prefix}.u_{gate}", rng.uniform(-scale, scale, (hidden_dim, hidden_dim)))
-        registry.add(f"{prefix}.b_{gate}", np.zeros(hidden_dim))
+def init_gru(registry, name, input_dim, hidden_dim, rng, scale=0.08):
+    """A BiGRU's ``{name}.w`` (2, E, 3H) and ``{name}.u`` (2, H, 3H), uniform(+-scale), and zero ``{name}.b``."""
+    registry.add(f"{name}.w", rng.uniform(-scale, scale, (2, input_dim, 3 * hidden_dim)))
+    registry.add(f"{name}.u", rng.uniform(-scale, scale, (2, hidden_dim, 3 * hidden_dim)))
+    registry.add(f"{name}.b", np.zeros((2, 3 * hidden_dim)))
 
 
 def sigmoid(x):
@@ -142,46 +141,50 @@ def per_token_vocab(conversations, min_count=1):
 def im2col_char_cnn(char_ids, params):
     """The char CNN by im2col, as one tape record; the reference for ``encoder.char_cnn``.
 
-    Each width gathers every window's character rows into an (N, L_out,
-    k*C) array, convolves it with one stacked matmul and keeps each
-    filter's argmax window, ties to the first, among the windows that
-    start at most max(len, widest filter) - k in (len: the row's non-PAD
-    ids). The backward sends each pooled gradient to its argmax window only.
+    Each width slices its filter bank (k*C, F_k) out of the tap matrix
+    ``cnn.w``, row j*C + c holding tap j's weight of character column c,
+    gathers every window's character rows into an (N, L_out, k*C) array,
+    convolves it with one stacked matmul and keeps each filter's argmax
+    window, ties to the first, among the windows that start at most
+    max(len, widest filter) - k in (len: the row's non-PAD ids). The
+    backward sends each pooled gradient to its argmax window only.
     """
-    table = params["emb.char"]
-    banks = [(k, params[f"cnn.w{k}"], params[f"cnn.b{k}"]) for k in CHAR_WIDTHS]
+    table, taps, bias = params["emb.char"], params["cnn.w"], params["cnn.b"]
     n, length = char_ids.shape
     dim = table.shape[1]
     own_width = np.maximum((char_ids != PAD_ID).sum(axis=1), max(CHAR_WIDTHS))
-    pooled, saved = [], []
-    for width, weight, bias in banks:
+    pooled, saved, start, lo = [], [], 0, 0
+    for width, filters in zip(CHAR_WIDTHS, split_filter_counts(bias.shape[0])):
+        cols, outs = slice(start, start + width * filters), slice(lo, lo + filters)
+        start, lo = cols.stop, outs.stop
+        weight = taps.data[:, cols].reshape(dim, width, filters).transpose(1, 0, 2).reshape(width * dim, filters)
         ids = np.lib.stride_tricks.sliding_window_view(char_ids, width, axis=1)
         col = table.data[ids].reshape(n, length - width + 1, width * dim)
-        conv = col @ weight.data + bias.data
+        conv = col @ weight + bias.data[outs]
         valid = np.arange(length - width + 1) <= (own_width - width)[:, None]  # (N, L_out)
         conv = np.where(valid[:, :, None], conv, -np.inf)
         arg = conv.argmax(axis=1)
         pooled.append(np.take_along_axis(conv, arg[:, None, :], axis=1)[:, 0, :])
-        saved.append((ids, col, arg))
+        saved.append((width, filters, cols, outs, weight, ids, col, arg))
 
     def bwd(g):
-        lo = 0
-        for (width, weight, bias), (ids, col, arg) in zip(banks, saved):
-            filters = weight.shape[1]
-            g_k = g[:, lo : lo + filters]
-            lo += filters
-            if bias.requires_grad:
-                bias.accumulate_grad(g_k.sum(axis=0))
+        d_taps, d_bias = np.zeros_like(taps.data), np.zeros_like(bias.data)
+        for width, filters, cols, outs, weight, ids, col, arg in saved:
+            g_k = g[:, outs]
+            d_bias[outs] = g_k.sum(axis=0)
             d_conv = np.zeros((n * col.shape[1], filters))
             d_conv[np.arange(n)[:, None] * col.shape[1] + arg, np.arange(filters)] = g_k
-            if weight.requires_grad:
-                weight.accumulate_grad(col.reshape(-1, width * dim).T @ d_conv)
+            d_weight = col.reshape(-1, width * dim).T @ d_conv
+            d_taps[:, cols] = d_weight.reshape(width, dim, filters).transpose(1, 0, 2).reshape(dim, -1)
             if table.requires_grad:
-                d_windows = (d_conv @ weight.data.T).reshape(-1, dim)
+                d_windows = (d_conv @ weight.T).reshape(-1, dim)
                 table.accumulate_grad(ag.scatter_add(ids.reshape(-1), d_windows, table.shape[0]))
+        if taps.requires_grad:
+            taps.accumulate_grad(d_taps)
+        if bias.requires_grad:
+            bias.accumulate_grad(d_bias)
 
-    inputs = (table, *(p for _, weight, bias in banks for p in (weight, bias)))
-    return ag.record("char_cnn", inputs, np.concatenate(pooled, axis=1), bwd)
+    return ag.record("char_cnn", (table, taps, bias), np.concatenate(pooled, axis=1), bwd)
 
 
 def float_mask_dropout(x, rate, rng, train):
@@ -217,3 +220,28 @@ def chained_embed_tokens(batch, params, train=False, rng=None, dropout_rate=0.0)
         axis=1,
     )
     return float_mask_dropout(e, dropout_rate, rng, train), index
+
+
+def log_space_alpha_beta(unary, transition, lengths):
+    """Log forward/backward tables (B, N, Y) and logZ (B,) by a per-step (B, Y, Y) logsumexp.
+
+    The reference for the chain engine at any tag-set size: alpha is
+    carried and beta is 0 past each chain's length, and padded unaries are
+    never read.
+    """
+    live = np.arange(unary.shape[1]) < np.asarray(lengths)[:, None]
+    unary = np.where(live[..., None], unary, 0.0)
+
+    def logsumexp(a, axis):
+        m = a.max(axis=axis, keepdims=True)
+        return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
+
+    alpha, beta = np.empty_like(unary), np.zeros_like(unary)
+    alpha[:, 0] = unary[:, 0]
+    for t in range(1, unary.shape[1]):
+        step = logsumexp(alpha[:, t - 1, :, None] + transition, axis=1) + unary[:, t]
+        alpha[:, t] = np.where(live[:, t, None], step, alpha[:, t - 1])
+    for t in range(unary.shape[1] - 2, -1, -1):
+        step = logsumexp(transition + (unary[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+        beta[:, t] = np.where(live[:, t + 1, None], step, 0.0)
+    return alpha, beta, logsumexp(alpha[:, -1], axis=1)

@@ -228,20 +228,19 @@ def test_forward_bit_reproducible():
 def char_cnn_on_table(p):
     """The fused char-CNN op with ``p`` as a 3-row, 3-column char table."""
     rng = np.random.default_rng(3)
-    params = {"emb.char": p}
-    for width in encoder.CHAR_WIDTHS:
-        params[f"cnn.w{width}"] = ag.Tensor(rng.normal(size=(3 * width, 2)))
-        params[f"cnn.b{width}"] = ag.Tensor(rng.normal(size=2))
+    params = {"emb.char": p, "cnn.w": ag.Tensor(rng.normal(size=(3, 18))), "cnn.b": ag.Tensor(rng.normal(size=6))}
     return encoder.char_cnn(np.array([[1, 2, 0, 2, 1], [2, 2, 1, 0, 0]]), params)
 
 
 def char_cnn_on_filters(p):
-    """The fused char-CNN op with ``p`` as the width-3 bank over 1-column chars."""
+    """The fused char-CNN op with ``p`` as the width-3 taps (rows) of 3 filters over 1-column chars.
+
+    The tap matrix (1, 27) holds width 2's 2 taps of 3 filters, then p's
+    rows, then width 4's taps.
+    """
     rng = np.random.default_rng(3)
-    params = {"emb.char": ag.Tensor(rng.normal(size=(5, 1)))}
-    for width in encoder.CHAR_WIDTHS:
-        params[f"cnn.w{width}"] = p if width == 3 else ag.Tensor(rng.normal(size=(width, 3)))
-        params[f"cnn.b{width}"] = ag.Tensor(rng.normal(size=3))
+    taps = ag.concat([ag.Tensor(rng.normal(size=(1, 6))), ag.reshape(p, (1, 9)), ag.Tensor(rng.normal(size=(1, 12)))], 1)
+    params = {"emb.char": ag.Tensor(rng.normal(size=(5, 1))), "cnn.w": taps, "cnn.b": ag.Tensor(rng.normal(size=9))}
     return encoder.char_cnn(np.array([[1, 2, 3, 4, 1, 3], [4, 3, 0, 2, 1, 2]]), params)
 
 

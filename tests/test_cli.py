@@ -99,6 +99,16 @@ def test_empty_phrase_list_exits_two_in_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"dialact gen-synthetic: {spec}: 'phrases.question' lists no phrase\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("self_transition = 0.7", "self_transition = 1.5", "'self_transition' must be in [0, 1], got 1.5"),
+    ("min_len = 3", "min_len = 9", "need 1 <= min_len <= max_len, got 9..6"),
+])
+def test_spec_value_errors_exit_two_naming_the_file(tmp_path, capsys, old, new, message):
+    spec = write_spec(tmp_path, GREET_SPEC.replace(old, new))
+    assert run_cli("gen-synthetic", "--spec", spec, "--out", str(tmp_path / "x.jsonl")) == 2
+    assert capsys.readouterr().err == f"dialact gen-synthetic: {spec}: {message}\n"
+
+
 def test_negative_gen_synthetic_seed_exits_two_in_one_line(tmp_path, capsys):
     code = run_cli("gen-synthetic", "--spec", write_spec(tmp_path), "--out", str(tmp_path / "x.jsonl"), "--seed", "-1")
     assert code == 2
@@ -453,7 +463,8 @@ SIDECAR_EDITS = {
     "negative-seed": (("config", "seed"), -1, "seed must be >= 0"),
     "billion-hops": (("config", "hops"), 10**9, "hops must be <= 16"),
     "wider-dim": (("config", "word_dim"), 10**12, "does not match its sidecar"),
-    "version": (("version",), 2, "expected an object with version 1"),
+    "version": (("version",), 3, "expected an object with version 2, got version 3"),
+    "version-1": (("version",), 1, "expected an object with version 2, got version 1"),
 }
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dialact import autograd as ag
@@ -23,6 +23,7 @@ from dialact.crf import (
 from dialact.model import DialogueActModel
 from dialact.synthetic import default_spec, generate_synthetic
 from dialact.train import TrainConfig, adagrad_step
+from helpers import log_space_alpha_beta
 
 
 def fb(pot):
@@ -515,6 +516,49 @@ def test_gold_score_of_mixed_lengths_sums_each_chain_to_its_end():
         y = gold[b, :n]
         ref = unary[b, np.arange(n), y].sum() + trans[y[:-1], y[1:]].sum()
         assert logz[b] - nll.data[b] == pytest.approx(ref, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_labels=st.integers(2, 42),
+    n=st.integers(1, 250),
+    b=st.integers(1, 4),
+    spread=st.floats(0.1, 400.0),
+)
+@example(seed=1, n_labels=42, n=250, b=4, spread=400.0)
+@example(seed=2, n_labels=42, n=250, b=4, spread=3.0)
+def test_engine_matches_log_space_reference_up_to_the_papers_tag_set(seed, n_labels, n, b, spread):
+    """Y up to 42 and N up to 250, mixed lengths, scores up to +-400, at the oracle tolerance 1e-9.
+
+    logZ is compared relative to max(1, |logZ|), marginals absolutely.
+    Node rows sum to 1 where live and are exactly 0 past each length; the
+    edge marginals summed over the second label give the node marginals;
+    the Viterbi score is its path's score and at most logZ.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, n + 1, size=b)
+    lengths[rng.integers(b)] = n
+    unary = rng.uniform(-spread, spread, size=(b, n, n_labels))
+    trans = rng.uniform(-spread, spread, size=(n_labels, n_labels))
+    alpha, beta, ref_logz = log_space_alpha_beta(unary, trans, lengths)
+    live = np.arange(n) < lengths[:, None]
+    ref_node = np.where(live[..., None], np.exp(alpha + beta - ref_logz[:, None, None]), 0.0)
+
+    marg = forward_backward(unary, trans, lengths)
+    scale = np.maximum(1.0, np.abs(ref_logz))
+    assert (np.abs(marg.logZ - ref_logz) <= 1e-9 * scale).all()
+    assert np.abs(marg.node - ref_node).max() <= 1e-9
+    assert np.abs(marg.node.sum(axis=2)[live] - 1.0).max() <= 1e-9
+    assert not marg.node[~live].any()
+    assert np.abs(marg.edge.sum(axis=3) - marg.node[:, :-1] * live[:, 1:, None]).max(initial=0.0) <= 1e-9
+
+    paths, scores = viterbi_decode(unary, trans, lengths)
+    for row, (path, length) in enumerate(zip(paths, lengths)):
+        y = path[:length]
+        path_score = unary[row, np.arange(length), y].sum() + trans[y[:-1], y[1:]].sum()
+        assert abs(scores[row] - path_score) <= 1e-9 * scale[row]
+        assert scores[row] <= marg.logZ[row] + 1e-9 * scale[row]
 
 
 @pytest.mark.parametrize("lengths", [[0, 2], [3, 2], [2], [2.0, 1.0]])

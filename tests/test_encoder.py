@@ -1,6 +1,7 @@
 """Token embedding, BiGRU encoders, memory attention, encoder gradients."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -78,8 +79,7 @@ def test_all_pad_chars_yield_bias_only_char_component():
     # all-PAD char window: conv output is the bias alone, pooled over time
     pad_ids = np.zeros((1, 4), dtype=np.int64)
     out = char_cnn(pad_ids, params)
-    expected = np.concatenate([params[f"cnn.b{w}"].data for w in encoder.CHAR_WIDTHS])
-    assert np.abs(out.data[0] - expected).max() < 1e-15
+    assert np.abs(out.data[0] - params["cnn.b"].data).max() < 1e-15
 
 
 def test_unk_word_gets_unk_row_but_real_char_signal():
@@ -89,17 +89,15 @@ def test_unk_word_gets_unk_row_but_real_char_signal():
     word_part = e.data[0, : TOY_CFG.word_dim]
     char_part = e.data[0, TOY_CFG.word_dim : TOY_CFG.word_dim + TOY_CFG.char_out]
     assert np.array_equal(word_part, params["emb.word"].data[1])  # UNK row
-    bias_only = np.concatenate([params[f"cnn.b{w}"].data for w in encoder.CHAR_WIDTHS])
-    assert np.abs(char_part - bias_only).max() > 1e-6  # chars contribute
+    assert np.abs(char_part - params["cnn.b"].data).max() > 1e-6  # chars contribute
 
 
 def char_bank(rng, dim, filters=2):
-    """``emb.char`` and one random bank per width, as a registry; no row is zero, PAD's included."""
+    """``emb.char`` and a random tap matrix of ``filters`` per width, as a registry; no row is zero, PAD's included."""
     reg = ag.ParamRegistry()
     reg.add("emb.char", rng.normal(size=(7, dim)))
-    for width in encoder.CHAR_WIDTHS:
-        reg.add(f"cnn.w{width}", rng.normal(size=(width * dim, filters)))
-        reg.add(f"cnn.b{width}", rng.normal(size=filters))
+    reg.add("cnn.w", rng.normal(size=(dim, sum(encoder.CHAR_WIDTHS) * filters)))
+    reg.add("cnn.b", rng.normal(size=len(encoder.CHAR_WIDTHS) * filters))
     return reg
 
 
@@ -107,14 +105,15 @@ def test_char_cnn_single_window_hand_evaluated():
     # one-hot chars "a", "b" then PAD: every width's best window covers both
     reg = ag.ParamRegistry()
     reg.add("emb.char", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for width in encoder.CHAR_WIDTHS:
-        reg.add(f"cnn.w{width}", np.ones((2 * width, 1)))
-        reg.add(f"cnn.b{width}", np.zeros(1))
+    reg.add("cnn.w", np.ones((2, 9)))  # one filter per width: 2 + 3 + 4 taps
+    reg.add("cnn.b", np.zeros(3))
     out = char_cnn(np.array([[1, 2, 0, 0]]), reg.params)
     assert out.data.shape == (1, 3)
     assert np.array_equal(out.data, [[2.0, 2.0, 2.0]])
-    # rows are position-major: window ("a", "b") reads w[0] (pos 0, col 0) and w[3]
-    reg.params["cnn.w2"].data = np.array([[1.0], [10.0], [100.0], [1000.0]])
+    # columns are taps: window ("a", "b") reads tap 0 (column 0) at row "a" and tap 1 (column 1) at row "b"
+    taps = np.ones((2, 9))
+    taps[:, :2] = [[1.0, 100.0], [10.0, 1000.0]]
+    reg.params["cnn.w"].data = taps
     assert char_cnn(np.array([[1, 2, 0, 0]]), reg.params).data[0, 0] == 1001.0
 
 
@@ -122,9 +121,10 @@ def test_char_cnn_shape_errors_name_op_and_shapes():
     reg = char_bank(np.random.default_rng(0), dim=3)
     with pytest.raises(ag.ShapeError, match="char_cnn input length 3 shorter than filter width 4"):
         char_cnn(np.ones((1, 3), dtype=np.int64), reg.params)
-    reg.params["cnn.w3"].data = np.zeros((8, 2))
-    with pytest.raises(ag.ShapeError, match="char_cnn weight rows 8 != width\\*C 9"):
-        char_cnn(np.ones((1, 5), dtype=np.int64), reg.params)
+    for shape in ((2, 18), (3, 17)):
+        reg.params["cnn.w"].data = np.zeros(shape)
+        with pytest.raises(ag.ShapeError, match=re.escape(f"char_cnn tap matrix {shape} does not fit C = 3 and 6 filters")):
+            char_cnn(np.ones((1, 5), dtype=np.int64), reg.params)
 
 
 def test_char_cnn_is_one_record_and_passes_grad_check():
@@ -151,7 +151,7 @@ CHAR_CNN_CASES = dict(
     length=st.integers(4, 9),
     dim=st.integers(1, 4),
     chars=st.integers(2, 8),
-    filters=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    filters=st.integers(3, 12),
 )
 
 
@@ -162,12 +162,12 @@ def char_cnn_case(seed, n, length, dim, chars, filters):
     table = rng.normal(size=(chars, dim))
     table[PAD_ID] = 0.0
     reg.add("emb.char", table)
-    for width, count in zip(encoder.CHAR_WIDTHS, filters):
-        reg.add(f"cnn.w{width}", rng.normal(size=(width * dim, count)))
-        reg.add(f"cnn.b{width}", rng.normal(size=count))
+    taps = sum(k * f for k, f in zip(encoder.CHAR_WIDTHS, split_filter_counts(filters)))
+    reg.add("cnn.w", rng.normal(size=(dim, taps)))
+    reg.add("cnn.b", rng.normal(size=filters))
     ids = rng.integers(0, chars, size=(n, length))  # PAD (0) anywhere, as well as after a word
     ids[0, rng.integers(1, length) :] = PAD_ID
-    weights = rng.normal(size=(n, sum(filters)))
+    weights = rng.normal(size=(n, filters))
 
     def run(op):
         reg.zero_grads()
@@ -222,36 +222,32 @@ def test_char_cnn_never_reads_the_pad_row(seed, n, length, dim, chars, filters):
 def reference_embed(vocab, params, convs):
     """Token features built token by token from primitive ops (no type rows).
 
-    The character table goes through every filter tap in one matmul, as
-    in ``char_cnn``. Each token's ids are spelled at its own width,
+    The character table goes through the tap matrix in one matmul, as in
+    ``char_cnn``. Each token's ids are spelled at its own width,
     max(len, widest filter), whatever the batch's widest surface, so its
     windows never depend on its batch mates. Its window scores are sums of
     its characters' projected rows, one gather per tap, and the max over
     time picks the argmax window.
     """
-    dim = params["emb.char"].shape[1]
-    taps = [
-        ag.select(ag.reshape(params[f"cnn.w{width}"], (width, dim, -1)), j, axis=0)
-        for width in encoder.CHAR_WIDTHS
-        for j in range(width)
-    ]
-    by_column = ag.transpose_last(ag.matmul(params["emb.char"], ag.concat(taps, axis=1)))
+    counts = split_filter_counts(params["cnn.b"].shape[0])
+    by_column = ag.transpose_last(ag.matmul(params["emb.char"], params["cnn.w"]))
     tap_tables, start = [], 0
-    for tap in taps:
-        columns = np.arange(start, start + tap.shape[1])
-        tap_tables.append(ag.transpose_last(ag.gather(by_column, columns)))  # (V, F_k)
-        start += tap.shape[1]
+    for width, filters in zip(encoder.CHAR_WIDTHS, counts):
+        for _ in range(width):
+            tap_tables.append(ag.transpose_last(ag.gather(by_column, np.arange(start, start + filters))))  # (V, F_k)
+            start += filters
+    biases = np.cumsum([0, *counts])
     rows = []
     for tok in (tok for c in convs for u in c.utterances for tok in u.tokens):
         length = max(len(tok.surface), max(encoder.CHAR_WIDTHS))
         ids = np.array([vocab.char_id(ch) for ch in tok.surface] + [0] * (length - len(tok.surface)))
         pooled, tables = [], iter(tap_tables)
-        for width in encoder.CHAR_WIDTHS:
+        for width, lo, hi in zip(encoder.CHAR_WIDTHS, biases, biases[1:]):
             span = length - width + 1
             conv = ag.gather(next(tables), ids[:span])
             for j in range(1, width):
                 conv = ag.add(conv, ag.gather(next(tables), ids[j : j + span]))
-            conv = ag.add(conv, params[f"cnn.b{width}"])
+            conv = ag.add(conv, ag.gather(params["cnn.b"], np.arange(lo, hi)))
             arg = conv.data.argmax(axis=0)
             pooled.append(pick(ag.transpose_last(conv), arg))
         features = [
@@ -511,28 +507,39 @@ def test_freeing_backward_gives_the_retained_sweeps_gradients_to_the_bit():
 
 
 def gru_pair(seed, input_dim, hidden):
-    """The utterance BiGRU's parameters, ``utt_fwd.*`` and ``utt_bwd.*``."""
+    """The utterance BiGRU's parameters, ``utt_gru.*``."""
     reg = ag.ParamRegistry()
-    rng = np.random.default_rng(seed)
-    init_gru(reg, "utt_fwd", input_dim, hidden, rng)
-    init_gru(reg, "utt_bwd", input_dim, hidden, rng)
+    init_gru(reg, "utt_gru", input_dim, hidden, np.random.default_rng(seed))
     return reg.params
 
 
-def reference_gru_step(params, prefix, x, h):
-    """One gated update from primitive tape ops; h' = z * h + (1 - z) * candidate."""
+def one_direction(params, name, direction):
+    """``params`` with BiGRU ``name``'s weights of ``direction`` in both directions' slots."""
+    return {**params, **{
+        f"{name}.{kind}": ag.Tensor(np.stack([params[f"{name}.{kind}"].data[direction]] * 2)) for kind in "wub"
+    }}
 
-    def p(key):
-        return params[f"{prefix}.{key}"]
 
-    r = sigmoid(ag.add(ag.add(ag.matmul(x, p("w_r")), ag.matmul(h, p("u_r"))), p("b_r")))
-    z = sigmoid(ag.add(ag.add(ag.matmul(x, p("w_z")), ag.matmul(h, p("u_z"))), p("b_z")))
-    cand = ag.tanh(ag.add(ag.add(ag.matmul(x, p("w_h")), ag.matmul(ag.mul(r, h), p("u_h"))), p("b_h")))
+def reference_gru_step(params, name, direction, x, h):
+    """One gated update from primitive tape ops; h' = z * h + (1 - z) * candidate.
+
+    Each gate's weights are sliced out of the fused ``{name}.*`` tensors
+    by tape ops, so their gradients reach the fused tensors.
+    """
+
+    def p(kind, gate):
+        t = params[f"{name}.{kind}"]
+        by_gate = ag.reshape(t, (*t.shape[:-1], 3, t.shape[-1] // 3))
+        return ag.select(ag.select(by_gate, gate, axis=t.ndim - 1), direction, axis=0)
+
+    r = sigmoid(ag.add(ag.add(ag.matmul(x, p("w", 0)), ag.matmul(h, p("u", 0))), p("b", 0)))
+    z = sigmoid(ag.add(ag.add(ag.matmul(x, p("w", 1)), ag.matmul(h, p("u", 1))), p("b", 1)))
+    cand = ag.tanh(ag.add(ag.add(ag.matmul(x, p("w", 2)), ag.matmul(ag.mul(r, h), p("u", 2))), p("b", 2)))
     return ag.add(ag.mul(z, h), ag.mul(sub(1.0, z), cand))
 
 
-def reference_gru(params, prefix, xs, mask, hidden_dim, reverse=False):
-    """Padded (B, T, in) GRU whose padded steps freeze the state.
+def reference_gru(params, name, xs, mask, hidden_dim, reverse=False):
+    """Padded (B, T, in) GRU, direction 1 of ``name`` if ``reverse`` else 0, whose padded steps freeze the state.
 
     Returns (final states (B, hidden), per-position states, each (B, hidden)).
     """
@@ -541,7 +548,7 @@ def reference_gru(params, prefix, xs, mask, hidden_dim, reverse=False):
     states = [None] * t_len
     for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
         m = mask[:, t : t + 1]
-        step = reference_gru_step(params, prefix, ag.select(xs, t, axis=1), h)
+        step = reference_gru_step(params, name, int(reverse), ag.select(xs, t, axis=1), h)
         h = ag.add(ag.mul(step, m), ag.mul(h, 1.0 - m))
         states[t] = h
     return h, states
@@ -553,20 +560,20 @@ def test_encode_utterance_single_step():
     u = encode_utterances(e, [1], params)
     assert u.shape == (1, 6)
     # with one token both directions see the same single input
-    same = gru_sequence(params, ("utt_bwd", "utt_bwd"), e, [1]).data
+    same = gru_sequence(one_direction(params, "utt_gru", 1), "utt_gru", e, [1]).data
     assert np.array_equal(same[:, :3], same[:, 3:])
     assert np.array_equal(u.data[:, 3:], same[:, 3:])
-    for half, prefix in enumerate(("utt_fwd", "utt_bwd")):
-        ref = reference_gru_step(params, prefix, e, ag.Tensor(np.zeros((1, 3))))
+    for half in range(2):
+        ref = reference_gru_step(params, "utt_gru", half, e, ag.Tensor(np.zeros((1, 3))))
         assert np.abs(u.data[:, 3 * half : 3 * half + 3] - ref.data).max() < 1e-12
 
 
 def test_direction_symmetry_under_reversal():
     params = gru_pair(3, 4, 3)
     seq = np.random.default_rng(4).normal(size=(6, 4))
-    pair = ("utt_fwd", "utt_fwd")
-    on_reversed = gru_sequence(params, pair, ag.Tensor(seq[::-1].copy()), [6]).data
-    on_original = gru_sequence(params, pair, ag.Tensor(seq), [6]).data
+    forward_twice = one_direction(params, "utt_gru", 0)
+    on_reversed = gru_sequence(forward_twice, "utt_gru", ag.Tensor(seq[::-1].copy()), [6]).data
+    on_original = gru_sequence(forward_twice, "utt_gru", ag.Tensor(seq), [6]).data
     assert np.abs(on_reversed[:, :3] - on_original[:, 3:]).max() < 1e-14
 
 
@@ -574,7 +581,7 @@ def test_zero_gru_weights_give_zero_state():
     reg = ag.ParamRegistry()
     init_gru(reg, "z", 4, 3, np.random.default_rng(0), scale=0.0)
     seq = ag.Tensor(np.random.default_rng(1).normal(size=(10, 4)))
-    h = gru_sequence(reg.params, ("z", "z"), seq, [5, 5])
+    h = gru_sequence(reg.params, "z", seq, [5, 5])
     # candidate tanh(0) = 0 and h0 = 0, so the state never leaves zero
     assert np.array_equal(h.data, np.zeros((2, 6)))
 
@@ -594,19 +601,26 @@ def test_gru_sequence_rejects_bad_lengths():
     params = gru_pair(0, 2, 2)
     x = ag.Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(params, ("utt_fwd", "utt_bwd"), x, [4, 0])
+        gru_sequence(params, "utt_gru", x, [4, 0])
     with pytest.raises(ag.ShapeError, match="rows"):
-        gru_sequence(params, ("utt_fwd", "utt_bwd"), x, [2, 1])
+        gru_sequence(params, "utt_gru", x, [2, 1])
 
 
-PAIR = ("f", "b")  # the forward and the backward GRU of the tests' pairs
+@pytest.mark.parametrize("kind, shape", [("w", (2, 3, 6)), ("w", (1, 2, 6)), ("u", (2, 2, 4)), ("b", (6,))])
+def test_gru_sequence_rejects_weights_that_do_not_fit(kind, shape):
+    params = gru_pair(0, 2, 2)
+    params["utt_gru." + kind] = ag.Tensor(np.zeros(shape))
+    with pytest.raises(ag.ShapeError, match="utt_gru weights .* do not fit E = 2 inputs"):
+        gru_sequence(params, "utt_gru", ag.Tensor(np.zeros((4, 2))), [2, 2])
+
+
+PAIR = "pair"  # the tests' BiGRU
 
 
 def random_pair(rng, input_dim, hidden):
-    """The two GRUs of ``PAIR``, away from the small-init regime, so every gate matters."""
+    """The BiGRU ``PAIR``, away from the small-init regime, so every gate matters."""
     reg = ag.ParamRegistry()
-    for prefix in PAIR:
-        init_gru(reg, prefix, input_dim, hidden, rng, scale=0.5)
+    init_gru(reg, PAIR, input_dim, hidden, rng, scale=0.5)
     for name in reg.names():
         reg[name].data += rng.normal(scale=0.3, size=reg[name].shape)
     return reg
@@ -636,8 +650,8 @@ def check_pair_against_reference(rng, lengths, e, hidden, collect, indexed):
     reg.zero_grads()
     with ag.Tape() as tape:
         halves = []
-        for half, (prefix, reverse) in enumerate(zip(PAIR, (False, True))):
-            final, states = reference_gru(params, prefix, padded, real.astype(float), hidden, reverse)
+        for half, reverse in enumerate((False, True)):
+            final, states = reference_gru(params, PAIR, padded, real.astype(float), hidden, reverse)
             w_half = weights[:, half * hidden : (half + 1) * hidden]
             if collect:
                 stacked = ag.concat([ag.reshape(s, (b, 1, hidden)) for s in states], axis=1)
@@ -667,7 +681,7 @@ def check_pair_against_reference(rng, lengths, e, hidden, collect, indexed):
     assert np.array_equal(lean.data, out.data)
     assert np.abs(out.data - expected).max() < 1e-12
     names = [name for name in reg.names() if name != "x"]
-    assert len(names) == 18
+    assert len(names) == 3
     for name in names:
         assert np.abs(params[name].grad - ref_grads[name]).max() < 1e-10, name
     assert np.abs(x.grad - ref_dx).max() < 1e-10
@@ -755,9 +769,8 @@ def test_indexed_gru_matches_gathered_rows(bwd_only, collect):
     out, grads = run(lambda: gru_sequence(reg.params, PAIR, x, lengths, collect=collect, index=index))
     assert np.array_equal(out, ref_out)
     for name in reg.names():
-        if bwd_only and name.startswith("f."):
-            assert not grads[name].any(), name
-            continue
+        if bwd_only and name != "x":
+            assert not grads[name][0].any(), name  # the forward direction's weights
         scale = max(np.abs(ref_grads[name]).max(), 1e-300)
         assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12 * scale, name
 
@@ -765,14 +778,13 @@ def test_indexed_gru_matches_gathered_rows(bwd_only, collect):
 def test_gru_sequence_rejects_bad_index():
     params = gru_pair(0, 2, 2)
     x = ag.Tensor(np.zeros((3, 2)))
-    pair = ("utt_fwd", "utt_bwd")
     with pytest.raises(ag.ShapeError, match="index"):
-        gru_sequence(params, pair, x, [2, 2], index=np.array([0, 1, 2]))  # 3 entries for 4 rows
+        gru_sequence(params, "utt_gru", x, [2, 2], index=np.array([0, 1, 2]))  # 3 entries for 4 rows
     with pytest.raises(ag.ShapeError, match="index"):
-        gru_sequence(params, pair, x, [2, 2], index=np.array([[0, 1, 2, 0]]))  # not 1-d
+        gru_sequence(params, "utt_gru", x, [2, 2], index=np.array([[0, 1, 2, 0]]))  # not 1-d
     for bad in (3, -1):
         with pytest.raises(ag.ShapeError, match="index"):
-            gru_sequence(params, pair, x, [2, 2], index=np.array([0, 1, bad, 2]))
+            gru_sequence(params, "utt_gru", x, [2, 2], index=np.array([0, 1, bad, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -781,13 +793,11 @@ def test_gru_sequence_rejects_bad_index():
 
 
 def context_setup(seed, d=6, hidden=3):
-    """The context encoder's parameters, ``ctx_fwd.*``, ``ctx_bwd.*`` and ``ctx.*``."""
+    """The context encoder's parameters, ``ctx_gru.*`` and ``ctx.*``."""
     reg = ag.ParamRegistry()
     rng = np.random.default_rng(seed)
-    init_gru(reg, "ctx_fwd", d, hidden, rng)
-    init_gru(reg, "ctx_bwd", d, hidden, rng)
-    reg.add("ctx.w_fwd", rng.uniform(-0.3, 0.3, (hidden, d)))
-    reg.add("ctx.w_bwd", rng.uniform(-0.3, 0.3, (hidden, d)))
+    init_gru(reg, "ctx_gru", d, hidden, rng)
+    reg.add("ctx.w", rng.uniform(-0.3, 0.3, (2 * hidden, d)))
     reg.add("ctx.b", np.zeros(d))
     return reg.params
 
@@ -912,7 +922,7 @@ def test_whole_encoder_gradients_pass_grad_check():
         enc = encoder.encode_batch(batch, model.registry.params, model.cfg)
         return ag.reduce_sum(ag.mul(enc.final, enc.final))
 
-    report = ag.grad_check(closure, model.registry, eps=1e-4, tol=1e-4, max_per_tensor=8, seed=1)
+    report = ag.grad_check(closure, model.registry, eps=1e-4, tol=1e-4, max_per_tensor=40, seed=1)
     assert report.passed, report.summary()
 
 

@@ -239,9 +239,25 @@ def test_parse_spec_file_defaults_and_errors(tmp_path):
         ({"self_transition": "x"}, "'self_transition' must be a number, got 'x'"),
         ({"self_transition": None, "transition.a": "0.5 0.5", "transition.b": "0.5 half"},
          "'transition.b' must be a number, got 'half'"),
+        ({"num_acts": "1", "act_names": "a", "phrases.b": None}, "'num_acts' must be >= 2 with 'self_transition', got 1"),
+        ({"self_transition": "1.5"}, "'self_transition' must be in [0, 1], got 1.5"),
+        ({"self_transition": "-0.2"}, "'self_transition' must be in [0, 1], got -0.2"),
+        ({"self_transition": "nan"}, "'self_transition' must be in [0, 1], got nan"),
+        ({"self_transition": None, "transition.a": "0.5 0.6", "transition.b": "0.5 0.5"},
+         "transition rows must sum to 1 +- 1e-9"),
+        ({"self_transition": None, "transition.a": "1.5 -0.5", "transition.b": "0.5 0.5"},
+         "transition probabilities must be nonnegative"),
+        ({"self_transition": None, "transition.a": "nan 0.5", "transition.b": "0.5 0.5"},
+         "transition probabilities must be finite"),
+        ({"min_len": "4"}, "need 1 <= min_len <= max_len, got 4..3"),
+        ({"min_len": "0"}, "need 1 <= min_len <= max_len, got 0..3"),
+        ({"num_conversations": "0"}, "num_conversations must be positive"),
+        ({"seed": "-1"}, "seed must be >= 0, got -1"),
     ],
     ids=["no-phrase", "zero-sum", "negative", "nan", "inf", "weight-word", "num-acts-word", "int-as-float",
-         "zero-acts", "negative-acts", "self-transition-word", "transition-word"],
+         "zero-acts", "negative-acts", "self-transition-word", "transition-word", "one-act-self-transition",
+         "self-transition-above-one", "self-transition-negative", "self-transition-nan", "transition-row-sum",
+         "transition-negative", "transition-nan", "min-above-max", "min-zero", "no-conversations", "negative-seed"],
 )
 def test_parse_spec_file_rejects_empty_phrases_and_bad_weights_naming_the_key(tmp_path, keys, message):
     spec = {"num_acts": "2", "num_conversations": "3", "min_len": "2", "max_len": "3", "self_transition": "0.5",
