@@ -33,7 +33,7 @@ print("  " + "  ".join(f"{g:.3f}" for g in gamma))
 hidden = np.tanh(finals.data[0] @ params["sel.w"].data + params["sel.b"].data)
 scores = (hidden @ params["sel.v"].data)[:, 0]
 unary = np.stack([np.zeros(n), scores], axis=1)
-gamma_ref = oracles.enumerate_selection_gamma(unary, params["sel.trans"].data)
+gamma_ref = oracles.enumerate_chain(crf.PotentialTable(unary, params["sel.trans"].data))[1][:, 1]
 print(f"  enumeration over {2 ** n} patterns agrees to {np.abs(gamma - gamma_ref).max():.2e}")
 
 independent = 1.0 / (1.0 + np.exp(-scores))

@@ -9,7 +9,7 @@ labels is trained by exact maximum likelihood and decoded with Viterbi.
 
 Modules
 -------
-autograd    tape-based reverse-mode differentiation, registry, checkpoints
+autograd    tape-based reverse-mode differentiation, gradient check, checkpoints
 corpus      transcript data model, JSONL io, vocabulary, embeddings
 synthetic   Markov-chain corpus generator with a Bayes reference decoder
 encoder     token embedding, BiGRUs, memory attention

@@ -8,9 +8,9 @@ goes, so a tape is single-use. Gradients accumulate into the ``.grad`` of
 leaf tensors (parameters, and inputs a caller marked ``requires_grad``);
 the caller zeroes them between optimization steps.
 
-The module also owns the parameter registry (named tensors; optimizer
-state lives with the training loop), the finite-difference gradient
-checker, and the binary checkpoint format.
+The module also owns the finite-difference gradient checker, which
+reads the same name -> parameter ``Tensor`` dict as the model and the
+optimizer, and the binary checkpoint format.
 
 Checkpoint layout (little-endian, stable across releases):
 
@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "ParamRegistry",
     "GradCheckReport",
     "ShapeError",
     "record",
@@ -444,45 +443,6 @@ def l2_penalty(tensors, coeff):
 
 
 # ---------------------------------------------------------------------------
-# parameter registry
-# ---------------------------------------------------------------------------
-
-
-class ParamRegistry:
-    """Named parameters, one array each.
-
-    Optimizer state (squared-gradient sums, EMA shadows) belongs to the
-    training loop, not here, so a model built for inference holds exactly
-    one copy of its weights.
-
-    Parameter arrays are never written in place: updates bind a new array,
-    so any mapping of arrays taken earlier stays as it was. So ``add``
-    keeps the array it is given, copying it only when it is not a
-    C-contiguous, aligned, writeable float64 array that owns its data.
-    """
-
-    def __init__(self):
-        self.params = {}
-
-    def add(self, name, value):
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name: {name!r}")
-        t = Tensor(np.require(value, np.float64, ["C", "A", "W", "O"]), requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def __getitem__(self, name):
-        return self.params[name]
-
-    def names(self):
-        return list(self.params)
-
-    def zero_grads(self):
-        for t in self.params.values():
-            t.grad = None
-
-
-# ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
 
@@ -509,7 +469,8 @@ class GradCheckReport:
         for name, err, n in self.entries:
             status = "ok" if err <= self.tol else "FAIL"
             lines.append(f"{status:4s} {name:32s} max_rel_err={err:.3e} ({n} elements)")
-        lines.append(f"gradcheck {'PASSED' if self.passed else 'FAILED'} at tol {self.tol:g}")
+        checked, verdict = sum(n for _, _, n in self.entries), "PASSED" if self.passed else "FAILED"
+        lines.append(f"gradcheck {verdict} at tol {self.tol:g} over {checked} elements of {len(self.entries)} tensors")
         return "\n".join(lines)
 
 
@@ -517,13 +478,14 @@ def _rel_err(a, b, floor):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def grad_check(closure, registry, eps=1e-4, tol=1e-4, max_per_tensor=50, seed=0, floor=1e-3):
+def grad_check(closure, params, eps=1e-4, tol=1e-4, max_per_tensor=50, seed=0, floor=1e-3):
     """Compare analytic gradients of ``closure()`` against central differences.
 
-    The closure must build and return a scalar loss tensor when called under
+    ``params`` maps names to the parameter tensors the closure reads. The
+    closure must build and return a scalar loss tensor when called under
     an active tape, and must be deterministic (dropout off, fixed inputs).
     Up to ``max_per_tensor`` elements of each parameter are sampled, from
-    all of its elements.
+    all of its elements, in the dict's order.
 
     The error denominator is floored at ``floor``: gradients below that
     magnitude are compared absolutely at tol*floor, which sits safely above
@@ -544,15 +506,15 @@ def grad_check(closure, registry, eps=1e-4, tol=1e-4, max_per_tensor=50, seed=0,
             f"closure is not deterministic: two forward passes gave {base1!r} and {base2!r}"
         )
 
-    registry.zero_grads()
+    for t in params.values():
+        t.grad = None
     with Tape() as tape:
         loss = closure()
     tape.backward(loss)
 
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tol)
-    for name in registry.names():
-        t = registry.params[name]
+    for name, t in params.items():
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         base = t.data
         if base.size > max_per_tensor:
@@ -620,8 +582,9 @@ def load_checkpoint(path):
     length-checked against the bytes left in the file before anything is
     read or allocated, so a short file, or a header claiming more than the
     file holds, raises ``ValueError`` naming the file, the tensor being
-    read, and the bytes expected and left. A tensor name given twice, or
-    bytes after the last tensor, raise ``ValueError`` naming the file too.
+    read, and the bytes expected and left. A tensor name that is not UTF-8
+    or is given twice, or bytes after the last tensor, raise ``ValueError``
+    naming the file too.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -654,7 +617,10 @@ def load_checkpoint(path):
         for i in range(count):
             where = f"tensor #{i}"
             name_len = unpack("<H", f"{where} name length")
-            name = read(name_len, f"{where} name").decode("utf-8")
+            try:
+                name = read(name_len, f"{where} name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValueError(f"checkpoint {path}: {where} name is not UTF-8 ({e.reason})") from None
             if name in tensors:
                 raise ValueError(f"checkpoint {path} holds tensor {name!r} twice")
             where = f"tensor {name!r}"

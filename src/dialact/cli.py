@@ -190,7 +190,7 @@ def cmd_gradcheck(args):
     )
     model = DialogueActModel(vocab, cfg, rng=np.random.default_rng(args.seed))
     report = ag.grad_check(
-        lambda: model.loss(convs, train=False), model.registry, eps=1e-4, tol=1e-4,
+        lambda: model.loss(convs, train=False), model.params, eps=1e-4, tol=1e-4,
         max_per_tensor=50, seed=args.seed,
     )
     print(report.summary())

@@ -11,8 +11,8 @@ optional, and so is each tag in them (``null``); a missing tag maps to a
 dedicated ABSENT tag with its own learned embedding. Acts are optional
 per utterance (absent or ``null`` means unlabeled), but every utterance
 must carry one at training time. A value of the wrong JSON type is an
-error; nothing is converted to a string. Every reader accepts a leading
-UTF-8 byte-order mark.
+error; nothing is converted to a string. Every reader drops a leading UTF-8
+byte-order mark, and a byte that is not UTF-8 is an error naming its line.
 
 ``parse_jsonl`` builds one ``Token`` per distinct (surface, pos, ner) in a
 file and shares it among every occurrence; a ``Token`` is immutable, so
@@ -134,55 +134,72 @@ def parse_jsonl(path):
     """
     conversations = []
     interned = {}
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise TranscriptError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
-            except RecursionError:
-                raise TranscriptError(f"{path}:{lineno}: JSON nested too deeply") from None
-            if not isinstance(obj, dict):
-                raise TranscriptError(f"{path}:{lineno}: a conversation must be an object")
-            try:
-                conv_id = obj["id"]
-                if not isinstance(conv_id, str):
-                    raise TranscriptError(f"'id' must be a string, got {conv_id!r}")
-                utts = obj["utterances"]
-                if not isinstance(utts, list) or not utts:
-                    raise TranscriptError("'utterances' must be a non-empty list")
-                conversations.append(
-                    Conversation(
-                        id=conv_id,
-                        utterances=tuple(
-                            _utterance_from_obj(u, conv_id, i, interned) for i, u in enumerate(utts)
-                        ),
-                    )
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise TranscriptError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+        except RecursionError:
+            raise TranscriptError(f"{path}:{lineno}: JSON nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise TranscriptError(f"{path}:{lineno}: a conversation must be an object")
+        try:
+            conv_id = obj["id"]
+            if not isinstance(conv_id, str):
+                raise TranscriptError(f"'id' must be a string, got {conv_id!r}")
+            utts = obj["utterances"]
+            if not isinstance(utts, list) or not utts:
+                raise TranscriptError("'utterances' must be a non-empty list")
+            conversations.append(
+                Conversation(
+                    id=conv_id,
+                    utterances=tuple(
+                        _utterance_from_obj(u, conv_id, i, interned) for i, u in enumerate(utts)
+                    ),
                 )
-            except KeyError as e:
-                raise TranscriptError(f"{path}:{lineno}: missing field {e.args[0]!r}") from e
-            except TranscriptError as e:
-                raise TranscriptError(f"{path}:{lineno}: {e}") from e
+            )
+        except KeyError as e:
+            raise TranscriptError(f"{path}:{lineno}: missing field {e.args[0]!r}") from e
+        except TranscriptError as e:
+            raise TranscriptError(f"{path}:{lineno}: {e}") from e
     return conversations
+
+
+def read_lines(path):
+    """Yield (1-based line number, line) of a UTF-8 text file, split as text mode splits it.
+
+    A leading byte-order mark is dropped. A byte that is not UTF-8 raises
+    ``TranscriptError`` naming the file and its line (a strict reader decodes
+    8 KB ahead, so its error cannot). It decodes to a lone surrogate, which
+    UTF-8 never yields, so only a line that is not ASCII is re-encoded.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    byte = ord(line[e.start]) - 0xDC00
+                    raise TranscriptError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from None
+            yield lineno, line
 
 
 def read_key_values(path):
     """``key = value`` lines as {key: (line number, value)}; ``#`` comments; bad lines raise."""
     pairs = {}
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise TranscriptError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in pairs:
-                raise TranscriptError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = (lineno, value)
+    for lineno, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise TranscriptError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise TranscriptError(f"{path}:{lineno}: duplicate key {key!r}")
+        pairs[key] = (lineno, value)
     return pairs
 
 
@@ -350,22 +367,21 @@ def load_pretrained_embeddings(path, vocab, dim, rng=None):
     n_words = len(vocab.word_index)
     matrix = rng.uniform(-0.05, 0.05, size=(n_words, dim))
     matrix[PAD_ID] = 0.0
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            where = f"{path}:{lineno}: embedding row for {word!r}"
-            if len(values) != dim:
-                raise TranscriptError(f"{where} has {len(values)} values, expected {dim}")
-            idx = vocab.word_index.get(word)
-            if idx is not None and idx != PAD_ID:
-                try:
-                    row = np.array([float(v) for v in values])
-                except ValueError as e:
-                    raise TranscriptError(f"{where}: {e}") from None
-                if not np.isfinite(row).all():
-                    raise TranscriptError(f"{where} is not finite")
-                matrix[idx] = row
+    for lineno, line in read_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        where = f"{path}:{lineno}: embedding row for {word!r}"
+        if len(values) != dim:
+            raise TranscriptError(f"{where} has {len(values)} values, expected {dim}")
+        idx = vocab.word_index.get(word)
+        if idx is not None and idx != PAD_ID:
+            try:
+                row = np.array([float(v) for v in values])
+            except ValueError as e:
+                raise TranscriptError(f"{where}: {e}") from None
+            if not np.isfinite(row).all():
+                raise TranscriptError(f"{where} is not finite")
+            matrix[idx] = row
     return matrix

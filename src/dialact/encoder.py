@@ -55,8 +55,8 @@ computes with: ``emb.*`` and the tap matrix ``cnn.w`` with ``cnn.b`` for
 the token features, ``{name}.w``/``.u``/``.b`` for a BiGRU (``utt_gru``,
 ``ctx_gru``), both directions' weights in one tensor each, and ``ctx.w``,
 ``ctx.b`` for the context combination, one matmul over the [fwd | bwd]
-states. Training passes the registry's tensors; inference passes grad-free
-tensors over the same arrays, so it records nothing.
+states. Training passes the model's parameter tensors; inference passes
+grad-free tensors over the same arrays, so it records nothing.
 """
 
 from __future__ import annotations

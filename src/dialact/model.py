@@ -1,6 +1,6 @@
 """The full network: encoder, selection attention, and label chain.
 
-Owns the parameter registry, the loss graph for a batch of conversations,
+Owns the parameters, the loss graph for a batch of conversations,
 decoding, and checkpoint round-trips. A batch of any conversation lengths
 runs as one graph, the chains taking one length per conversation. All
 inference (``decode``, ``accuracy``, ``potential_tables``,
@@ -12,9 +12,10 @@ mates, up to BLAS rounding.
 There is one parameter namespace, the checkpoint names (``emb.word``,
 ``utt_gru.w``, ``sel.trans``, ``crf.start`` ...). Every layer takes a
 flat ``params`` mapping from those names to tensors and reads its own
-entries. ``loss`` passes ``registry.params``, whose tensors require a
-gradient and are recorded on the live tape. Inference passes fresh
-grad-free tensors over the current arrays, or over ``weights`` such as
+entries. ``loss`` passes ``model.params``, the plain dict of the model's
+own tensors that the optimizer and ``autograd.grad_check`` read too; they
+require a gradient and are recorded on the live tape. Inference passes
+fresh grad-free tensors over the current arrays, or over ``weights`` such as
 the EMA shadows that ``train_loop`` keeps; it records nothing on any tape
 and writes no shared state, so it may run next to training in another
 thread.
@@ -51,14 +52,14 @@ class DialogueActModel:
         """Build every parameter; ``weights`` maps names to initial arrays.
 
         The other parameters draw from ``rng`` in :func:`parameter_table`
-        order. A given array is kept, not copied, unless
-        ``ParamRegistry.add`` needs a copy; it is never written.
+        order. A given array is never written (updates rebind), so it is kept
+        if it is an owned, C-contiguous, aligned, writeable float64 array, else copied.
         """
         self.vocab = vocab
         self.cfg = cfg
         weights = weights or {}
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        self.registry = ag.ParamRegistry()
+        self.params = {}
         for name, shape, scale in parameter_table(vocab, cfg):
             if name in weights:
                 value = np.asarray(weights[name], dtype=np.float64)
@@ -68,7 +69,7 @@ class DialogueActModel:
                 value = rng.uniform(-scale, scale, shape) if scale else np.zeros(shape)
                 if name.startswith("emb."):
                     value[PAD_ID] = 0.0
-            self.registry.add(name, value)
+            self.params[name] = ag.Tensor(np.require(value, np.float64, ["C", "A", "W", "O"]), requires_grad=True)
 
     # -- forward ------------------------------------------------------------
 
@@ -98,7 +99,7 @@ class DialogueActModel:
                 raise TranscriptError(f"conversation {conv.id!r} has unlabeled utterances")
         if train and rng is None:
             raise ValueError("training-mode loss needs an rng for dropout")
-        params = self.registry.params
+        params = self.params
         batch = encoder.prepare_batch(conversations, self.vocab)
         lengths = batch.utt_counts
         gold_ids = np.zeros((len(conversations), lengths.max()), dtype=np.int64)
@@ -123,7 +124,7 @@ class DialogueActModel:
         the current weights); training rebinds arrays, never writes them.
         """
         if weights is None:
-            weights = {name: t.data for name, t in self.registry.params.items()}
+            weights = {name: t.data for name, t in self.params.items()}
         params = {name: ag.Tensor(value) for name, value in weights.items()}
         order = sorted(range(len(conversations)), key=lambda i: len(conversations[i]))
         for lo in range(0, len(order), self.cfg.max_batch):
@@ -169,7 +170,7 @@ class DialogueActModel:
         ``train_loop`` returns; by default, the current weights.
         """
         if state is None:
-            state = {name: t.data for name, t in self.registry.params.items()}
+            state = {name: t.data for name, t in self.params.items()}
         ag.save_checkpoint(path, state)
         meta = {
             "version": META_VERSION,
@@ -190,10 +191,9 @@ class DialogueActModel:
         from .train import TrainConfig  # lazy: train builds on this module
 
         sidecar = meta_path(path)
-        with open(sidecar, encoding="utf-8") as f:
-            text = f.read()
         try:
-            meta = json.loads(text)
+            with open(sidecar, encoding="utf-8") as f:
+                meta = json.load(f)  # bytes that are not UTF-8 raise a ValueError here too
             version = meta.get("version") if isinstance(meta, dict) else None
             if version != META_VERSION:
                 raise ValueError(f"expected an object with version {META_VERSION}, got version {version!r}")

@@ -126,13 +126,14 @@ def parse_config_file(path):
     return TrainConfig(**overrides)
 
 
-def adagrad_step(registry, sums, lr):
+def adagrad_step(params, sums, lr):
     """One diagonal adaptive update over every parameter with a gradient.
 
-    ``sums`` maps names to the running sums of squared gradients. They are
-    the optimizer's own arrays, so they are updated in place.
+    ``params`` maps names to parameter tensors; ``sums`` maps them to the
+    running sums of squared gradients. The sums are the optimizer's own
+    arrays, so they are updated in place.
     """
-    for name, tensor in registry.params.items():
+    for name, tensor in params.items():
         g = tensor.grad
         if g is None:
             continue
@@ -144,35 +145,32 @@ def adagrad_step(registry, sums, lr):
         tensor.data = tensor.data - lr * g / denom  # rebind: snapshots keep the old array
 
 
-def clip_gradients(registry, max_norm):
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+def clip_gradients(params, max_norm):
+    """Scale all gradients of the ``params`` tensors so their global L2 norm is at most ``max_norm``.
 
     Returns (the scale applied, the global norm before the clip); a
     ``max_norm`` <= 0 disables the clip but not the norm.
     """
+    grads = [t.grad for t in params.values() if t.grad is not None]
     total = 0.0
-    for name in registry.names():
-        g = registry.params[name].grad
-        if g is not None:
-            total += float((g * g).sum())
+    for g in grads:  # not sum(): from Python 3.12 it compensates float rounding
+        total += float((g * g).sum())
     norm = float(np.sqrt(total))
     if 0 < max_norm < norm:
         scale = max_norm / norm
-        for name in registry.names():
-            g = registry.params[name].grad
-            if g is not None:
-                g *= scale
+        for g in grads:
+            g *= scale
         return scale, norm
     return 1.0, norm
 
 
-def ema_update(registry, shadows, decay):
+def ema_update(params, shadows, decay):
     """shadow <- decay * shadow + (1 - decay) * param, elementwise, as a new array.
 
     ``shadows`` maps names to the EMA shadows; each is rebound, never
     written, so a shadow may start as the parameter's own initial array.
     """
-    for name, tensor in registry.params.items():
+    for name, tensor in params.items():
         shadows[name] = decay * shadows[name] + (1.0 - decay) * tensor.data
 
 
@@ -217,7 +215,7 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
 
     # The optimizer state is the loop's own, so the model holds one copy of its weights.
     # Arrays are rebound, never written: the shadows start as the initial weights.
-    params = model.registry.params
+    params = model.params
     sums = {name: np.zeros_like(t.data) for name, t in params.items()}
     shadows = {name: t.data for name, t in params.items()}
     train_utts = sum(len(conv) for conv in train_convs)
@@ -234,18 +232,19 @@ def train_loop(train_convs, valid_convs, cfg, embeddings_path=None, log=None):
             batches = make_batches(train_convs, cfg.max_batch, rng)
             clipped, norms, records = 0, [], []
             for batch in batches:
-                model.registry.zero_grads()
+                for t in params.values():
+                    t.grad = None
                 with ag.Tape() as tape:
                     loss = model.loss(batch, train=True, rng=rng)
                 records.append(len(tape.records))
                 if not np.isfinite(loss.data):
                     raise FloatingPointError(f"non-finite training loss {float(loss.data)} in epoch {epoch}")
                 tape.backward(loss)
-                scale, norm = clip_gradients(model.registry, cfg.clip_norm)
+                scale, norm = clip_gradients(params, cfg.clip_norm)
                 clipped += scale < 1.0
                 norms.append(norm)
-                adagrad_step(model.registry, sums, cfg.lr)
-                ema_update(model.registry, shadows, cfg.ema_decay)
+                adagrad_step(params, sums, cfg.lr)
+                ema_update(params, shadows, cfg.ema_decay)
                 epoch_loss += float(loss.data)
             val_acc = model.accuracy(valid_convs, weights=shadows)
             seconds = time.perf_counter() - t0

@@ -9,11 +9,18 @@ from dialact.corpus import ABSENT, PAD, PAD_ID, UNK, TranscriptError, Vocab
 from dialact.encoder import CHAR_WIDTHS, char_cnn, split_filter_counts
 
 
-def init_gru(registry, name, input_dim, hidden_dim, rng, scale=0.08):
-    """A BiGRU's ``{name}.w`` (2, E, 3H) and ``{name}.u`` (2, H, 3H), uniform(+-scale), and zero ``{name}.b``."""
-    registry.add(f"{name}.w", rng.uniform(-scale, scale, (2, input_dim, 3 * hidden_dim)))
-    registry.add(f"{name}.u", rng.uniform(-scale, scale, (2, hidden_dim, 3 * hidden_dim)))
-    registry.add(f"{name}.b", np.zeros((2, 3 * hidden_dim)))
+def leaves(arrays):
+    """Parameter tensors, as a model holds them: name -> ``Tensor`` requiring a gradient, one per array."""
+    return {name: ag.Tensor(value, requires_grad=True) for name, value in arrays.items()}
+
+
+def init_gru(params, name, input_dim, hidden_dim, rng, scale=0.08):
+    """Adds a BiGRU's ``{name}.w`` (2, E, 3H) and ``{name}.u`` (2, H, 3H), uniform(+-scale), and zero ``{name}.b``."""
+    params.update(leaves({
+        f"{name}.w": rng.uniform(-scale, scale, (2, input_dim, 3 * hidden_dim)),
+        f"{name}.u": rng.uniform(-scale, scale, (2, hidden_dim, 3 * hidden_dim)),
+        f"{name}.b": np.zeros((2, 3 * hidden_dim)),
+    }))
 
 
 def sigmoid(x):
@@ -71,22 +78,21 @@ def retained_backward(tape, loss):
             rec.backward_fn(g)
 
 
-class RegistryOptimizer:
-    """Adagrad sums and EMA shadows held beside a registry, updated as the registry once held them.
+class ReferenceOptimizer:
+    """Adagrad sums and EMA shadows as an object's own state, beside a name -> parameter dict.
 
     The reference for ``train.adagrad_step`` and ``train.ema_update``, which
     take the state as dicts: the sums start at zero and the shadows as
     copies of the initial weights.
     """
 
-    def __init__(self, registry):
-        self.registry = registry
-        self.sq_accum = {name: np.zeros_like(t.data) for name, t in registry.params.items()}
-        self.ema = {name: t.data.copy() for name, t in registry.params.items()}
+    def __init__(self, params):
+        self.params = params
+        self.sq_accum = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.ema = {name: t.data.copy() for name, t in params.items()}
 
     def adagrad_step(self, lr):
-        for name in self.registry.names():
-            tensor = self.registry.params[name]
+        for name, tensor in self.params.items():
             g = tensor.grad
             if g is None:
                 continue
@@ -96,8 +102,8 @@ class RegistryOptimizer:
             tensor.data = tensor.data - lr * g / denom
 
     def ema_update(self, decay):
-        for name in self.registry.names():
-            self.ema[name] = decay * self.ema[name] + (1.0 - decay) * self.registry.params[name].data
+        for name, tensor in self.params.items():
+            self.ema[name] = decay * self.ema[name] + (1.0 - decay) * tensor.data
 
 
 def per_token_vocab(conversations, min_count=1):

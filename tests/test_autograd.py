@@ -9,7 +9,7 @@ import pytest
 
 from dialact import autograd as ag
 from dialact import encoder
-from helpers import float_mask_dropout, sigmoid
+from helpers import float_mask_dropout, leaves, sigmoid
 
 
 def fd_grad(closure, flat, eps=1e-6):
@@ -316,24 +316,25 @@ def test_gather_backward_equals_add_at(table_shape, indices):
 
 
 def test_grad_check_linear_model_exact():
-    reg = ag.ParamRegistry()
-    w = reg.add("w", np.array([[1.5]]))
+    params = leaves({"w": np.array([[1.5]])})
     x = ag.Tensor(np.array([[2.0]]))
-    report = ag.grad_check(lambda: ag.reduce_sum(ag.matmul(x, w)), reg, eps=1e-4, tol=1e-8)
+    report = ag.grad_check(lambda: ag.reduce_sum(ag.matmul(x, params["w"])), params, eps=1e-4, tol=1e-8)
     assert report.passed
     assert report.entries[0][1] < 1e-8  # linear: FD is exact
+    assert report.summary().splitlines()[-1] == "gradcheck PASSED at tol 1e-08 over 1 elements of 1 tensors"
 
 
 def test_grad_check_sigmoid_chain():
-    reg = ag.ParamRegistry()
-    w1 = reg.add("w1", np.random.default_rng(0).normal(size=(4, 4)) * 0.3)
-    w2 = reg.add("w2", np.random.default_rng(1).normal(size=(4, 1)) * 0.3)
+    params = leaves({
+        "w1": np.random.default_rng(0).normal(size=(4, 4)) * 0.3,
+        "w2": np.random.default_rng(1).normal(size=(4, 1)) * 0.3,
+    })
     x = ag.Tensor(np.random.default_rng(2).normal(size=(5, 4)))
 
     def closure():
-        return ag.reduce_sum(sigmoid(ag.matmul(sigmoid(ag.matmul(x, w1)), w2)))
+        return ag.reduce_sum(sigmoid(ag.matmul(sigmoid(ag.matmul(x, params["w1"])), params["w2"])))
 
-    assert ag.grad_check(closure, reg, eps=1e-4, tol=1e-4).passed
+    assert ag.grad_check(closure, params, eps=1e-4, tol=1e-4).passed
 
 
 def test_grad_check_flags_corrupted_tanh_rule(monkeypatch):
@@ -348,9 +349,8 @@ def test_grad_check_flags_corrupted_tanh_rule(monkeypatch):
         return ag.record("tanh", (x,), out_data, bwd)
 
     monkeypatch.setattr(ag, "tanh", broken_tanh)
-    reg = ag.ParamRegistry()
-    tanh_w = reg.add("tanh_w", np.array([[0.7, -0.4], [0.2, 0.9]]))
-    sig_w = reg.add("sigmoid_w", np.array([[0.3], [-0.6]]))
+    params = leaves({"tanh_w": np.array([[0.7, -0.4], [0.2, 0.9]]), "sigmoid_w": np.array([[0.3], [-0.6]])})
+    tanh_w, sig_w = params.values()
     x = ag.Tensor(np.array([[1.0, 2.0], [0.5, -1.0]]))
 
     def closure():
@@ -358,7 +358,7 @@ def test_grad_check_flags_corrupted_tanh_rule(monkeypatch):
             ag.add(sigmoid(ag.matmul(x, sig_w)), ag.tanh(ag.matmul(x, tanh_w)))
         )
 
-    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+    report = ag.grad_check(closure, params, eps=1e-4, tol=1e-4)
     assert not report.passed
     failing = [name for name, _ in report.failures()]
     assert failing == ["tanh_w"]  # the corrupted rule's parameter, not the clean one
@@ -369,8 +369,8 @@ def test_grad_check_flags_corrupted_tanh_rule(monkeypatch):
 def test_grad_check_retries_an_element_whose_steps_straddle_a_kink(slope_error):
     # max(w, 0): the first two elements sit within eps of the kink at 0, where
     # a central difference at eps averages the two slopes (0.75 and 0.35)
-    reg = ag.ParamRegistry()
-    w = reg.add("w", np.array([5e-5, -3e-5, 0.7]))
+    params = leaves({"w": np.array([5e-5, -3e-5, 0.7])})
+    w = params["w"]
 
     def closure():
         def bwd(g):
@@ -378,37 +378,24 @@ def test_grad_check_retries_an_element_whose_steps_straddle_a_kink(slope_error):
 
         return ag.reduce_sum(ag.record("relu", (w,), np.maximum(w.data, 0.0), bwd))
 
-    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+    report = ag.grad_check(closure, params, eps=1e-4, tol=1e-4)
     assert report.passed == (slope_error == 1.0), report.summary()
 
 
 def test_grad_check_rejects_nondeterministic_closure():
-    reg = ag.ParamRegistry()
-    w = reg.add("w", np.array([1.0]))
+    params = leaves({"w": np.array([1.0])})
     rng = np.random.default_rng(0)
 
     def closure():
-        return ag.reduce_sum(ag.mul(w, float(rng.random())))
+        return ag.reduce_sum(ag.mul(params["w"], float(rng.random())))
 
     with pytest.raises(RuntimeError, match="deterministic"):
-        ag.grad_check(closure, reg)
+        ag.grad_check(closure, params)
 
 
 # ---------------------------------------------------------------------------
-# registry and checkpoints
+# checkpoints
 # ---------------------------------------------------------------------------
-
-
-def test_registry_keeps_one_array_per_parameter_and_names_unique():
-    reg = ag.ParamRegistry()
-    value = np.zeros((2, 3))
-    assert reg.add("a", value).data is value  # owned, C-contiguous float64: kept, not copied
-    assert vars(reg).keys() == {"params"}  # no optimizer state
-    strided = np.arange(6.0)[::2]
-    b = reg.add("b", strided).data
-    assert b.flags.c_contiguous and b.flags.owndata and not np.shares_memory(b, strided)
-    with pytest.raises(ValueError, match="duplicate"):
-        reg.add("a", np.zeros(1))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -472,6 +459,16 @@ def test_checkpoint_rejects_a_tensor_name_given_twice(tmp_path):
         ag.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_tensor_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ag.save_checkpoint(path, {"alpha": np.zeros(2), "beta": np.zeros(2)})
+    full = path.read_bytes()
+    at = full.index(b"beta")
+    path.write_bytes(full[:at] + b"\xffeta" + full[at + 4 :])
+    with pytest.raises(ValueError, match=r"model\.ckpt: tensor #1 name is not UTF-8"):
+        ag.load_checkpoint(path)
+
+
 def test_checkpoint_checks_a_tensor_size_before_allocating_it(tmp_path):
     path = tmp_path / "model.ckpt"
     ag.save_checkpoint(path, {"alpha": np.zeros((2, 3))})
@@ -483,9 +480,7 @@ def test_checkpoint_checks_a_tensor_size_before_allocating_it(tmp_path):
 
 
 def test_l2_penalty_value_and_gradient():
-    reg = ag.ParamRegistry()
-    a = reg.add("a", np.array([[1.0, -2.0], [0.5, 3.0]]))
-    b = reg.add("b", np.array([4.0]))
+    a, b = leaves({"a": np.array([[1.0, -2.0], [0.5, 3.0]]), "b": np.array([4.0])}).values()
     with ag.Tape() as tape:
         loss = ag.l2_penalty([a, b], 0.25)
     assert len(tape.records) == 1

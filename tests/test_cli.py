@@ -62,6 +62,14 @@ def test_gradcheck_exit_zero(capsys):
     assert "PASSED" in capsys.readouterr().out
 
 
+def test_gradcheck_summary_states_its_coverage(capsys):
+    assert run_cli("gradcheck") == 0  # seed 42
+    lines = capsys.readouterr().out.splitlines()
+    checked = sum(int(line.rsplit("(", 1)[1].split()[0]) for line in lines[:-1])
+    assert lines[-1] == f"gradcheck PASSED at tol 0.0001 over {checked} elements of {len(lines) - 1} tensors"
+    assert checked >= 620  # the coverage at the fused weight layout
+
+
 def test_usage_error_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("train", "--bogus-flag", "x")
@@ -435,6 +443,23 @@ def test_deeply_nested_json_exits_two_in_one_line(tiny, tmp_path, capsys):
     assert run_cli("predict", "--checkpoint", str(ckpt), "--test", str(test_path), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "deep.ckpt.meta.json: JSON nested too deeply" in err, err
+
+
+def test_input_that_is_not_utf8_exits_two_naming_the_file(tiny, tmp_path, capsys):
+    directory, _, test_path = tiny
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(test_path.read_bytes() + test_path.read_bytes().replace(b"hi", b"h\xff"))
+    ckpt = directory / "tiny.ckpt"
+    assert run_cli("predict", "--checkpoint", str(ckpt), "--test", str(bad), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err == f"dialact predict: {bad}:2: byte 0xff is not UTF-8\n"
+    latin = tmp_path / "latin.ckpt"
+    latin.write_bytes(ckpt.read_bytes())
+    sidecar = (directory / "tiny.ckpt.meta.json").read_bytes()
+    (tmp_path / "latin.ckpt.meta.json").write_bytes(sidecar.replace(b'"hi"', b'"h\xe9"'))
+    assert run_cli("predict", "--checkpoint", str(latin), "--test", str(test_path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"checkpoint sidecar {latin}.meta.json: 'utf-8' codec can't decode" in err, err
 
 
 def write_sidecar_edit(directory, path, value):

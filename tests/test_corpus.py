@@ -264,10 +264,38 @@ def test_parse_accepts_a_leading_byte_order_mark_only(tmp_path):
     write_lines(plain, lines)
     marked.write_bytes(BOM.encode() + plain.read_bytes())
     assert parse_jsonl(marked) == parse_jsonl(plain)
+    marked.write_bytes(BOM.encode() + plain.read_bytes().replace(b"\n", b"\r\n"))  # CRLF line endings
+    assert parse_jsonl(marked) == parse_jsonl(plain)
     inner = tmp_path / "inner.jsonl"
     write_lines(inner, [lines[0], BOM + lines[1]])
     with pytest.raises(TranscriptError, match=":2: malformed JSON"):
         parse_jsonl(inner)
+
+
+# one line of each reader's format, ~250 bytes, holding the character "w" once
+NOT_UTF8_READERS = {
+    "transcript": ('{"id":"c%d","utterances":[{"tokens":["w' + "o" * 200 + '"],"act":"x"}]}', parse_jsonl),
+    "key-values": ("# %d w" + "o" * 240, corpus.read_key_values),
+    "embeddings": ("w%d" + "o" * 200 + " 0.5 0.5", lambda path: load_pretrained_embeddings(
+        path, build_vocab([make_conv(["hello"], ["x"])]), dim=2)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NOT_UTF8_READERS))
+@pytest.mark.parametrize("bad_line", [2, 50])
+def test_a_byte_that_is_not_utf8_names_the_file_and_its_line(tmp_path, reader, bad_line):
+    """Line 50 starts past the first 8 KB, which a text-mode reader decodes in one chunk."""
+    line, read = NOT_UTF8_READERS[reader]
+    rows = [(line % i).encode() for i in range(60)]
+    assert sum(len(row) + 1 for row in rows[:49]) > 8192
+    rows[bad_line - 1] = rows[bad_line - 1].replace(b"w", b"\xff")
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+    with pytest.raises(TranscriptError, match=rf"bad\.txt:{bad_line}: byte 0xff is not UTF-8$"):
+        read(path)
+    rows[bad_line - 1] = (line % (bad_line - 1)).encode()
+    path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+    read(path)  # the same file without the bad byte reads
 
 
 def test_token_invariants():

@@ -23,7 +23,7 @@ from dialact.crf import (
 from dialact.model import DialogueActModel
 from dialact.synthetic import default_spec, generate_synthetic
 from dialact.train import TrainConfig, adagrad_step
-from helpers import log_space_alpha_beta
+from helpers import leaves, log_space_alpha_beta
 
 
 def fb(pot):
@@ -359,16 +359,15 @@ def test_chain_marginals_backward_is_enumeration_covariance(chain, seed):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_fused_chain_ops_pass_grad_check(n):
     rng = np.random.default_rng(40 + n)
-    reg = ag.ParamRegistry()
-    unary = reg.add("unary", rng.normal(size=(3, n, 3)))
-    trans = reg.add("trans", rng.normal(size=(3, 3)))
+    params = leaves({"unary": rng.normal(size=(3, n, 3)), "trans": rng.normal(size=(3, 3))})
+    unary, trans = params.values()
     weights = rng.normal(size=(3, n, 3))
     gold, scale = rng.integers(0, 3, size=(3, n)), rng.normal(size=3)
     for closure in (
         lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold), scale)),
         lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans), weights)),
     ):
-        report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+        report = ag.grad_check(closure, params, eps=1e-4, tol=1e-4)
         assert report.passed, report.summary()
 
 
@@ -489,9 +488,8 @@ def test_mixed_length_marginals_backward_stays_finite_at_large_scores():
 def test_fused_chain_ops_pass_grad_check_on_mixed_lengths():
     rng = np.random.default_rng(45)
     lengths = np.array([4, 1, 3, 2])
-    reg = ag.ParamRegistry()
-    unary = reg.add("unary", rng.normal(size=(4, 4, 3)))
-    trans = reg.add("trans", rng.normal(size=(3, 3)))
+    params = leaves({"unary": rng.normal(size=(4, 4, 3)), "trans": rng.normal(size=(3, 3))})
+    unary, trans = params.values()
     weights = rng.normal(size=(4, 4, 3))
     gold = rng.integers(0, 3, size=(4, 4))
     scale = rng.normal(size=4)
@@ -499,7 +497,7 @@ def test_fused_chain_ops_pass_grad_check_on_mixed_lengths():
         lambda: ag.reduce_sum(ag.mul(chain_nll(unary, trans, gold, lengths), scale)),
         lambda: ag.reduce_sum(ag.mul(chain_marginals(unary, trans, lengths), weights)),
     ):
-        report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+        report = ag.grad_check(closure, params, eps=1e-4, tol=1e-4)
         assert report.passed, report.summary()
 
 
@@ -623,7 +621,7 @@ def test_selection_gamma_matches_enumeration():
     hidden = np.tanh(finals[0] @ params["sel.w"].data + params["sel.b"].data)
     s1 = (hidden @ params["sel.v"].data)[:, 0]
     unary = np.stack([np.zeros(5), s1], axis=1)
-    gamma_ref = oracles.enumerate_selection_gamma(unary, params["sel.trans"].data)
+    gamma_ref = oracles.enumerate_chain(PotentialTable(unary, params["sel.trans"].data))[1][:, 1]
     assert np.abs(sel.gamma.data[0] - gamma_ref).max() < 1e-9
 
 
@@ -713,9 +711,9 @@ def test_full_model_with_boundaries_passes_grad_check_on_mixed_lengths(seed):
     rng = np.random.default_rng(seed)
     model = DialogueActModel(build_vocab(convs), cfg, rng=rng)
     for name in ("crf.start", "crf.stop"):  # off their zero init, so each boundary term is visible
-        model.registry[name].data = rng.normal(size=model.registry[name].shape)
+        model.params[name].data = rng.normal(size=model.params[name].shape)
     report = ag.grad_check(
-        lambda: model.loss(convs, train=False), model.registry, eps=1e-4, tol=1e-4, max_per_tensor=10, seed=seed
+        lambda: model.loss(convs, train=False), model.params, eps=1e-4, tol=1e-4, max_per_tensor=10, seed=seed
     )
     assert report.passed, report.summary()
     assert {"crf.start", "crf.stop"} <= {name for name, _, _ in report.entries}
@@ -733,13 +731,13 @@ def test_potential_tables_share_one_transition():
     assert len(tables) == 2 and chunk == [0, 1] and lengths.tolist() == [3, 3]
     assert np.array_equal(tables[1].unary, unary[1])
     assert tables[0].transition is tables[1].transition
-    assert np.array_equal(tables[0].transition, model.registry["crf.trans"].data)
+    assert np.array_equal(tables[0].transition, model.params["crf.trans"].data)
     # training rebinds weights rather than writing into them, so a later
     # step leaves the tables as they were without any copy
     before = tables[0].transition.copy()
-    model.registry["crf.trans"].grad = np.ones_like(before)
-    adagrad_step(model.registry, {"crf.trans": np.zeros_like(before)}, lr=0.1)
-    assert not np.array_equal(model.registry["crf.trans"].data, before)
+    model.params["crf.trans"].grad = np.ones_like(before)
+    adagrad_step(model.params, {"crf.trans": np.zeros_like(before)}, lr=0.1)
+    assert not np.array_equal(model.params["crf.trans"].data, before)
     assert np.array_equal(tables[0].transition, before)
 
 

@@ -24,7 +24,7 @@ from dialact.encoder import (
 )
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
-from helpers import chained_embed_tokens, im2col_char_cnn, init_gru, pick, retained_backward, sigmoid, sub
+from helpers import chained_embed_tokens, im2col_char_cnn, init_gru, leaves, pick, retained_backward, sigmoid, sub
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -68,14 +68,14 @@ def embed_one(token, vocab, params):
 def test_embed_token_dimension_arithmetic():
     cfg = TrainConfig(d=128, d_u=64)  # defaults: word 100, char 100, pos/ner 16
     model, _, vocab = toy_model(cfg=cfg)
-    e = embed_one(Token("hello"), vocab, model.registry.params)
+    e = embed_one(Token("hello"), vocab, model.params)
     assert e.shape == (1, 100 + 100 + 16 + 16)
     assert e.shape == (1, 232)
 
 
 def test_all_pad_chars_yield_bias_only_char_component():
     model, _, vocab = toy_model()
-    params = model.registry.params
+    params = model.params
     # all-PAD char window: conv output is the bias alone, pooled over time
     pad_ids = np.zeros((1, 4), dtype=np.int64)
     out = char_cnn(pad_ids, params)
@@ -84,7 +84,7 @@ def test_all_pad_chars_yield_bias_only_char_component():
 
 def test_unk_word_gets_unk_row_but_real_char_signal():
     model, _, vocab = toy_model()
-    params = model.registry.params
+    params = model.params
     e = embed_one(Token("hullo"), vocab, params)  # unseen word, seen chars
     word_part = e.data[0, : TOY_CFG.word_dim]
     char_part = e.data[0, TOY_CFG.word_dim : TOY_CFG.word_dim + TOY_CFG.char_out]
@@ -93,55 +93,56 @@ def test_unk_word_gets_unk_row_but_real_char_signal():
 
 
 def char_bank(rng, dim, filters=2):
-    """``emb.char`` and a random tap matrix of ``filters`` per width, as a registry; no row is zero, PAD's included."""
-    reg = ag.ParamRegistry()
-    reg.add("emb.char", rng.normal(size=(7, dim)))
-    reg.add("cnn.w", rng.normal(size=(dim, sum(encoder.CHAR_WIDTHS) * filters)))
-    reg.add("cnn.b", rng.normal(size=len(encoder.CHAR_WIDTHS) * filters))
-    return reg
+    """``emb.char`` and a random tap matrix of ``filters`` per width, as parameters; no row is zero, PAD's included."""
+    return leaves({
+        "emb.char": rng.normal(size=(7, dim)),
+        "cnn.w": rng.normal(size=(dim, sum(encoder.CHAR_WIDTHS) * filters)),
+        "cnn.b": rng.normal(size=len(encoder.CHAR_WIDTHS) * filters),
+    })
 
 
 def test_char_cnn_single_window_hand_evaluated():
     # one-hot chars "a", "b" then PAD: every width's best window covers both
-    reg = ag.ParamRegistry()
-    reg.add("emb.char", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    reg.add("cnn.w", np.ones((2, 9)))  # one filter per width: 2 + 3 + 4 taps
-    reg.add("cnn.b", np.zeros(3))
-    out = char_cnn(np.array([[1, 2, 0, 0]]), reg.params)
+    params = leaves({
+        "emb.char": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        "cnn.w": np.ones((2, 9)),  # one filter per width: 2 + 3 + 4 taps
+        "cnn.b": np.zeros(3),
+    })
+    out = char_cnn(np.array([[1, 2, 0, 0]]), params)
     assert out.data.shape == (1, 3)
     assert np.array_equal(out.data, [[2.0, 2.0, 2.0]])
     # columns are taps: window ("a", "b") reads tap 0 (column 0) at row "a" and tap 1 (column 1) at row "b"
     taps = np.ones((2, 9))
     taps[:, :2] = [[1.0, 100.0], [10.0, 1000.0]]
-    reg.params["cnn.w"].data = taps
-    assert char_cnn(np.array([[1, 2, 0, 0]]), reg.params).data[0, 0] == 1001.0
+    params["cnn.w"].data = taps
+    assert char_cnn(np.array([[1, 2, 0, 0]]), params).data[0, 0] == 1001.0
 
 
 def test_char_cnn_shape_errors_name_op_and_shapes():
-    reg = char_bank(np.random.default_rng(0), dim=3)
+    params = char_bank(np.random.default_rng(0), dim=3)
     with pytest.raises(ag.ShapeError, match="char_cnn input length 3 shorter than filter width 4"):
-        char_cnn(np.ones((1, 3), dtype=np.int64), reg.params)
+        char_cnn(np.ones((1, 3), dtype=np.int64), params)
     for shape in ((2, 18), (3, 17)):
-        reg.params["cnn.w"].data = np.zeros(shape)
+        params["cnn.w"].data = np.zeros(shape)
         with pytest.raises(ag.ShapeError, match=re.escape(f"char_cnn tap matrix {shape} does not fit C = 3 and 6 filters")):
-            char_cnn(np.ones((1, 5), dtype=np.int64), reg.params)
+            char_cnn(np.ones((1, 5), dtype=np.int64), params)
 
 
 def test_char_cnn_is_one_record_and_passes_grad_check():
     rng = np.random.default_rng(13)
-    reg = char_bank(rng, dim=3)
+    params = char_bank(rng, dim=3)
     ids = rng.integers(0, 7, size=(5, 6))
     ids[0] = [3, 0, 0, 0, 0, 0]  # a one-character word
     ids[1] = [2, 2, 2, 2, 2, 2]  # one character repeated
     weights = rng.normal(size=(5, 6))
 
     def closure():
-        return ag.reduce_sum(ag.mul(char_cnn(ids, reg.params), weights))
+        return ag.reduce_sum(ag.mul(char_cnn(ids, params), weights))
 
     with ag.Tape() as tape:
         closure()
     assert [rec.op for rec in tape.records] == ["char_cnn", "mul", "reduce_sum"]
-    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4, max_per_tensor=30, seed=3)
+    report = ag.grad_check(closure, params, eps=1e-4, tol=1e-4, max_per_tensor=30, seed=3)
     assert report.passed, report.summary()
 
 
@@ -156,28 +157,26 @@ CHAR_CNN_CASES = dict(
 
 
 def char_cnn_case(seed, n, length, dim, chars, filters):
-    """A registry with a zero PAD row, ids with PAD anywhere, and a runner of (output, gradients)."""
+    """Parameters with a zero PAD row, ids with PAD anywhere, and a runner of (output, gradients)."""
     rng = np.random.default_rng(seed)
-    reg = ag.ParamRegistry()
     table = rng.normal(size=(chars, dim))
     table[PAD_ID] = 0.0
-    reg.add("emb.char", table)
     taps = sum(k * f for k, f in zip(encoder.CHAR_WIDTHS, split_filter_counts(filters)))
-    reg.add("cnn.w", rng.normal(size=(dim, taps)))
-    reg.add("cnn.b", rng.normal(size=filters))
+    params = leaves({"emb.char": table, "cnn.w": rng.normal(size=(dim, taps)), "cnn.b": rng.normal(size=filters)})
     ids = rng.integers(0, chars, size=(n, length))  # PAD (0) anywhere, as well as after a word
     ids[0, rng.integers(1, length) :] = PAD_ID
     weights = rng.normal(size=(n, filters))
 
     def run(op):
-        reg.zero_grads()
+        for t in params.values():
+            t.grad = None
         with ag.Tape() as tape:
-            out = op(ids, reg.params)
+            out = op(ids, params)
             loss = ag.reduce_sum(ag.mul(out, weights))
         tape.backward(loss)
-        return out.data, {name: t.grad for name, t in reg.params.items()}
+        return out.data, {name: t.grad for name, t in params.items()}
 
-    return reg, ids, run, rng
+    return params, ids, run, rng
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,7 +188,7 @@ def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters)
     reads PAD as a constant zero, so its PAD row gets exactly 0 and the
     other rows are compared.
     """
-    reg, ids, run, _ = char_cnn_case(seed, n, length, dim, chars, filters)
+    params, ids, run, _ = char_cnn_case(seed, n, length, dim, chars, filters)
     ref_out, ref_grads = run(im2col_char_cnn)
     out, grads = run(char_cnn)
     assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
@@ -197,7 +196,7 @@ def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters)
     grads["emb.char"], ref_grads["emb.char"] = grads["emb.char"][1:], ref_grads["emb.char"][1:]
     for name, grad in grads.items():
         assert np.abs(grad - ref_grads[name]).max() <= 1e-12 * max(np.abs(ref_grads[name]).max(), 1e-300), name
-    grad_free = {name: ag.Tensor(t.data) for name, t in reg.params.items()}
+    grad_free = {name: ag.Tensor(t.data) for name, t in params.items()}
     assert np.array_equal(char_cnn(ids, grad_free).data, out)
 
 
@@ -205,17 +204,17 @@ def test_char_cnn_matches_im2col_reference(seed, n, length, dim, chars, filters)
 @given(**CHAR_CNN_CASES)
 def test_char_cnn_never_reads_the_pad_row(seed, n, length, dim, chars, filters):
     """Any values in emb.char's PAD row: the same output and gradients to the bit, PAD's gradient 0."""
-    reg, ids, run, rng = char_cnn_case(seed, n, length, dim, chars, filters)
+    params, ids, run, rng = char_cnn_case(seed, n, length, dim, chars, filters)
     out, grads = run(char_cnn)
-    table = reg.params["emb.char"].data.copy()
+    table = params["emb.char"].data.copy()
     table[PAD_ID] = rng.normal(size=dim)
-    reg.params["emb.char"].data = table
+    params["emb.char"].data = table
     again, again_grads = run(char_cnn)
     assert np.array_equal(again, out)
     for name, grad in grads.items():
         assert np.array_equal(again_grads[name], grad), name
     assert not again_grads["emb.char"][PAD_ID].any()
-    grad_free = {name: ag.Tensor(t.data) for name, t in reg.params.items()}
+    grad_free = {name: ag.Tensor(t.data) for name, t in params.items()}
     assert np.array_equal(char_cnn(ids, grad_free).data, out)
 
 
@@ -294,13 +293,14 @@ def test_type_level_embedding_matches_per_token_reference(seed, pool, long_word,
     ]
     vocab = build_vocab(convs, min_count=min_count)  # min_count 2 sends several types to UNK
     model = DialogueActModel(vocab, TOY_CFG, rng=rng)
-    params = model.registry.params
+    params = model.params
     batch = prepare_batch(convs, vocab)
     assert batch.word.size < batch.types.size  # repeated surfaces share a type row
     names = [name for name in params if name.startswith(("emb.", "cnn."))]
 
     def run(build):
-        model.registry.zero_grads()
+        for t in params.values():
+            t.grad = None
         with ag.Tape() as tape:
             e = build()
             loss = ag.reduce_sum(ag.mul(e, weights))
@@ -327,9 +327,10 @@ def test_type_level_embedding_matches_per_token_reference(seed, pool, long_word,
 
 def embedding_run(embed, model, batch, train, rate, seed):
     """``embed``'s rows, index, next draw of its rng and emb.*/cnn.* gradients, under a tape."""
-    params = model.registry.params
+    params = model.params
     rng = np.random.default_rng(seed)
-    model.registry.zero_grads()
+    for t in params.values():
+        t.grad = None
     with ag.Tape() as tape:
         e, index = embed(batch, params, train=train, rng=rng, dropout_rate=rate)
         weights = np.random.default_rng(seed + 1).normal(size=e.shape)
@@ -384,8 +385,8 @@ def test_token_features_match_gather_concat_dropout_chain(seed, lengths, tags, r
 
 def test_token_features_pass_grad_check_with_a_fixed_mask():
     rng = np.random.default_rng(11)
-    reg = ag.ParamRegistry()
-    tables = [reg.add(name, rng.normal(size=shape)) for name, shape in (("t", (4, 3)), ("p", (3, 2)), ("n", (5, 2)))]
+    params = leaves({name: rng.normal(size=shape) for name, shape in (("t", (4, 3)), ("p", (3, 2)), ("n", (5, 2)))})
+    tables = list(params.values())
     rows = [rng.integers(0, table.shape[0], size=9) for table in tables]
     keep = ag.dropout_mask((9, 7), 0.3, rng, train=True)
     assert keep.dtype == bool and 0 < keep.sum() < keep.size
@@ -394,7 +395,7 @@ def test_token_features_pass_grad_check_with_a_fixed_mask():
     def closure():
         return ag.reduce_sum(ag.mul(ag.tanh(encoder.token_features(tables, rows, keep, 0.3)), weights))
 
-    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4)
+    report = ag.grad_check(closure, params, eps=1e-4, tol=1e-4)
     assert report.passed, report.summary()
 
 
@@ -403,7 +404,7 @@ def test_token_features_pass_grad_check_with_a_fixed_mask():
 def test_embed_tokens_rejects_a_rate_outside_unit_interval(rate, train):
     model, convs, vocab = toy_model()
     with pytest.raises(ValueError, match="dropout rate"):
-        embed_tokens(prepare_batch(convs, vocab), model.registry.params, train=train,
+        embed_tokens(prepare_batch(convs, vocab), model.params, train=train,
                      rng=np.random.default_rng(0), dropout_rate=rate)
 
 
@@ -445,7 +446,7 @@ def test_training_forward_keeps_one_float_token_feature_array():
     m, e = batch.types.size, cfg.word_dim + cfg.char_out + cfg.d_p + cfg.d_n
     with ag.Tape() as tape:
         model.loss(convs, train=True, rng=np.random.default_rng(0))
-    weights = {id(t.data) for t in model.registry.params.values()}
+    weights = {id(t.data) for t in model.params.values()}
     held = [a for a in held_arrays(tape) if id(a) not in weights]
     token_rows = [a for a in held if a.shape[:1] == (m,) and a.dtype == np.float64]
     assert [a.shape for a in token_rows] == [(m, e)]
@@ -474,18 +475,18 @@ def test_backward_frees_the_recorded_graph():
     gc.disable()
     try:
         model, loss, tape = recorded_training_step()
-        weights = {id(t.data) for t in model.registry.params.values()}
+        weights = {id(t.data) for t in model.params.values()}
         graph = [weakref.ref(a) for a in held_arrays(tape) if id(a) not in weights and a is not loss.data]
         assert len(graph) > 20
         tape.backward(loss)
         assert tape.records == [] and held_arrays(tape) == []
         assert [ref() for ref in graph if ref() is not None] == []
-        known = {id(t) for t in before} | {id(t) for t in model.registry.params.values()}
+        known = {id(t) for t in before} | {id(t) for t in model.params.values()}
         made = [o for o in gc.get_objects() if isinstance(o, ag.Tensor) and id(o) not in known]
     finally:
         gc.enable()
     assert made == [loss] and loss.grad is None
-    assert all(t.grad is not None for t in model.registry.params.values())
+    assert all(t.grad is not None for t in model.params.values())
 
 
 def test_freeing_backward_gives_the_retained_sweeps_gradients_to_the_bit():
@@ -494,7 +495,7 @@ def test_freeing_backward_gives_the_retained_sweeps_gradients_to_the_bit():
     for sweep in (ag.Tape.backward, retained_backward):
         model, loss, tape = recorded_training_step()
         sweep(tape, loss)
-        grads.append({name: t.grad for name, t in model.registry.params.items()})
+        grads.append({name: t.grad for name, t in model.params.items()})
     freed, retained = grads
     assert freed.keys() == retained.keys()
     for name, grad in freed.items():
@@ -508,9 +509,9 @@ def test_freeing_backward_gives_the_retained_sweeps_gradients_to_the_bit():
 
 def gru_pair(seed, input_dim, hidden):
     """The utterance BiGRU's parameters, ``utt_gru.*``."""
-    reg = ag.ParamRegistry()
-    init_gru(reg, "utt_gru", input_dim, hidden, np.random.default_rng(seed))
-    return reg.params
+    params = {}
+    init_gru(params, "utt_gru", input_dim, hidden, np.random.default_rng(seed))
+    return params
 
 
 def one_direction(params, name, direction):
@@ -578,10 +579,10 @@ def test_direction_symmetry_under_reversal():
 
 
 def test_zero_gru_weights_give_zero_state():
-    reg = ag.ParamRegistry()
-    init_gru(reg, "z", 4, 3, np.random.default_rng(0), scale=0.0)
+    params = {}
+    init_gru(params, "z", 4, 3, np.random.default_rng(0), scale=0.0)
     seq = ag.Tensor(np.random.default_rng(1).normal(size=(10, 4)))
-    h = gru_sequence(reg.params, "z", seq, [5, 5])
+    h = gru_sequence(params, "z", seq, [5, 5])
     # candidate tanh(0) = 0 and h0 = 0, so the state never leaves zero
     assert np.array_equal(h.data, np.zeros((2, 6)))
 
@@ -619,11 +620,11 @@ PAIR = "pair"  # the tests' BiGRU
 
 def random_pair(rng, input_dim, hidden):
     """The BiGRU ``PAIR``, away from the small-init regime, so every gate matters."""
-    reg = ag.ParamRegistry()
-    init_gru(reg, PAIR, input_dim, hidden, rng, scale=0.5)
-    for name in reg.names():
-        reg[name].data += rng.normal(scale=0.3, size=reg[name].shape)
-    return reg
+    params = {}
+    init_gru(params, PAIR, input_dim, hidden, rng, scale=0.5)
+    for t in params.values():
+        t.data += rng.normal(scale=0.3, size=t.shape)
+    return params
 
 
 def check_pair_against_reference(rng, lengths, e, hidden, collect, indexed):
@@ -638,16 +639,16 @@ def check_pair_against_reference(rng, lengths, e, hidden, collect, indexed):
     b, t_len = len(lengths), int(lengths.max())
     real = np.arange(t_len)[None, :] < lengths[:, None]
     m = int(lengths.sum())
-    reg = random_pair(rng, e, hidden)
-    params = reg.params
+    params = random_pair(rng, e, hidden)
     distinct = rng.normal(size=(max(1, m // 2) if indexed else m, e))
     index = rng.integers(0, len(distinct), size=m) if indexed else None
     padded_rows = np.zeros((b, t_len, e))
     padded_rows[real] = distinct if index is None else distinct[index]
-    padded = reg.add("x", padded_rows)
+    padded = params["x"] = ag.Tensor(padded_rows, requires_grad=True)
     weights = rng.normal(size=(m if collect else b, 2 * hidden))
 
-    reg.zero_grads()
+    for t in params.values():
+        t.grad = None
     with ag.Tape() as tape:
         halves = []
         for half, reverse in enumerate((False, True)):
@@ -663,12 +664,13 @@ def check_pair_against_reference(rng, lengths, e, hidden, collect, indexed):
         loss = ag.add(halves[0][0], halves[1][0])
     tape.backward(loss)
     expected = np.concatenate([halves[0][1], halves[1][1]], axis=1)
-    ref_grads = {name: reg[name].grad.copy() for name in reg.names()}
+    ref_grads = {name: params[name].grad.copy() for name in params}
     ref_dx = ref_grads["x"][real]
     if index is not None:
         ref_dx = ag.scatter_add(index, ref_dx, len(distinct))
 
-    reg.zero_grads()
+    for t in params.values():
+        t.grad = None
     x = ag.Tensor(distinct, requires_grad=True)
     with ag.Tape() as tape:
         out = gru_sequence(params, PAIR, x, lengths, collect=collect, index=index)
@@ -680,7 +682,7 @@ def check_pair_against_reference(rng, lengths, e, hidden, collect, indexed):
     assert out.shape == expected.shape
     assert np.array_equal(lean.data, out.data)
     assert np.abs(out.data - expected).max() < 1e-12
-    names = [name for name in reg.names() if name != "x"]
+    names = [name for name in params if name != "x"]
     assert len(names) == 3
     for name in names:
         assert np.abs(params[name].grad - ref_grads[name]).max() < 1e-10, name
@@ -734,15 +736,16 @@ def test_indexed_gru_passes_grad_check(bwd_only, collect):
 def check_fused_gru_gradients(bwd_only, collect, index):
     rng = np.random.default_rng(21)
     lengths = [3, 1, 4, 1, 2]  # includes length-1 rows
-    reg = random_pair(rng, 3, 2)
-    x = reg.add("x", rng.normal(size=(sum(lengths) if index is None else index.max() + 1, 3)))
+    params = random_pair(rng, 3, 2)
+    rows = rng.normal(size=(sum(lengths) if index is None else index.max() + 1, 3))
+    x = params["x"] = ag.Tensor(rows, requires_grad=True)
     weights = pair_weights(rng, sum(lengths) if collect else len(lengths), 2, bwd_only)
 
     def closure():
-        out = gru_sequence(reg.params, PAIR, x, lengths, collect=collect, index=index)
+        out = gru_sequence(params, PAIR, x, lengths, collect=collect, index=index)
         return ag.reduce_sum(ag.mul(out, weights))
 
-    report = ag.grad_check(closure, reg, eps=1e-4, tol=1e-4, max_per_tensor=20, seed=2)
+    report = ag.grad_check(closure, params, eps=1e-4, tol=1e-4, max_per_tensor=20, seed=2)
     assert report.passed, report.summary()
 
 
@@ -752,23 +755,24 @@ def test_indexed_gru_matches_gathered_rows(bwd_only, collect):
     """Forward bit-for-bit; gradients to 1e-12 of each tensor's largest entry."""
     rng = np.random.default_rng(8)
     lengths = [2, 5, 1, 3]
-    reg = random_pair(rng, 3, 2)
-    x = reg.add("x", rng.normal(size=(5, 3)))
+    params = random_pair(rng, 3, 2)
+    x = params["x"] = ag.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     index = rng.integers(0, 5, size=sum(lengths))
     weights = pair_weights(rng, sum(lengths) if collect else len(lengths), 2, bwd_only)
 
     def run(build):
-        reg.zero_grads()
+        for t in params.values():
+            t.grad = None
         with ag.Tape() as tape:
             out = build()
             loss = ag.reduce_sum(ag.mul(out, weights))
         tape.backward(loss)
-        return out.data, {name: reg[name].grad.copy() for name in reg.names()}
+        return out.data, {name: params[name].grad.copy() for name in params}
 
-    ref_out, ref_grads = run(lambda: gru_sequence(reg.params, PAIR, ag.gather(x, index), lengths, collect=collect))
-    out, grads = run(lambda: gru_sequence(reg.params, PAIR, x, lengths, collect=collect, index=index))
+    ref_out, ref_grads = run(lambda: gru_sequence(params, PAIR, ag.gather(x, index), lengths, collect=collect))
+    out, grads = run(lambda: gru_sequence(params, PAIR, x, lengths, collect=collect, index=index))
     assert np.array_equal(out, ref_out)
-    for name in reg.names():
+    for name in params:
         if bwd_only and name != "x":
             assert not grads[name][0].any(), name  # the forward direction's weights
         scale = max(np.abs(ref_grads[name]).max(), 1e-300)
@@ -794,12 +798,11 @@ def test_gru_sequence_rejects_bad_index():
 
 def context_setup(seed, d=6, hidden=3):
     """The context encoder's parameters, ``ctx_gru.*`` and ``ctx.*``."""
-    reg = ag.ParamRegistry()
+    params = {}
     rng = np.random.default_rng(seed)
-    init_gru(reg, "ctx_gru", d, hidden, rng)
-    reg.add("ctx.w", rng.uniform(-0.3, 0.3, (2 * hidden, d)))
-    reg.add("ctx.b", np.zeros(d))
-    return reg.params
+    init_gru(params, "ctx_gru", d, hidden, rng)
+    params.update(leaves({"ctx.w": rng.uniform(-0.3, 0.3, (2 * hidden, d)), "ctx.b": np.zeros(d)}))
+    return params
 
 
 def context_of(us, params):
@@ -907,7 +910,7 @@ def test_attention_row_shift_invariance():
 def test_encoded_conversation_field_contracts():
     model, convs, vocab = toy_model()
     batch = prepare_batch(convs, vocab)
-    enc = encoder.encode_batch(batch, model.registry.params, model.cfg)
+    enc = encoder.encode_batch(batch, model.params, model.cfg)
     assert enc.original.shape == (1, 2, TOY_CFG.d)
     assert enc.attention.shape == (1, 2, 2)
     assert np.abs(enc.attention.data.sum(axis=2) - 1.0).max() < 1e-9
@@ -919,11 +922,12 @@ def test_whole_encoder_gradients_pass_grad_check():
     batch = prepare_batch(convs, vocab)
 
     def closure():
-        enc = encoder.encode_batch(batch, model.registry.params, model.cfg)
+        enc = encoder.encode_batch(batch, model.params, model.cfg)
         return ag.reduce_sum(ag.mul(enc.final, enc.final))
 
-    report = ag.grad_check(closure, model.registry, eps=1e-4, tol=1e-4, max_per_tensor=40, seed=1)
+    report = ag.grad_check(closure, model.params, eps=1e-4, tol=1e-4, max_per_tensor=40, seed=1)
     assert report.passed, report.summary()
+    assert sum(n for _, _, n in report.entries) >= 536  # the coverage at the fused weight layout
 
 
 def repeated_surface_model():
@@ -956,7 +960,7 @@ def use_per_token_reference(monkeypatch):
 
 def test_embed_tokens_one_row_per_triple_unless_masked():
     model, convs, vocab = repeated_surface_model()
-    params = model.registry.params
+    params = model.params
     batch = prepare_batch(convs, vocab)
     e, index = embed_tokens(batch, params)
     triples = set(zip(batch.types.tolist(), batch.pos.tolist(), batch.ner.tolist()))
@@ -986,10 +990,11 @@ def test_inference_matches_per_token_reference_exactly(monkeypatch):
 def test_eval_loss_gradients_match_per_token_reference(monkeypatch):
     """Every parameter gradient to 1e-12 of the tensor's largest entry."""
     model, convs, _ = repeated_surface_model()
-    params = model.registry.params
+    params = model.params
 
     def gradients():
-        model.registry.zero_grads()
+        for t in params.values():
+            t.grad = None
         with ag.Tape() as tape:
             loss = model.loss(convs, train=False)
         tape.backward(loss)
@@ -1061,7 +1066,7 @@ def test_encode_batch_of_mixed_lengths_matches_each_conversation_alone():
     convs = [conv("a", 3), conv("b", 1), conv("c", 4), conv("d", 2)]
     vocab = build_vocab(convs)
     model = DialogueActModel(vocab, TOY_CFG, rng=np.random.default_rng(22))
-    params = model.registry.params
+    params = model.params
     mixed = encoder.encode_batch(prepare_batch(convs, vocab), params, model.cfg)
     assert mixed.final.shape == (4, 4, TOY_CFG.d)
     for b, c in enumerate(convs):

@@ -225,10 +225,10 @@ def test_evaluate_model_end_to_end():
 
 def test_decode_rejects_non_finite_potentials():
     model, convs = trained_toy()
-    model.registry["crf.trans"].data[0, 0] = np.inf
+    model.params["crf.trans"].data[0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         model.decode(convs)
-    model.registry["crf.trans"].data[0, 0] = 0.0
-    model.registry["crf.emit_b"].data[0] = np.nan
+    model.params["crf.trans"].data[0, 0] = 0.0
+    model.params["crf.emit_b"].data[0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         model.decode(convs)

@@ -26,7 +26,7 @@ from dialact.train import (
     train_loop,
     write_history,
 )
-from helpers import RegistryOptimizer
+from helpers import ReferenceOptimizer, leaves
 
 TOY_CFG = TrainConfig(
     d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4,
@@ -46,8 +46,8 @@ def two_label_conv(conv_id="c0"):
 
 def zeroed_model(convs, cfg=TOY_CFG):
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(0))
-    for name in model.registry.names():
-        model.registry.params[name].data[:] = 0.0
+    for t in model.params.values():
+        t.data[:] = 0.0
     return model
 
 
@@ -201,7 +201,7 @@ def test_l2_decomposition():
     model_pen = DialogueActModel(vocab, TrainConfig(**{**base, "l2": 1.0}), rng=np.random.default_rng(1))
     plain = float(model_free.loss([conv], train=False).data)
     penalized = float(model_pen.loss([conv], train=False).data)
-    sq = sum(float((t.data ** 2).sum()) for t in model_free.registry.params.values())
+    sq = sum(float((t.data ** 2).sum()) for t in model_free.params.values())
     assert penalized - plain == pytest.approx(sq, rel=1e-12)
 
 
@@ -237,12 +237,11 @@ def test_one_adaptive_step_decreases_toy_batch_loss():
     convs, _ = synthetic.generate_synthetic(spec)
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(4))
     before = float(model.loss(convs, train=False).data)
-    sums = {name: np.zeros_like(t.data) for name, t in model.registry.params.items()}
-    model.registry.zero_grads()
+    sums = {name: np.zeros_like(t.data) for name, t in model.params.items()}
     with ag.Tape() as tape:
         loss = model.loss(convs, train=False)  # dropout off for a clean re-eval
     tape.backward(loss)
-    adagrad_step(model.registry, sums, lr=0.005)
+    adagrad_step(model.params, sums, lr=0.005)
     after = float(model.loss(convs, train=False).data)
     assert after < before
 
@@ -252,47 +251,46 @@ def test_one_adaptive_step_decreases_toy_batch_loss():
 # ---------------------------------------------------------------------------
 
 
-def one_param_registry(value):
-    """A registry holding ``w``, its tensor, and fresh Adagrad sums and EMA shadows for it."""
-    reg = ag.ParamRegistry()
-    p = reg.add("w", np.array([value]))
-    return reg, p, {"w": np.zeros(1)}, {"w": p.data}
+def one_param(value):
+    """Parameters holding ``w``, its tensor, and fresh Adagrad sums and EMA shadows for it."""
+    params = leaves({"w": np.array([value])})
+    return params, params["w"], {"w": np.zeros(1)}, {"w": params["w"].data}
 
 
 def test_adagrad_first_step_is_lr_times_sign():
-    reg, p, sums, shadows = one_param_registry(1.0)
+    params, p, sums, shadows = one_param(1.0)
     p.grad = np.array([2.0])
-    adagrad_step(reg, sums, lr=0.005)
+    adagrad_step(params, sums, lr=0.005)
     assert p.data[0] == pytest.approx(1.0 - 0.005, abs=1e-15)
 
 
 def test_adagrad_second_step_shrinks_by_sqrt_two():
-    reg, p, sums, shadows = one_param_registry(0.0)
+    params, p, sums, shadows = one_param(0.0)
     p.grad = np.array([1.0])
-    adagrad_step(reg, sums, lr=0.005)
+    adagrad_step(params, sums, lr=0.005)
     first = p.data[0]
     p.grad = np.array([1.0])
-    adagrad_step(reg, sums, lr=0.005)
+    adagrad_step(params, sums, lr=0.005)
     assert first == pytest.approx(-0.005)
     assert p.data[0] - first == pytest.approx(-0.005 / np.sqrt(2.0), abs=1e-15)
 
 
 def test_adagrad_zero_gradient_is_null_update():
-    reg, p, sums, shadows = one_param_registry(3.0)
+    params, p, sums, shadows = one_param(3.0)
     p.grad = np.zeros(1)
-    adagrad_step(reg, sums, lr=0.1)
+    adagrad_step(params, sums, lr=0.1)
     assert p.data[0] == 3.0
     assert sums["w"][0] == 0.0
 
 
 def test_adagrad_accumulator_monotone_and_step_bound():
-    reg, p, sums, shadows = one_param_registry(0.0)
+    params, p, sums, shadows = one_param(0.0)
     rng = np.random.default_rng(6)
     prev_acc = 0.0
     prev_val = 0.0
     for step in range(1, 60):
         p.grad = rng.normal(size=1)
-        adagrad_step(reg, sums, lr=0.01)
+        adagrad_step(params, sums, lr=0.01)
         acc = float(sums["w"][0])
         assert acc >= prev_acc
         # every single step is at most lr: |g| / sqrt(sum g^2) <= 1
@@ -303,59 +301,57 @@ def test_adagrad_accumulator_monotone_and_step_bound():
 def test_adagrad_constant_gradient_closed_form():
     # with g identical each step, movement after T steps is lr * sum 1/sqrt(t),
     # which stays under 2 * lr * sqrt(T)
-    reg, p, sums, shadows = one_param_registry(0.0)
+    params, p, sums, shadows = one_param(0.0)
     for t in range(1, 30):
         p.grad = np.array([0.5])
-        adagrad_step(reg, sums, lr=0.01)
+        adagrad_step(params, sums, lr=0.01)
         expected = -0.01 * sum(1.0 / np.sqrt(i) for i in range(1, t + 1))
         assert p.data[0] == pytest.approx(expected, abs=1e-12)
         assert abs(p.data[0]) <= 2 * 0.01 * np.sqrt(t)
 
 
 def test_adagrad_aborts_on_nan_naming_parameter():
-    reg, p, sums, shadows = one_param_registry(0.0)
+    params, p, sums, shadows = one_param(0.0)
     p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError, match="'w'"):
-        adagrad_step(reg, sums, lr=0.01)
+        adagrad_step(params, sums, lr=0.01)
 
 
 def test_adagrad_rejects_inf_when_clipping_is_off():
     # with clip_norm <= 0 nothing rescales an inf gradient before the step,
     # and inf / sqrt(inf) would write NaN into the weights
-    reg, p, sums, shadows = one_param_registry(0.5)
+    params, p, sums, shadows = one_param(0.5)
     p.grad = np.array([np.inf])
-    assert clip_gradients(reg, max_norm=0.0) == (1.0, np.inf)
+    assert clip_gradients(params, max_norm=0.0) == (1.0, np.inf)
     with pytest.raises(FloatingPointError, match="non-finite gradient in parameter 'w'"):
-        adagrad_step(reg, sums, lr=0.01)
+        adagrad_step(params, sums, lr=0.01)
     assert p.data[0] == 0.5
 
 
 def test_first_gradient_is_a_private_copy():
     # add hands one array to both operands; clipping then scales in place
-    reg = ag.ParamRegistry()
-    a = reg.add("a", np.array([3.0, 0.0]))
-    b = reg.add("b", np.array([0.0, 4.0]))
+    params = leaves({"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])})
+    a, b = params.values()
     with ag.Tape() as tape:
         loss = ag.reduce_sum(ag.add(a, b))
     tape.backward(loss)
     assert not np.shares_memory(a.grad, b.grad)
-    assert clip_gradients(reg, max_norm=1.0) == pytest.approx((0.5, 2.0))  # (scale, norm before)
+    assert clip_gradients(params, max_norm=1.0) == pytest.approx((0.5, 2.0))  # (scale, norm before)
     assert np.array_equal(a.grad, [0.5, 0.5])
     assert np.array_equal(b.grad, [0.5, 0.5])
 
 
 def test_clip_gradients_global_norm():
-    reg = ag.ParamRegistry()
-    a = reg.add("a", np.zeros(3))
-    b = reg.add("b", np.zeros(1))
+    params = leaves({"a": np.zeros(3), "b": np.zeros(1)})
+    a, b = params.values()
     a.grad = np.array([3.0, 0.0, 0.0])
     b.grad = np.array([4.0])
-    assert clip_gradients(reg, max_norm=2.5) == (0.5, 5.0)
+    assert clip_gradients(params, max_norm=2.5) == (0.5, 5.0)
     assert np.abs(np.array([*a.grad, *b.grad]) - [1.5, 0, 0, 2.0]).max() < 1e-12
     before = a.grad.copy()
-    assert clip_gradients(reg, max_norm=0.0) == pytest.approx((1.0, 2.5))  # disabled; norm still taken
+    assert clip_gradients(params, max_norm=0.0) == pytest.approx((1.0, 2.5))  # disabled; norm still taken
     assert np.array_equal(a.grad, before)
-    assert clip_gradients(reg, max_norm=2.5) == pytest.approx((1.0, 2.5))  # at the bound: no scaling
+    assert clip_gradients(params, max_norm=2.5) == pytest.approx((1.0, 2.5))  # at the bound: no scaling
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +360,24 @@ def test_clip_gradients_global_norm():
 
 
 def test_ema_fixed_point():
-    reg, p, sums, shadows = one_param_registry(1.5)
-    ema_update(reg, shadows, decay=0.999)
+    params, p, sums, shadows = one_param(1.5)
+    ema_update(params, shadows, decay=0.999)
     assert shadows["w"][0] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_ema_single_step_formula():
-    reg, p, sums, shadows = one_param_registry(1.0)
+    params, p, sums, shadows = one_param(1.0)
     shadows["w"] = np.zeros(1)  # rebound: the shadow starts as the weight's own array
-    ema_update(reg, shadows, decay=0.999)
+    ema_update(params, shadows, decay=0.999)
     assert shadows["w"][0] == pytest.approx(0.001, abs=1e-15)
 
 
 def test_ema_geometric_series_closed_form():
-    reg, p, sums, shadows = one_param_registry(0.7)
+    params, p, sums, shadows = one_param(0.7)
     shadows["w"] = np.zeros(1)  # rebound: the shadow starts as the weight's own array
     k = 250
     for _ in range(k):
-        ema_update(reg, shadows, decay=0.999)
+        ema_update(params, shadows, decay=0.999)
     assert shadows["w"][0] == pytest.approx(0.7 * (1 - 0.999 ** k), abs=1e-12)
 
 
@@ -447,14 +443,15 @@ def test_mixed_batch_loss_and_gradients_equal_the_sum_over_length_groups():
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(3))
 
     def loss_and_grads(batches):
-        model.registry.zero_grads()
+        for t in model.params.values():
+            t.grad = None
         total = 0.0
         for batch in batches:
             with ag.Tape() as tape:
                 loss = model.loss(batch, train=False)
             tape.backward(loss)
             total += float(loss.data)
-        return total, {name: model.registry[name].grad for name in model.registry.names()}
+        return total, {name: t.grad for name, t in model.params.items()}
 
     groups = {}
     for conv in convs:
@@ -532,8 +529,8 @@ def test_history_reports_throughput_and_clip_fraction(clip_norm, clipped, monkey
     cfg = TrainConfig(**{**TOY_CFG.__dict__, "max_epochs": 2, "max_batch": 4, "clip_norm": clip_norm})
     norms = []
 
-    def recording_clip(registry, max_norm):
-        scale, norm = clip_gradients(registry, max_norm)
+    def recording_clip(params, max_norm):
+        scale, norm = clip_gradients(params, max_norm)
         norms.append(norm)
         return scale, norm
 
@@ -558,7 +555,7 @@ def test_pad_rows_stay_zero_through_training():
     convs = small_corpus()
     model, best_state, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
     for name in ("emb.word", "emb.char", "emb.pos", "emb.ner"):
-        assert not model.registry[name].data[0].any()
+        assert not model.params[name].data[0].any()
         assert not best_state[name][0].any()
 
 
@@ -576,7 +573,7 @@ def test_pad_spelled_as_input_trains_no_pad_row():
     batch = prepare_batch(convs, model.vocab)
     assert PAD_ID not in batch.word and PAD_ID not in batch.pos and PAD_ID not in batch.ner
     for name in ("emb.word", "emb.char", "emb.pos", "emb.ner"):
-        assert not model.registry[name].data[PAD_ID].any()
+        assert not model.params[name].data[PAD_ID].any()
         assert not best_state[name][PAD_ID].any()
 
 
@@ -589,10 +586,10 @@ def test_checkpoint_round_trip_through_model(tmp_path):
     assert again.vocab == model.vocab
     assert again.cfg == model.cfg
     # one array per parameter, read in place: no optimizer state, nothing to copy for BLAS
-    assert vars(again).keys() == {"vocab", "cfg", "registry"}
-    assert vars(again.registry).keys() == {"params"}
+    assert vars(again).keys() == {"vocab", "cfg", "params"}
+    assert list(again.params) == list(best_state)
     for name, value in best_state.items():
-        data = again.registry[name].data
+        data = again.params[name].data
         assert np.array_equal(data, value) and data.dtype == np.float64
         assert all(data.flags[flag] for flag in ("C_CONTIGUOUS", "ALIGNED", "WRITEABLE", "OWNDATA"))
     again.save(str(tmp_path / "again.ckpt"))
@@ -604,17 +601,33 @@ def test_checkpoint_round_trip_through_model(tmp_path):
 def test_given_weights_are_kept_and_never_written():
     convs = small_corpus()
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
-    weights = {name: t.data for name, t in model.registry.params.items()}
+    weights = {name: t.data for name, t in model.params.items()}
     weights["emb.pos"] = np.ones_like(weights["emb.pos"])  # PAD rows of 1.0 and -0.0 are kept too
     weights["emb.ner"] = -np.zeros_like(weights["emb.ner"])
     rebuilt = DialogueActModel(model.vocab, TOY_CFG, weights=weights)
     for name, value in weights.items():
-        assert rebuilt.registry[name].data is value
+        assert rebuilt.params[name].data is value  # owned, C-contiguous float64: kept, not copied
+        assert rebuilt.params[name].requires_grad
     assert (weights["emb.pos"] == 1.0).all() and np.signbit(weights["emb.ner"]).all()
 
 
-def test_optimizer_state_matches_the_registry_held_reference():
-    """The loop's Adagrad sums and EMA shadows update as the registry-held ones did, to the bit."""
+def test_given_weights_that_are_views_or_not_float64_are_copied():
+    convs = small_corpus()
+    model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
+    weights = {name: t.data for name, t in model.params.items()}
+    wide = np.zeros((weights["crf.trans"].shape[0], 2 * weights["crf.trans"].shape[1]))
+    weights["crf.trans"] = wide[:, ::2]  # strided view
+    weights["sel.trans"] = np.ones((2, 2), dtype=np.float32)
+    rebuilt = DialogueActModel(model.vocab, TOY_CFG, weights=weights)
+    for name in ("crf.trans", "sel.trans"):
+        data = rebuilt.params[name].data
+        assert all(data.flags[flag] for flag in ("C_CONTIGUOUS", "ALIGNED", "WRITEABLE", "OWNDATA"))
+        assert data.dtype == np.float64 and np.array_equal(data, weights[name])
+        assert not np.shares_memory(data, weights[name])
+
+
+def test_optimizer_state_matches_the_object_held_reference():
+    """The loop's Adagrad sums and EMA shadows update as ones held in an optimizer object do, to the bit."""
     convs = small_corpus()
     cfg = TrainConfig(**{**TOY_CFG.__dict__, "max_epochs": 1})
     train_convs = convs[:18]
@@ -622,30 +635,31 @@ def test_optimizer_state_matches_the_registry_held_reference():
 
     vocab, rngs = build_vocab(train_convs), [np.random.default_rng(cfg.seed) for _ in range(2)]
     models = [DialogueActModel(vocab, cfg, rng=rng) for rng in rngs]
-    ours, ref = (m.registry for m in models)
-    sums = {name: np.zeros_like(t.data) for name, t in ours.params.items()}
-    shadows = {name: t.data for name, t in ours.params.items()}
-    reference = RegistryOptimizer(ref)
+    ours, ref = (m.params for m in models)
+    sums = {name: np.zeros_like(t.data) for name, t in ours.items()}
+    shadows = {name: t.data for name, t in ours.items()}
+    reference = ReferenceOptimizer(ref)
     batches = [make_batches(train_convs, cfg.max_batch, rng) for rng in rngs]
     assert len(batches[0]) >= 3
     for step in zip(*batches):
         for m, batch, rng in zip(models, step, rngs):
-            m.registry.zero_grads()
+            for t in m.params.values():
+                t.grad = None
             with ag.Tape() as tape:
                 loss = m.loss(batch, train=True, rng=rng)
             tape.backward(loss)
-            clip_gradients(m.registry, cfg.clip_norm)
+            clip_gradients(m.params, cfg.clip_norm)
         adagrad_step(ours, sums, cfg.lr)
         ema_update(ours, shadows, cfg.ema_decay)
         reference.adagrad_step(cfg.lr)
         reference.ema_update(cfg.ema_decay)
-        for name in ours.names():
+        for name in ours:
             assert np.array_equal(ours[name].data, ref[name].data)
             assert np.array_equal(sums[name], reference.sq_accum[name])
             assert np.array_equal(shadows[name], reference.ema[name])
     # train_loop's first epoch runs the same steps and keeps that epoch's shadows
-    for name in ours.names():
-        assert np.array_equal(trained.registry[name].data, ref[name].data)
+    for name in ours:
+        assert np.array_equal(trained.params[name].data, ref[name].data)
         assert np.array_equal(best_state[name], reference.ema[name])
 
 
@@ -661,9 +675,9 @@ def inference_results(model, convs, shadows):
 def test_inference_never_records_and_leaves_weights_in_place():
     convs = small_corpus()
     model, best_state, _ = train_loop(convs[:18], convs[18:], TOY_CFG)
-    reg, valid = model.registry, convs[18:]
-    assert any(not np.array_equal(best_state[n], reg[n].data) for n in reg.names())
-    arrays = {name: reg[name].data for name in reg.names()}
+    params, valid = model.params, convs[18:]
+    assert any(not np.array_equal(best_state[n], t.data) for n, t in params.items())
+    arrays = {name: t.data for name, t in params.items()}
     expected = inference_results(model, valid, best_state)
 
     results = []
@@ -679,7 +693,7 @@ def test_inference_never_records_and_leaves_weights_in_place():
     tape.backward(loss)
 
     assert results == [expected, expected]
-    assert all(reg[name].data is array for name, array in arrays.items())
+    assert all(params[name].data is array for name, array in arrays.items())
     # EMA validation scores what a model holding the shadows as weights scores
     shadows = DialogueActModel(model.vocab, model.cfg, weights=best_state)
     assert shadows.accuracy(valid) == expected[1]
@@ -689,8 +703,8 @@ def test_decode_on_a_snapshot_holds_while_training_steps_run():
     """Three decoding threads against training steps that rebind every weight."""
     convs = small_corpus()
     model = DialogueActModel(build_vocab(convs), TOY_CFG, rng=np.random.default_rng(3))
-    reg = model.registry
-    snapshot = {name: reg[name].data for name in reg.names()}
+    params = model.params
+    snapshot = {name: t.data for name, t in params.items()}
     sums = {name: np.zeros_like(array) for name, array in snapshot.items()}
     shadows = dict(snapshot)
     expected = model.decode(convs, weights=snapshot)
@@ -712,13 +726,14 @@ def test_decode_on_a_snapshot_holds_while_training_steps_run():
         for worker in workers:
             worker.start()
         for _ in range(6):
-            reg.zero_grads()
+            for t in params.values():
+                t.grad = None
             with ag.Tape() as tape:
                 loss = model.loss(convs[:8], train=True, rng=rng)
             assert len(tape.records) == records
             tape.backward(loss)
-            adagrad_step(reg, sums, 0.5)
-            ema_update(reg, shadows, 0.5)
+            adagrad_step(params, sums, 0.5)
+            ema_update(params, shadows, 0.5)
     finally:
         stop.set()
         for worker in workers:
@@ -726,7 +741,7 @@ def test_decode_on_a_snapshot_holds_while_training_steps_run():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert agreed and all(agreed)
-    assert not any(np.array_equal(reg[name].data, snapshot[name]) for name in ("crf.trans", "sel.w"))
+    assert not any(np.array_equal(params[name].data, snapshot[name]) for name in ("crf.trans", "sel.w"))
 
 
 def huge_embeddings(tmp_path, convs, dim):
