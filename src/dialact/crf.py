@@ -6,9 +6,7 @@ chains: unary scores (B, N, Y) as numpy arrays, one shared (Y, Y)
 transition table and optional ``lengths`` (B,), N by default. Scores past
 a chain's length are padding and never read: at step t a ``live =
 t < lengths`` mask carries alpha and the Viterbi score forward, keeps beta
-0 and makes backpointers the identity, and marginals there are 0. Scores
-for a chain's first and last labels are unary scores at its first and
-last positions; ``compute_potentials`` adds them there.
+0 and makes backpointers the identity, and marginals there are 0.
 Decoding, the attention export, the oracle suites and the synthetic
 reference decoder call the engine directly. Training reaches it through
 two tape ops, one record each:
@@ -277,7 +275,7 @@ def selection_attention(finals, params, lengths=None):
 # ---------------------------------------------------------------------------
 
 
-def compute_potentials(finals, context, params, lengths):
+def compute_potentials(finals, context, params):
     """Unary and transition scores for the label chain, on the tape.
 
     unary[b, i, y] combines an act-embedding dot product with a one-hidden-
@@ -288,22 +286,14 @@ def compute_potentials(finals, context, params, lengths):
 
     params: name -> tensor mapping holding ``crf.act_emb`` (Y, d),
     ``crf.emit_wu`` (d, h), ``crf.emit_wc`` (d, h), ``crf.emit_b`` (h,),
-    ``crf.emit_wout`` (h, Y) and ``crf.trans`` (Y, Y). When ``params``
-    also holds the boundary vectors ``crf.start``/``crf.stop`` (Y,), they
-    are added to each chain's first and last rows, as given by ``lengths``
-    (B,). Returns (unary (B, n, Y), transition).
+    ``crf.emit_wout`` (h, Y) and ``crf.trans`` (Y, Y). Returns (unary
+    (B, n, Y), transition).
     """
-    b, n, d = finals.shape
+    b = finals.shape[0]
     act_dot = ag.matmul(finals, ag.transpose_last(params["crf.act_emb"]))
     ctx_part = ag.reshape(ag.matmul(context, params["crf.emit_wc"]), (b, 1, -1))
     hidden = ag.tanh(
         ag.add(ag.add(ag.matmul(finals, params["crf.emit_wu"]), ctx_part), params["crf.emit_b"])
     )
     unary = ag.add(act_dot, ag.matmul(hidden, params["crf.emit_wout"]))
-    lengths, _ = _live(lengths, b, n)
-    position = np.arange(n)[:, None]
-    for name, at in (("crf.start", np.zeros(b, dtype=np.int64)), ("crf.stop", lengths - 1)):
-        if name in params:
-            mask = (position == at[:, None, None]).astype(np.float64)  # (B, n, 1), 1 at each chain's row
-            unary = ag.add(unary, ag.mul(mask, params[name]))
     return unary, params["crf.trans"]

@@ -72,10 +72,10 @@ from .corpus import PAD_ID
 CHAR_WIDTHS = (2, 3, 4)
 
 
-def split_filter_counts(total, widths=CHAR_WIDTHS):
-    """Distribute filter outputs across widths, earlier widths get remainders."""
-    base, rem = divmod(total, len(widths))
-    return tuple(base + (1 if i < rem else 0) for i in range(len(widths)))
+def split_filter_counts(total):
+    """Distribute filter outputs across ``CHAR_WIDTHS``, earlier widths get remainders."""
+    base, rem = divmod(total, len(CHAR_WIDTHS))
+    return tuple(base + (1 if i < rem else 0) for i in range(len(CHAR_WIDTHS)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ only its length neighbours. No output depends on a conversation's chunk
 mates, up to BLAS rounding.
 
 There is one parameter namespace, the checkpoint names (``emb.word``,
-``utt_gru.w``, ``sel.trans``, ``crf.start`` ...). Every layer takes a
+``utt_gru.w``, ``sel.trans``, ``crf.trans`` ...). Every layer takes a
 flat ``params`` mapping from those names to tensors and reads its own
 entries. ``loss`` passes ``model.params``, the plain dict of the model's
 own tensors that the optimizer and ``autograd.grad_check`` read too; they
@@ -84,7 +84,7 @@ class DialogueActModel:
         rate = self.cfg.dropout if train else 0.0
         finals = ag.dropout(enc.final, rate, rng, train)
         selection = crf.selection_attention(finals, params, batch.utt_counts)
-        unary, trans = crf.compute_potentials(finals, selection.context, params, batch.utt_counts)
+        unary, trans = crf.compute_potentials(finals, selection.context, params)
         return unary, trans, selection, enc
 
     def loss(self, conversations, train=True, rng=None):
@@ -119,9 +119,9 @@ class DialogueActModel:
 
         Yields (indices into ``conversations``, (unary (B, N, Y), transition,
         lengths (B,)), selection, encoded) per chunk: the chain engine's
-        arguments, boundary scores included, then the layers' tensors. All
-        chunks read one snapshot of ``weights`` (names to arrays; default:
-        the current weights); training rebinds arrays, never writes them.
+        arguments, then the layers' tensors. All chunks read one snapshot of
+        ``weights`` (names to arrays; default: the current weights);
+        training rebinds arrays, never writes them.
         """
         if weights is None:
             weights = {name: t.data for name, t in self.params.items()}
@@ -253,8 +253,6 @@ def parameter_table(vocab, cfg):
         ("crf.emit_b", (cfg.emit_dim,), 0.0), ("crf.emit_wout", (cfg.emit_dim, n_acts), weight),
         ("crf.trans", (n_acts, n_acts), 0.0),
     ]
-    if cfg.boundary_potentials:
-        table += [("crf.start", (n_acts,), 0.0), ("crf.stop", (n_acts,), 0.0)]
     return table
 
 

@@ -28,7 +28,6 @@ ambiguous pool.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +76,7 @@ _BANK = {
     "farewell": ["goodbye", "see you later", "i will let you get back to it goodbye", "talk soon", "bye for now"],
 }
 _AMBIGUOUS_POOL = ["okay", "well", "you know", "so anyway", "all right", "hm okay then"]
+AMBIGUOUS_MASS = 0.45  # each act's probability on the shared pool
 # Pseudo-words for acts past the bank are spelled in these syllables. No bank
 # or pool phrase is spelled in them alone, so no pseudo-word phrase equals one.
 _SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
@@ -185,39 +185,6 @@ class GeneratorModel:
         """Fraction of utterances the true model itself decodes correctly."""
         return accuracy([self.viterbi_acts(c) for c in conversations], [c.acts for c in conversations])
 
-    def to_json_obj(self):
-        return {
-            "act_names": list(self.act_names),
-            "transition": self.transition.tolist(),
-            "initial": self.initial.tolist(),
-            "phrase_tables": [
-                [[list(phrase), prob] for phrase, prob in table] for table in self.phrase_tables
-            ],
-        }
-
-    @staticmethod
-    def from_json_obj(obj):
-        return GeneratorModel(
-            act_names=tuple(obj["act_names"]),
-            transition=np.asarray(obj["transition"], dtype=np.float64),
-            initial=np.asarray(obj["initial"], dtype=np.float64),
-            phrase_tables=tuple(
-                tuple((tuple(phrase), float(prob)) for phrase, prob in table)
-                for table in obj["phrase_tables"]
-            ),
-        )
-
-
-def save_generator(path, model):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(model.to_json_obj(), f, indent=2)
-
-
-def load_generator(path):
-    with open(path, encoding="utf-8") as f:
-        return GeneratorModel.from_json_obj(json.load(f))
-
-
 def generate_synthetic(spec):
     """Sample the corpus; returns (conversations, GeneratorModel).
 
@@ -302,10 +269,10 @@ def _pseudo_cue_phrases(act):
     ]
 
 
-def default_phrase_tables(num_acts, ambiguous_mass=0.45):
+def default_phrase_tables(num_acts):
     """Template tables from the built-in bank plus a shared ambiguous pool.
 
-    Each act keeps ``1 - ambiguous_mass`` of its probability on its own cue
+    Each act keeps ``1 - AMBIGUOUS_MASS`` of its probability on its own cue
     phrases and spreads the rest uniformly over phrases every act shares,
     so per-utterance lexical evidence is deliberately incomplete. Acts past
     the bank's eight take pseudo-word cue phrases.
@@ -314,9 +281,9 @@ def default_phrase_tables(num_acts, ambiguous_mass=0.45):
     tables = []
     for i in range(num_acts):
         own = bank[i] if i < len(bank) else _pseudo_cue_phrases(i)
-        table = [(tuple(p.split()), (1.0 - ambiguous_mass) / len(own)) for p in own]
+        table = [(tuple(p.split()), (1.0 - AMBIGUOUS_MASS) / len(own)) for p in own]
         table += [
-            (tuple(p.split()), ambiguous_mass / len(_AMBIGUOUS_POOL)) for p in _AMBIGUOUS_POOL
+            (tuple(p.split()), AMBIGUOUS_MASS / len(_AMBIGUOUS_POOL)) for p in _AMBIGUOUS_POOL
         ]
         tables.append(tuple(table))
     return _default_act_names(num_acts), tuple(tables)
@@ -329,9 +296,8 @@ def default_spec(
     min_len=4,
     max_len=12,
     seed=42,
-    ambiguous_mass=0.45,
 ):
-    names, tables = default_phrase_tables(num_acts, ambiguous_mass)
+    names, tables = default_phrase_tables(num_acts)
     return SyntheticSpec(
         num_acts=num_acts,
         act_transition=symmetric_transition(num_acts, self_transition),

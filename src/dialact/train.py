@@ -16,9 +16,9 @@ or at ``max_epochs``. A non-finite batch loss raises
 ``FloatingPointError`` naming the epoch.
 
 Config files are flat ``key = value`` text; keys must be TrainConfig
-field names, given once; an unknown or repeated key, or a bad value (a
-bool is true/false/yes/no/1/0), is an error naming the line. History
-records are one JSON object per epoch: {"epoch", "train_loss", "val_accuracy", "seconds",
+field names, given once; an unknown or repeated key, or a bad value, is
+an error naming the line. History records are one JSON object per epoch:
+{"epoch", "train_loss", "val_accuracy", "seconds",
 "utt_per_s", "clip_frac", "grad_norm", "grad_norm_max", "tape_records"}. ``seconds`` is the epoch's wall time,
 validation included; ``utt_per_s`` is the training utterances of the
 epoch over it, and ``clip_frac`` the share of the epoch's steps whose
@@ -68,13 +68,12 @@ class TrainConfig:
     seed: int = 42
     max_epochs: int = 50
     clip_norm: float = 5.0  # global-norm gradient clip; <= 0 disables
-    boundary_potentials: bool = False
     min_count: int = 1
 
     def __post_init__(self):
         for f in fields(self):
             value, kind = getattr(self, f.name), str(f.type)
-            if not isinstance(value, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(value, bool)):
+            if not isinstance(value, _FIELD_TYPES[kind]) or isinstance(value, bool):
                 raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -97,7 +96,8 @@ class TrainConfig:
             raise ValueError(f"hops must be <= {MAX_HOPS}, got {self.hops}")
 
 
-_FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+_CASTS = {"int": int, "float": float}
 # memory hops are a loop count in every forward; 16 keeps a decode within ~1.5x of one hop
 MAX_HOPS = 16
 # every dimension, since a zero width breaks a layer, and the counts
@@ -105,10 +105,6 @@ _AT_LEAST_ONE = (
     "hops", "patience", "max_batch", "max_epochs", "min_count",
     "d", "d_u", "d_p", "d_n", "d_c", "word_dim", "char_out", "attn_dim", "emit_dim",
 )
-
-
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_CASTS = {"int": int, "float": float, "bool": lambda v: _BOOLS[v.lower()]}
 
 
 def parse_config_file(path):
@@ -120,7 +116,7 @@ def parse_config_file(path):
             raise TranscriptError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             overrides[key] = _CASTS[field_types[key]](value)
-        except (KeyError, ValueError):
+        except ValueError:
             kind = field_types[key]
             raise TranscriptError(f"{path}:{lineno}: {key} = {value!r} is not a valid {kind}") from None
     return TrainConfig(**overrides)

@@ -1,7 +1,7 @@
 """End-to-end command flows, determinism, exit codes, format closure."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from dialact import cli
 from dialact.corpus import Conversation, Token, Utterance, build_vocab, parse_jsonl, write_jsonl
 from dialact.model import DialogueActModel
 from dialact.train import TrainConfig
-from dialact.synthetic import SyntheticSpec, generate_synthetic, symmetric_transition
+from dialact.synthetic import SyntheticSpec, generate_synthetic, parse_spec_file, symmetric_transition
 
 GREET_SPEC = """
 num_acts = 3
@@ -44,10 +44,19 @@ def test_gen_synthetic_deterministic(tmp_path):
     assert run_cli("gen-synthetic", "--spec", spec, "--out", str(out_a), "--seed", "7") == 0
     assert run_cli("gen-synthetic", "--spec", spec, "--out", str(out_b), "--seed", "7") == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    assert (tmp_path / "a.jsonl.generator.json").exists()
     different = tmp_path / "c.jsonl"
     run_cli("gen-synthetic", "--spec", spec, "--out", str(different), "--seed", "8")
     assert out_a.read_bytes() != different.read_bytes()
+
+
+def test_gen_synthetic_prints_the_generator_ceiling_and_writes_only_the_corpus(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    out = tmp_path / "a.jsonl"
+    assert run_cli("gen-synthetic", "--spec", spec, "--out", str(out), "--seed", "7") == 0
+    convs, generator = generate_synthetic(replace(parse_spec_file(spec), seed=7))
+    ceiling = generator.decode_accuracy(convs)
+    assert f"generator Viterbi accuracy on this corpus: {ceiling:.4f}\n" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "spec.cfg"]
 
 
 def test_oracle_check_passes_and_reports(tmp_path, capsys):
@@ -490,6 +499,7 @@ SIDECAR_EDITS = {
     "wider-dim": (("config", "word_dim"), 10**12, "does not match its sidecar"),
     "version": (("version",), 3, "expected an object with version 2, got version 3"),
     "version-1": (("version",), 1, "expected an object with version 2, got version 1"),
+    "boundary-potentials": (("config", "boundary_potentials"), False, "unknown config key 'boundary_potentials'"),
 }
 
 

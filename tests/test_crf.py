@@ -20,7 +20,7 @@ from dialact.crf import (
     selection_attention,
     viterbi_decode,
 )
-from dialact.model import DialogueActModel
+from dialact.model import DialogueActModel, parameter_table
 from dialact.synthetic import default_spec, generate_synthetic
 from dialact.train import TrainConfig, adagrad_step
 from helpers import leaves, log_space_alpha_beta
@@ -655,7 +655,7 @@ def test_zero_parameters_give_zero_potentials():
     rng = np.random.default_rng(18)
     finals = ag.Tensor(rng.normal(size=(1, 3, 4)))
     ctx = ag.Tensor(rng.normal(size=(1, 4)))
-    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3, zero=True), np.array([3]))
+    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3, zero=True))
     assert np.array_equal(unary.data, np.zeros((1, 3, 3)))
     assert np.array_equal(trans.data, np.zeros((3, 3)))
 
@@ -664,7 +664,7 @@ def test_potential_shapes():
     rng = np.random.default_rng(19)
     finals = ag.Tensor(rng.normal(size=(1, 2, 4)))
     ctx = ag.Tensor(rng.normal(size=(1, 4)))
-    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3), np.array([2]))
+    unary, trans = compute_potentials(finals, ctx, potential_weights(rng, 4, 5, 3))
     assert unary.shape == (1, 2, 3)
     assert trans.shape == (3, 3)
 
@@ -674,49 +674,51 @@ def test_act_embedding_perturbation_is_column_local():
     finals = ag.Tensor(rng.normal(size=(1, 4, 6)))
     ctx = ag.Tensor(rng.normal(size=(1, 6)))
     params = potential_weights(rng, 6, 5, 4)
-    base, _ = compute_potentials(finals, ctx, params, np.array([4]))
+    base, _ = compute_potentials(finals, ctx, params)
     params["crf.act_emb"].data[2] += 0.37
-    bumped, _ = compute_potentials(finals, ctx, params, np.array([4]))
+    bumped, _ = compute_potentials(finals, ctx, params)
     diff = bumped.data - base.data
     assert np.abs(diff[:, :, 2]).min() > 0.0
     untouched = np.delete(diff, 2, axis=2)
     assert np.abs(untouched).max() == 0.0
 
 
-def test_boundary_vectors_fold_into_each_chains_first_and_last_rows():
+def test_unary_rows_do_not_depend_on_their_place_in_the_chain():
     rng = np.random.default_rng(23)
-    lengths = np.array([3, 1, 2])
-    finals = ag.Tensor(rng.normal(size=(3, 3, 6)))
-    ctx = ag.Tensor(rng.normal(size=(3, 6)))
+    finals = ag.Tensor(rng.normal(size=(1, 4, 6)))
+    ctx = ag.Tensor(rng.normal(size=(1, 6)))
     params = potential_weights(rng, 6, 5, 4)
-    start, stop = rng.normal(size=4), rng.normal(size=4)
-    plain, trans = compute_potentials(finals, ctx, params, lengths)
-    bounded = {**params, "crf.start": ag.Tensor(start), "crf.stop": ag.Tensor(stop)}
-    folded, folded_trans = compute_potentials(finals, ctx, bounded, lengths)
-    expected = plain.data.copy()
-    expected[:, 0] += start
-    expected[np.arange(3), lengths - 1] += stop
-    assert np.array_equal(folded.data, expected)
-    assert folded_trans is trans
+    whole, _ = compute_potentials(finals, ctx, params)
+    for i in range(4):  # as a one-utterance chain, each row is both first and last
+        alone, _ = compute_potentials(ag.Tensor(finals.data[:, i : i + 1]), ctx, params)
+        np.testing.assert_allclose(alone.data[:, 0], whole.data[:, i], rtol=1e-12, atol=1e-14)
+
+
+def test_parameter_table_scores_the_chain_with_unaries_and_one_transition():
+    convs, _ = generate_synthetic(default_spec(num_acts=3, num_conversations=4, seed=24))
+    cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4, emit_dim=4)
+    table = parameter_table(build_vocab(convs), cfg)
+    crf_names = [name for name, _, _ in table if name.startswith("crf.")]
+    assert crf_names == [
+        "crf.act_emb", "crf.emit_wu", "crf.emit_wc", "crf.emit_b", "crf.emit_wout", "crf.trans"
+    ]
+    assert len(table) == 24
+    assert dict((name, shape) for name, shape, _ in table)["crf.trans"] == (3, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
-def test_full_model_with_boundaries_passes_grad_check_on_mixed_lengths(seed):
+def test_full_model_passes_grad_check_on_mixed_lengths(seed):
     convs, _ = generate_synthetic(
         default_spec(num_acts=3, self_transition=0.6, num_conversations=3, min_len=3, max_len=3, seed=seed)
     )
     convs = [replace(conv, utterances=conv.utterances[:n]) for conv, n in zip(convs, (3, 1, 2))]
     cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4,
-                      emit_dim=4, dropout=0.0, boundary_potentials=True)
-    rng = np.random.default_rng(seed)
-    model = DialogueActModel(build_vocab(convs), cfg, rng=rng)
-    for name in ("crf.start", "crf.stop"):  # off their zero init, so each boundary term is visible
-        model.params[name].data = rng.normal(size=model.params[name].shape)
+                      emit_dim=4, dropout=0.0)
+    model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(seed))
     report = ag.grad_check(
         lambda: model.loss(convs, train=False), model.params, eps=1e-4, tol=1e-4, max_per_tensor=10, seed=seed
     )
     assert report.passed, report.summary()
-    assert {"crf.start", "crf.stop"} <= {name for name, _, _ in report.entries}
 
 
 def test_potential_tables_share_one_transition():
@@ -724,7 +726,7 @@ def test_potential_tables_share_one_transition():
         default_spec(num_acts=3, num_conversations=12, min_len=3, max_len=3, seed=21)
     )
     cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4,
-                      emit_dim=4, boundary_potentials=True)
+                      emit_dim=4)
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(21))
     tables, _, _ = model.potential_tables(convs[:2])
     ((chunk, (unary, _, lengths), _, _),) = model.inference_chunks(convs[:2])
@@ -746,7 +748,7 @@ def test_potential_tables_are_cropped_to_each_length():
         default_spec(num_acts=3, num_conversations=6, min_len=2, max_len=5, seed=22)
     )
     cfg = TrainConfig(d=8, d_u=4, d_c=4, d_p=3, d_n=3, word_dim=6, char_out=6, attn_dim=4,
-                      emit_dim=4, boundary_potentials=True)
+                      emit_dim=4)
     model = DialogueActModel(build_vocab(convs), cfg, rng=np.random.default_rng(22))
     assert len({len(c) for c in convs}) > 1
     assert len({max(len(t.surface) for u in c.utterances for t in u.tokens) for c in convs}) > 1

@@ -149,18 +149,6 @@ def test_stationary_distribution_of_symmetric_chain_is_uniform():
     assert np.abs(pi - 0.2).max() < 1e-12
 
 
-def test_generator_model_round_trip(tmp_path):
-    spec = default_spec(num_acts=3, num_conversations=5, seed=1)
-    _, model = generate_synthetic(spec)
-    path = tmp_path / "gen.json"
-    synthetic.save_generator(path, model)
-    again = synthetic.load_generator(path)
-    assert again.act_names == model.act_names
-    assert np.array_equal(again.transition, model.transition)
-    assert np.array_equal(again.initial, model.initial)
-    assert again.phrase_tables == model.phrase_tables
-
-
 def test_bayes_decoder_beats_chance_and_is_self_consistent():
     spec = default_spec(num_acts=5, self_transition=0.7, num_conversations=150,
                         min_len=6, max_len=10, seed=5)
